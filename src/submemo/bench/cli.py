@@ -3,7 +3,8 @@
 Functions are addressed as ``synthetic:<kind>,n=...,seed=...`` strings,
 ``<class>:<path>`` file references, or bare paths (JSON set systems pick
 their class from the file contents; bare dense CSVs default to facility
-location).  Exit codes: 0 success, 2 input error, 3 solver non-convergence.
+location).  Exit codes: 0 success, 2 input error, 3 solver non-convergence,
+4 failed check (a ``validate`` row FAILs or a ``bench`` cell errors).
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from .runner import (
 )
 from .synthetic import SYNTHETIC_KINDS, gen_synthetic
 from ..functions import FeatureBasedData
+
+EXIT_CHECK_FAILED = 4
 
 _DENSE_CLASSES = {
     "faclocation": lambda m, p: FacilityLocationData(m),
@@ -92,7 +95,6 @@ def _load_file(path: str, klass: str | None):
     head = p.read_text(encoding="utf-8", errors="replace")[:16]
     if head.startswith("triplet"):
         n, buckets, triplets = load_sparse_triplets(p)
-        lists = [([], []) for _ in range(n)]
         by_element: dict[int, list] = {}
         for b, e, v in triplets:
             by_element.setdefault(e, []).append((b, v))
@@ -224,8 +226,7 @@ def _cmd_sc(args, direction: str) -> int:
 
 
 def _total(F) -> float:
-    F.set_memo(range(F.n))
-    total = F.memo_value()
+    total = F.value_at(range(F.n))
     F.set_memo(())
     return total
 
@@ -302,7 +303,6 @@ def _cmd_bench(args) -> int:
         repetitions=args.reps,
         seed=args.seed,
         kind=args.kind,
-        timing_strict=args.timing_strict,
     )
     out_dir = args.out or "bench-out"
     records = run_experiment(cfg, out_dir=out_dir)
@@ -310,7 +310,7 @@ def _cmd_bench(args) -> int:
     print(f"wrote {Path(out_dir) / 'report.csv'} and report.json ({len(records)} cells)")
     for r in failures:
         print(f"cell error: {r.function}/{r.mode}/{r.budget}: {r.error}", file=sys.stderr)
-    return 0
+    return EXIT_CHECK_FAILED if failures else 0
 
 
 def _cmd_validate(args) -> int:
@@ -364,7 +364,7 @@ def _cmd_validate(args) -> int:
     print(f"validate {name}")
     for label, ok, detail in rows:
         print(f"  {label:<{width}}  {'PASS' if ok else 'FAIL'}  {detail}")
-    return 0
+    return 0 if all(ok for _, ok, _ in rows) else EXIT_CHECK_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, default=None)
         p.add_argument("--budget-frac", dest="budget_frac", type=float, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--report", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("maximize", help="run one maximization algorithm")
     common(p)
@@ -428,8 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.add_argument("--report", choices=("json", "csv"), default="csv")
-    p.add_argument("--timing-strict", dest="timing_strict", action="store_true")
     p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser("validate", help="statistic + submodularity audit")

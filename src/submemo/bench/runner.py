@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -67,7 +65,6 @@ class ExperimentConfig:
     repetitions: int = 3
     seed: int = 0
     kind: str = "maximize"  # maximize | minimize | gradients
-    timing_strict: bool = False
 
     def __post_init__(self):
         if self.mode not in ("pm", "vo", "both"):
@@ -178,18 +175,6 @@ def _time_cell(cfg: ExperimentConfig, name: str, base, mode: str, budget, task) 
     )
 
 
-def _pool_size(cfg: ExperimentConfig) -> int:
-    if cfg.timing_strict:
-        return 1
-    env = os.environ.get("SUBMEMO_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise InputError(f"SUBMEMO_THREADS must be an integer, got {env!r}") from None
-    return 1
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> list[TimingRecord]:
     """Execute every cell; optionally write report.csv / report.json."""
     modes = ("pm", "vo") if cfg.mode == "both" else (cfg.mode,)
@@ -203,14 +188,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> list[TimingRecord]:
             for budget in cfg.budgets:
                 for mode in modes:
                     cells.append((name, base, mode, budget, None))
-    workers = _pool_size(cfg)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(
-                pool.map(lambda cell: _time_cell(cfg, *cell), cells)
-            )
-    else:
-        records = [_time_cell(cfg, *cell) for cell in cells]
+    records = [_time_cell(cfg, *cell) for cell in cells]
     if out_dir is not None:
         write_reports(cfg, records, out_dir)
     return records

@@ -55,8 +55,7 @@ def supergradient_grow(F: SubmodularFunction, X) -> ModularFunction:
     singleton value.  Cost: one rebuild plus n gain evaluations.
     """
     sub = as_subset(F.n, X)
-    F.set_memo(sub)
-    fx = F.memo_value()
+    fx = F.value_at(sub)
     weights = np.empty(F.n)
     inside_total = 0.0
     for j in range(F.n):
@@ -75,8 +74,7 @@ def supergradient_shrink(F: SubmodularFunction, X) -> ModularFunction:
     add gain at X.  Costs two rebuilds (memo at X, then at V) plus n gains.
     """
     sub = as_subset(F.n, X)
-    F.set_memo(sub)
-    fx = F.memo_value()
+    fx = F.value_at(sub)
     weights = np.empty(F.n)
     outside = [j for j in range(F.n) if j not in sub]
     for j in outside:

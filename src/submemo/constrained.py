@@ -9,7 +9,6 @@ bounds/maximize/minimize primitives, so memoized runs stay oracle-free.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -26,7 +25,7 @@ from .core import (
     tol_for,
 )
 from .functions.compose import ModularPenalizedFunction
-from .maximize import Knapsack, greedy_lazy, local_search_usm
+from .maximize import Knapsack, greedy_lazy, lazy_argmax, local_search_usm
 from .minimize import min_norm_point
 
 _COST_FLOOR = 1e-12
@@ -84,11 +83,6 @@ class IterativeResult:
         return self.selected.members
 
 
-def _memo_value(F: SubmodularFunction, members) -> float:
-    F.set_memo(members)
-    return F.memo_value()
-
-
 def submodular_set_cover(
     g: SubmodularFunction, cost, c: float, pool=None
 ) -> IterativeResult:
@@ -104,33 +98,25 @@ def submodular_set_cover(
         raise InputError("need one cost per element")
     costs = np.maximum(weights, _COST_FLOOR)
     pool = list(range(n)) if pool is None else sorted(pool)
-    total = _memo_value(g, pool)
+    total = g.value_at(pool)
     tol = tol_for(max(1.0, abs(c)))
     if total < c - tol:
         raise InputError(f"cover level {c} infeasible: g over the pool is {total}")
-    g.set_memo(())
-    covered = g.memo_value()
-    heap = []
-    for j in pool:
-        gain = g.gain_add(j)
-        heap.append((-gain / costs[j], j, len(g.memo), gain))
-    heapq.heapify(heap)
+    covered = g.value_at(())
+    # built before the level test: the heap costs one gain per pool element either way
+    picks = lazy_argmax(g, pool, lambda gain, j: gain / costs[j])
     trace = []
     spent = 0.0
-    while covered < c - tol and heap:
-        negratio, j, stamp, gain = heapq.heappop(heap)
-        if stamp != len(g.memo):
-            gain = g.gain_add(j)
-            entry = (-gain / costs[j], j, len(g.memo), gain)
-            if heap and entry >= heap[0]:
-                heapq.heappush(heap, entry)
-                continue
-        if gain <= ABS_TOL:
-            continue  # zero gain cannot make progress; try the rest
-        g.update(j)
-        covered += gain
-        spent += float(weights[j])
-        trace.append((j, gain))
+    if covered < c - tol:
+        for j, gain, _ in picks:
+            if gain <= ABS_TOL:
+                continue  # zero gain cannot make progress; try the rest
+            g.update(j)
+            covered += gain
+            spent += float(weights[j])
+            trace.append((j, gain))
+            if covered >= c - tol:
+                break
     covered = g.memo_value()
     return IterativeResult(
         selected=g.memo.copy(),
@@ -172,7 +158,7 @@ def scsc_solve(p: ScProblem, max_iters: int = 50) -> IterativeResult:
         for bound in _both_supergradients(f, current):
             cover = submodular_set_cover(g, np.maximum(bound.weights, _COST_FLOOR), c)
             cand = cover.members
-            candidates.append((_memo_value(f, cand), cand))
+            candidates.append((f.value_at(cand), cand))
         obj, current = min(candidates, key=lambda t: (t[0], t[1]))
         trace.append(obj)
         if obj < best_obj:
@@ -181,7 +167,7 @@ def scsc_solve(p: ScProblem, max_iters: int = 50) -> IterativeResult:
     return IterativeResult(
         selected=sel,
         objective=best_obj,
-        constraint_value=_memo_value(g, sel.members),
+        constraint_value=g.value_at(sel.members),
         trace=trace,
         iterations=len(trace),
         converged=converged,
@@ -223,12 +209,12 @@ def scsk_solve(p: ScProblem, max_iters: int = 50) -> IterativeResult:
         if obj > best_obj:
             best_obj, best_members = obj, list(current)
     if best_obj == -math.inf:
-        best_members, best_obj = [], _memo_value(g, [])
+        best_members, best_obj = [], g.value_at([])
     sel = Subset(f.n, best_members)
     return IterativeResult(
         selected=sel,
         objective=best_obj,
-        constraint_value=_memo_value(f, sel.members),
+        constraint_value=f.value_at(sel.members),
         trace=trace,
         iterations=len(trace),
         converged=converged,
@@ -251,7 +237,7 @@ def ds_minimize(
     n = f.n
 
     def objective(members) -> float:
-        return _memo_value(f, members) - _memo_value(g, members)
+        return f.value_at(members) - g.value_at(members)
 
     current: list[int] = []
     obj = objective(current)

@@ -311,6 +311,11 @@ class SubmodularFunction(ABC):
         """f(memo_set) read off the live statistic; free of oracle cost."""
         return self._value_from_statistic()
 
+    def value_at(self, X) -> float:
+        """f(X) via the statistic: point the memo at X, then read its value."""
+        self.set_memo(X)
+        return self.memo_value()
+
     def clone_detached(self) -> "SubmodularFunction":
         """Independent copy: shared immutable data, fresh memo state/counters."""
         c = self._spawn()

@@ -27,7 +27,6 @@ from .concave import (
 )
 from .coverage import (
     ClusteredSetCoverData,
-    ClusteredSetCoverFunction,
     ProbabilisticSetCoverData,
     ProbabilisticSetCoverFunction,
     SetCoverData,
@@ -56,7 +55,7 @@ _SIMPLE_BUILDERS = {
     SaturatedCoverageData: SaturatedCoverageFunction,
     GraphCutData: GraphCutFunction,
     SetCoverData: SetCoverFunction,
-    ClusteredSetCoverData: ClusteredSetCoverFunction,
+    ClusteredSetCoverData: lambda data: SetCoverFunction(data.base),
     ProbabilisticSetCoverData: ProbabilisticSetCoverFunction,
     FeatureBasedData: FeatureBasedFunction,
     ClusteredConcaveModularData: ClusteredConcaveModularFunction,
@@ -174,7 +173,6 @@ __all__ = [
     "SetCoverData",
     "SetCoverFunction",
     "ClusteredSetCoverData",
-    "ClusteredSetCoverFunction",
     "ProbabilisticSetCoverData",
     "ProbabilisticSetCoverFunction",
     "FeatureBasedData",

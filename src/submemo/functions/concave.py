@@ -2,7 +2,10 @@
 
 Score tables are stored CSR over elements (``scores[indptr[j]:indptr[j+1]]``
 with matching feature ids), so a gain touches only the features element j
-loads.  Concave shapes come from a closed, serializable registry.
+loads.  Feature-based and clustered concave-over-modular functions keep the
+same statistic (per-bucket loads) and share every hook through
+``_SparseLoadFunction``; they differ only in how their data fills the CSR
+arrays.  Concave shapes come from a closed, serializable registry.
 """
 
 from __future__ import annotations
@@ -79,14 +82,21 @@ def _dense_to_lists(matrix: np.ndarray):
 
 
 class _SparseLoadFunction(SubmodularFunction):
-    """Shared machinery: statistic p[b] = total score of bucket b over the memo."""
+    """f(X) = sum_b psi(p[b]) with statistic p[b] = total score of bucket b over the memo.
 
-    def __init__(self, n: int, num_buckets: int, indptr, ids, vals):
-        super().__init__(n)
+    Built from a data object that carries CSR ``indptr`` and ``values`` and a
+    concave ``psi``; each subclass passes the bucket ids and bucket count
+    under the names its data uses.
+    """
+
+    def __init__(self, data, ids: np.ndarray, num_buckets: int):
+        super().__init__(data.n)
+        self.data = data
         self.num_buckets = num_buckets
-        self._indptr = indptr
+        self._indptr = data.indptr
         self._ids = ids
-        self._vals = vals
+        self._vals = data.values
+        self._psi = data.psi
         self._load = np.zeros(num_buckets)
 
     def _entry(self, j: int):
@@ -100,6 +110,21 @@ class _SparseLoadFunction(SubmodularFunction):
             load[ids] += vals
         return load
 
+    def _evaluate(self, idx):
+        if idx.size == 0:
+            return 0.0
+        return float(self._psi(self._accumulate(idx)).sum())
+
+    def _gain_add(self, j):
+        ids, vals = self._entry(j)
+        p = self._load[ids]
+        return float((self._psi(p + vals) - self._psi(p)).sum())
+
+    def _gain_remove(self, j):
+        ids, vals = self._entry(j)
+        p = self._load[ids]
+        return float((self._psi(p) - self._psi(np.maximum(p - vals, 0.0))).sum())
+
     def _update(self, j):
         ids, vals = self._entry(j)
         self._load[ids] += vals
@@ -111,8 +136,14 @@ class _SparseLoadFunction(SubmodularFunction):
     def _rebuild(self, idx):
         self._load = self._accumulate(idx)
 
+    def _value_from_statistic(self):
+        return float(self._psi(self._load).sum())
+
     def _statistic(self):
         return {"load": self._load}
+
+    def _spawn(self):
+        return type(self)(self.data)
 
 
 @dataclass
@@ -161,30 +192,7 @@ class FeatureBasedFunction(_SparseLoadFunction):
     name = "feature-based"
 
     def __init__(self, data: FeatureBasedData):
-        super().__init__(data.n, data.num_features, data.indptr, data.feature_ids, data.values)
-        self.data = data
-        self._psi = data.psi
-
-    def _evaluate(self, idx):
-        if idx.size == 0:
-            return 0.0
-        return float(self._psi(self._accumulate(idx)).sum())
-
-    def _gain_add(self, j):
-        ids, vals = self._entry(j)
-        p = self._load[ids]
-        return float((self._psi(p + vals) - self._psi(p)).sum())
-
-    def _gain_remove(self, j):
-        ids, vals = self._entry(j)
-        p = self._load[ids]
-        return float((self._psi(p) - self._psi(np.maximum(p - vals, 0.0))).sum())
-
-    def _value_from_statistic(self):
-        return float(self._psi(self._load).sum())
-
-    def _spawn(self):
-        return FeatureBasedFunction(self.data)
+        super().__init__(data, data.feature_ids, data.num_features)
 
 
 @dataclass
@@ -239,30 +247,7 @@ class ClusteredConcaveModularFunction(_SparseLoadFunction):
     name = "clustered-concave-modular"
 
     def __init__(self, data: ClusteredConcaveModularData):
-        super().__init__(data.n, data.k, data.indptr, data.cluster_ids, data.values)
-        self.data = data
-        self._psi = data.psi
-
-    def _evaluate(self, idx):
-        if idx.size == 0:
-            return 0.0
-        return float(self._psi(self._accumulate(idx)).sum())
-
-    def _gain_add(self, j):
-        ids, vals = self._entry(j)
-        p = self._load[ids]
-        return float((self._psi(p + vals) - self._psi(p)).sum())
-
-    def _gain_remove(self, j):
-        ids, vals = self._entry(j)
-        p = self._load[ids]
-        return float((self._psi(p) - self._psi(np.maximum(p - vals, 0.0))).sum())
-
-    def _value_from_statistic(self):
-        return float(self._psi(self._load).sum())
-
-    def _spawn(self):
-        return ClusteredConcaveModularFunction(self.data)
+        super().__init__(data, data.cluster_ids, data.k)
 
 
 @dataclass

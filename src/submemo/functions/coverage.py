@@ -1,9 +1,11 @@
-"""Coverage classes: set cover, clustered set cover, probabilistic set cover.
+"""Coverage classes: set cover and probabilistic set cover.
 
 Set systems are stored flat (CSR over elements): ``items[indptr[j]:indptr[j+1]]``
 are the universe ids covered by element j.  The statistic is a per-item
 coverage count (or product of miss-probabilities for the probabilistic
-variant), which makes gains O(|S_j|).
+variant), which makes gains O(|S_j|).  Clustered set cover has no class of
+its own: its data object folds the cluster multiplicities into the item
+weights of a plain set cover.
 """
 
 from __future__ import annotations
@@ -121,7 +123,10 @@ class ClusteredSetCoverData:
     """Set cover with universe clusters C_1..C_k; f(X) = sum_c w(cover(X) & C_c).
 
     Clusters may overlap; an item covered once contributes its weight to
-    every cluster containing it.
+    every cluster containing it.  Swapping the sums gives
+    f(X) = sum_{u covered} w_u * m_u with m_u the number of clusters holding
+    u, so ``base`` is plain set cover over the weights w * m and the factory
+    builds a ``SetCoverFunction`` from it.  ``weights`` keeps the input w.
     """
 
     sets: list
@@ -129,17 +134,14 @@ class ClusteredSetCoverData:
     clusters: list = None
     weights: np.ndarray | None = None
     base: SetCoverData = field(init=False, repr=False)
-    multiplicity: np.ndarray = field(init=False, repr=False)
-    item_clusters_indptr: np.ndarray = field(init=False, repr=False)
-    item_clusters: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.base = SetCoverData(self.sets, self.universe, self.weights)
-        self.weights = self.base.weights
+        base = SetCoverData(self.sets, self.universe, self.weights)
+        self.weights = base.weights
         if not self.clusters:
             raise InputError("clustered set cover needs at least one cluster")
-        u = self.base.universe
-        membership = [[] for _ in range(u)]
+        u = base.universe
+        multiplicity = np.zeros(u)
         for c, cluster in enumerate(self.clusters):
             seen = set()
             for item in cluster:
@@ -149,16 +151,9 @@ class ClusteredSetCoverData:
                 if item in seen:
                     raise InputError(f"cluster {c} lists item {item} twice")
                 seen.add(item)
-                membership[item].append(c)
-        self.multiplicity = np.asarray([len(m) for m in membership], dtype=float)
-        self.item_clusters_indptr = np.zeros(u + 1, dtype=np.intp)
-        for item in range(u):
-            self.item_clusters_indptr[item + 1] = self.item_clusters_indptr[item] + len(membership[item])
-        self.item_clusters = (
-            np.concatenate([np.asarray(m, dtype=np.intp) for m in membership])
-            if u
-            else np.zeros(0, dtype=np.intp)
-        )
+                multiplicity[item] += 1.0
+        base.weights = self.weights * multiplicity
+        self.base = base
 
     @property
     def n(self) -> int:
@@ -167,79 +162,6 @@ class ClusteredSetCoverData:
     @property
     def k(self) -> int:
         return len(self.clusters)
-
-    def clusters_of(self, item: int) -> np.ndarray:
-        return self.item_clusters[
-            self.item_clusters_indptr[item] : self.item_clusters_indptr[item + 1]
-        ]
-
-
-class ClusteredSetCoverFunction(SubmodularFunction):
-    """Per-item counts plus per-cluster covered weight as the statistic."""
-
-    name = "clustered-set-cover"
-
-    def __init__(self, data: ClusteredSetCoverData):
-        super().__init__(data.n)
-        self.data = data
-        self._count = np.zeros(data.base.universe, dtype=np.int64)
-        self._cluster_weight = np.zeros(data.k)
-
-    def _effective(self, items: np.ndarray) -> np.ndarray:
-        return self.data.weights[items] * self.data.multiplicity[items]
-
-    def _evaluate(self, idx):
-        if idx.size == 0:
-            return 0.0
-        covered = np.zeros(self.data.base.universe, dtype=bool)
-        for j in idx:
-            covered[self.data.base.item_slice(j)] = True
-        hit = np.flatnonzero(covered)
-        return float(self._effective(hit).sum())
-
-    def _gain_add(self, j):
-        it = self.data.base.item_slice(j)
-        fresh = it[self._count[it] == 0]
-        return float(self._effective(fresh).sum())
-
-    def _gain_remove(self, j):
-        it = self.data.base.item_slice(j)
-        lone = it[self._count[it] == 1]
-        return float(self._effective(lone).sum())
-
-    def _shift_clusters(self, items: np.ndarray, sign: float) -> None:
-        for u in items:
-            self._cluster_weight[self.data.clusters_of(u)] += sign * self.data.weights[u]
-
-    def _update(self, j):
-        it = self.data.base.item_slice(j)
-        fresh = it[self._count[it] == 0]
-        self._count[it] += 1
-        self._shift_clusters(fresh, +1.0)
-
-    def _downdate(self, j):
-        it = self.data.base.item_slice(j)
-        lone = it[self._count[it] == 1]
-        self._count[it] -= 1
-        self._shift_clusters(lone, -1.0)
-
-    def _rebuild(self, idx):
-        self._count = np.zeros(self.data.base.universe, dtype=np.int64)
-        self._cluster_weight = np.zeros(self.data.k)
-        for j in idx:
-            it = self.data.base.item_slice(j)
-            fresh = it[self._count[it] == 0]
-            self._count[it] += 1
-            self._shift_clusters(fresh, +1.0)
-
-    def _value_from_statistic(self):
-        return float(self._cluster_weight.sum())
-
-    def _statistic(self):
-        return {"count": self._count.astype(float), "cluster_weight": self._cluster_weight}
-
-    def _spawn(self):
-        return ClusteredSetCoverFunction(self.data)
 
 
 @dataclass

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core import InputError, SubmodularFunction
+from .graphs import _RowSumFunction
 
 DISPERSION_KINDS = ("min", "sum", "min-sum")
 
@@ -119,15 +120,13 @@ class DispersionMinFunction(SubmodularFunction):
         return DispersionMinFunction(self.data)
 
 
-class DispersionSumFunction(SubmodularFunction):
+class DispersionSumFunction(_RowSumFunction):
     """f(X) = sum over ordered in-set pairs; statistic = in-set row sums."""
 
     name = "dispersion-sum"
 
     def __init__(self, data: DispersionData):
-        super().__init__(data.n)
-        self.data = data
-        self._rowsum = np.zeros(self.n)  # rowsum[l] = sum_{k in memo} d_kl, all l
+        super().__init__(data, data.distance)  # rowsum[l] = sum_{k in memo} d_kl, all l
 
     def _evaluate(self, idx):
         if idx.size < 2:
@@ -140,26 +139,9 @@ class DispersionSumFunction(SubmodularFunction):
     def _gain_remove(self, j):
         return float(2.0 * self._rowsum[j])
 
-    def _update(self, j):
-        self._rowsum += self.data.distance[j]
-
-    def _downdate(self, j):
-        self._rowsum -= self.data.distance[j]
-
-    def _rebuild(self, idx):
-        self._rowsum = (
-            self.data.distance[idx].sum(axis=0) if idx.size else np.zeros(self.n)
-        )
-
     def _value_from_statistic(self):
         idx = self.memo.to_indices()
         return float(self._rowsum[idx].sum()) if idx.size >= 2 else 0.0
-
-    def _statistic(self):
-        return {"rowsum": self._rowsum}
-
-    def _spawn(self):
-        return DispersionSumFunction(self.data)
 
 
 class DispersionMinSumFunction(SubmodularFunction):

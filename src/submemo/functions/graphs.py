@@ -4,7 +4,8 @@ All three work off an n-by-n non-negative similarity matrix and keep an
 O(n) statistic: per-row top-2 records for facility location, per-row sums
 for the other two.  The matrix is stored column-contiguously (``cols[j]``
 is the similarity of every i to j) because gains and updates touch whole
-columns.
+columns.  The row-sum statistic lives once, in ``_RowSumFunction``, which
+dispersion-sum shares over its distance matrix.
 """
 
 from __future__ import annotations
@@ -27,6 +28,36 @@ def _validated_square(matrix, require_symmetric: bool, what: str) -> np.ndarray:
     if require_symmetric and not np.allclose(s, s.T, rtol=1e-9, atol=1e-12):
         raise InputError(f"{what} must be symmetric")
     return s
+
+
+class _RowSumFunction(SubmodularFunction):
+    """Statistic p[i] = sum_{j in X} rows[j][i]: one row added or removed per step.
+
+    ``rows[j]`` must be contiguous (``cols`` for the similarity classes, the
+    symmetric ``distance`` for dispersion-sum).  Subclasses supply the
+    gains and the value read off p.
+    """
+
+    def __init__(self, data, rows: np.ndarray):
+        super().__init__(data.n)
+        self.data = data
+        self.rows = rows
+        self._rowsum = np.zeros(self.n)
+
+    def _update(self, j):
+        self._rowsum += self.rows[j]
+
+    def _downdate(self, j):
+        self._rowsum -= self.rows[j]
+
+    def _rebuild(self, idx):
+        self._rowsum = self.rows[idx].sum(axis=0) if idx.size else np.zeros(self.n)
+
+    def _statistic(self):
+        return {"rowsum": self._rowsum}
+
+    def _spawn(self):
+        return type(self)(self.data)
 
 
 @dataclass
@@ -171,15 +202,13 @@ class SaturatedCoverageData:
         return self.similarity.shape[0]
 
 
-class SaturatedCoverageFunction(SubmodularFunction):
+class SaturatedCoverageFunction(_RowSumFunction):
     """f(X) = sum_i min(sum_{j in X} s_ij, alpha_i); statistic = the row sums."""
 
     name = "saturated-coverage"
 
     def __init__(self, data: SaturatedCoverageData):
-        super().__init__(data.n)
-        self.data = data
-        self._rowsum = np.zeros(self.n)
+        super().__init__(data, data.cols)
 
     def _evaluate(self, idx):
         if idx.size == 0:
@@ -197,25 +226,8 @@ class SaturatedCoverageFunction(SubmodularFunction):
         p = self._rowsum
         return float((self._clipped(p) - self._clipped(p - self.data.cols[j])).sum())
 
-    def _update(self, j):
-        self._rowsum += self.data.cols[j]
-
-    def _downdate(self, j):
-        self._rowsum -= self.data.cols[j]
-
-    def _rebuild(self, idx):
-        self._rowsum = (
-            self.data.cols[idx].sum(axis=0) if idx.size else np.zeros(self.n)
-        )
-
     def _value_from_statistic(self):
         return float(self._clipped(self._rowsum).sum())
-
-    def _statistic(self):
-        return {"rowsum": self._rowsum}
-
-    def _spawn(self):
-        return SaturatedCoverageFunction(self.data)
 
 
 @dataclass
@@ -243,7 +255,7 @@ class GraphCutData:
         return self.similarity.shape[0]
 
 
-class GraphCutFunction(SubmodularFunction):
+class GraphCutFunction(_RowSumFunction):
     """f(X) = lam * sum_{i in V, j in X} s_ij - sum_{i,j in X} s_ij.
 
     Statistic: row sums p[i] = sum_{j in X} s_ij, giving O(1) gains after
@@ -253,9 +265,7 @@ class GraphCutFunction(SubmodularFunction):
     name = "graph-cut"
 
     def __init__(self, data: GraphCutData):
-        super().__init__(data.n)
-        self.data = data
-        self._rowsum = np.zeros(self.n)
+        super().__init__(data, data.cols)
 
     def _evaluate(self, idx):
         if idx.size == 0:
@@ -271,23 +281,6 @@ class GraphCutFunction(SubmodularFunction):
         d = self.data
         return float(d.lam * d.col_sums[j] - 2.0 * self._rowsum[j] + d.similarity[j, j])
 
-    def _update(self, j):
-        self._rowsum += self.data.cols[j]
-
-    def _downdate(self, j):
-        self._rowsum -= self.data.cols[j]
-
-    def _rebuild(self, idx):
-        self._rowsum = (
-            self.data.cols[idx].sum(axis=0) if idx.size else np.zeros(self.n)
-        )
-
     def _value_from_statistic(self):
         inside = self._rowsum[self.memo.to_indices()].sum() if len(self.memo) else 0.0
         return float(self.data.lam * self._rowsum.sum() - inside)
-
-    def _statistic(self):
-        return {"rowsum": self._rowsum}
-
-    def _spawn(self):
-        return GraphCutFunction(self.data)

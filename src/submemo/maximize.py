@@ -149,14 +149,51 @@ def greedy_naive(F: SubmodularFunction, c: Constraint, pool=None) -> Maximizatio
     return res
 
 
-def greedy_lazy(F: SubmodularFunction, c: Constraint, pool=None) -> MaximizationResult:
-    """Accelerated greedy with a stale-bound priority queue.
+def lazy_argmax(F: SubmodularFunction, pool, key, skip=None):
+    """Stale-bound priority queue shared by the lazy greedy loops.
 
-    Queue entries carry the memo size at which their bound was computed;
-    a popped entry that is already current is accepted, otherwise it is
-    recomputed and either accepted immediately (when it still beats the
-    next head under the (gain, id) order) or pushed back.  Output matches
-    greedy_naive exactly under the deterministic tie rule.
+    Builds the heap at call time from one ``gain_add`` per pool element,
+    then returns an iterator over ``(j, gain, recomputes)``: j is the best
+    element under the (key(gain, j) descending, id ascending) order, its
+    gain is fresh at the current memo set, and ``recomputes`` counts the
+    stale gains re-evaluated to find it.  Entries carry the memo size at
+    which their bound was computed; a recomputed entry is yielded at once
+    when it still beats the next head, otherwise it is pushed back.  The
+    caller either updates F with j or drops it before asking for the next
+    element.  ``skip(j)`` discards a popped element before its gain is
+    recomputed.
+    """
+    heap = []
+    for j in pool:
+        g = F.gain_add(j)
+        heap.append((-key(g, j), j, len(F.memo), g))
+    heapq.heapify(heap)
+
+    def pops():
+        recomputes = 0
+        while heap:
+            negkey, j, stamp, g = heapq.heappop(heap)
+            if skip is not None and skip(j):
+                continue
+            if stamp != len(F.memo):
+                g = F.gain_add(j)
+                recomputes += 1
+                entry = (-key(g, j), j, len(F.memo), g)
+                if heap and entry >= heap[0]:
+                    heapq.heappush(heap, entry)
+                    continue
+            yield j, g, recomputes
+            recomputes = 0
+
+    return pops()
+
+
+def greedy_lazy(F: SubmodularFunction, c: Constraint, pool=None) -> MaximizationResult:
+    """Accelerated greedy over ``lazy_argmax``.
+
+    Output matches greedy_naive exactly under the deterministic tie rule.
+    Under a knapsack, elements that no longer fit the remaining budget are
+    dropped unrecomputed: the budget only shrinks, so they never fit again.
     """
     _validate_constraint(F, c)
     pool = list(range(F.n)) if pool is None else sorted(pool)
@@ -164,40 +201,26 @@ def greedy_lazy(F: SubmodularFunction, c: Constraint, pool=None) -> Maximization
     knapsack = isinstance(c, Knapsack)
     spent = 0.0
     trace = []
-    recomputes = []
-
-    def key_of(gain, j):
-        return gain / c.costs[j] if knapsack else gain
-
-    heap = []
-    for j in pool:
-        g = F.gain_add(j)
-        heap.append((-key_of(g, j), j, len(F.memo), g))
-    heapq.heapify(heap)
-    recomputes.append(len(pool))
-
-    round_recomputes = 0
-    while heap:
-        if not knapsack and len(F.memo) >= c.k:
-            break
-        negkey, j, stamp, g = heapq.heappop(heap)
-        if knapsack and c.costs[j] > c.budget - spent + ABS_TOL:
-            continue  # budget only shrinks; j never fits again
-        if stamp != len(F.memo):
-            g = F.gain_add(j)
-            round_recomputes += 1
-            entry = (-key_of(g, j), j, len(F.memo), g)
-            if heap and entry >= heap[0]:
-                heapq.heappush(heap, entry)
-                continue
+    if knapsack:
+        picks = lazy_argmax(
+            F,
+            pool,
+            lambda g, j: g / c.costs[j],
+            skip=lambda j: c.costs[j] > c.budget - spent + ABS_TOL,
+        )
+    else:
+        picks = lazy_argmax(F, pool, lambda g, j: g)
+    recomputes = [len(pool)]
+    for j, g, round_recomputes in picks:
         if g <= -ABS_TOL:
             break
         F.update(j)
         trace.append((j, g))
         recomputes.append(round_recomputes)
-        round_recomputes = 0
         if knapsack:
             spent += c.costs[j]
+        elif len(F.memo) >= c.k:
+            break
     res = _result(F, trace, stats={"recomputes_per_round": recomputes})
     if knapsack:
         res = _best_singleton_swap(F, c, pool, res)
@@ -354,8 +377,7 @@ def local_search_usm(
     what carries the 1/3 guarantee for non-negative objectives.
     """
     n = F.n
-    F.set_memo(() if start is None else start)
-    value = F.memo_value()
+    value = F.value_at(() if start is None else start)
     trace = []
     changed = True
     while changed:
@@ -381,8 +403,7 @@ def local_search_usm(
     value = F.memo_value()
     complement = [j for j in range(n) if j not in F.memo]
     twin = F.clone_detached()
-    twin.set_memo(complement)
-    comp_value = twin.memo_value()
+    comp_value = twin.value_at(complement)
     if comp_value > value:
         F.set_memo(complement)
     res = _result(F, trace)
@@ -483,15 +504,15 @@ def minorize_maximize(
         seen.add(key)
         if order_rule == "random":
             base_order = [int(j) for j in rng.permutation(F.n)]
-        inside = [j for j in base_order if j in set(current)]
-        outside = [j for j in base_order if j not in set(current)]
+        members = set(current)
+        inside = [j for j in base_order if j in members]
+        outside = [j for j in base_order if j not in members]
         h = extreme_point(F, np.asarray(inside + outside, dtype=np.intp))
         candidate = _modular_maximize(h, c)
         if h.value(candidate) < h.value(current) - ABS_TOL:
             break  # heuristic inner solve failed to improve the bound
         current = candidate
-        F.set_memo(current)
-        best_val = F.memo_value()
+        best_val = F.value_at(current)
         trace.append((it, best_val))
     F.set_memo(current)
     res = _result(F, trace, seed=seed)

@@ -40,11 +40,6 @@ class MinimizationResult:
         return self.minimizer_min.members
 
 
-def _value_of(F: SubmodularFunction, members) -> float:
-    F.set_memo(members)
-    return F.memo_value()
-
-
 def _affine_minimizer(points: np.ndarray):
     """Coefficients of the min-norm point of the affine hull of the rows.
 
@@ -154,8 +149,8 @@ def _extract_minimizers(F: SubmodularFunction, x: np.ndarray, iterations: int) -
     theta = 1e-8 * max(1.0, float(np.abs(x).max(initial=0.0)))
     s_min = [j for j in range(F.n) if x[j] < -theta]
     s_max = [j for j in range(F.n) if x[j] <= theta]
-    v_min = _value_of(F, s_min)
-    v_max = _value_of(F, s_max)
+    v_min = F.value_at(s_min)
+    v_max = F.value_at(s_max)
     value = min(v_min, v_max)
     dual = float(np.minimum(x, 0.0).sum())
     return MinimizationResult(
@@ -285,7 +280,7 @@ def mmin_constrained(
         for bound_fn in (supergradient_grow, supergradient_shrink):
             m = bound_fn(F, current)
             cand = _modular_minimize(m, family, F.n)
-            candidates.append((_value_of(F, cand), cand))
+            candidates.append((F.value_at(cand), cand))
         value, current = min(candidates, key=lambda t: (t[0], t[1]))
         trace.append(value)
         if value < best_value:

@@ -1,11 +1,15 @@
 """CLI surface: subcommands, spec grammar, exit codes, report files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from submemo.bench.cli import cli_main, load_function_spec
+from submemo.bench.cli import EXIT_CHECK_FAILED, cli_main, load_function_spec
 from submemo.bench.dataio import save_dense_matrix, save_set_system
 from submemo.core import InputError
 from submemo.functions import (
@@ -150,6 +154,56 @@ def test_cli_validate(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_cli_validate_fail_exit_code(capsys):
+    # dispersion-min is not submodular, so the diminishing-returns audit fails
+    code = cli_main(["validate", "--function", "synthetic:dispmin,n=20"])
+    assert "submodularity-audit  FAIL" in capsys.readouterr().out
+    assert code == EXIT_CHECK_FAILED
+
+
+def test_cli_bench_cell_error_exit_code(tmp_path, capsys):
+    # four machines over a three-element ground set: that cell errors
+    out = tmp_path / "runs"
+    code = cli_main(
+        [
+            "bench",
+            "--function",
+            "synthetic:faclocation,n=3,seed=1",
+            "--function",
+            "synthetic:dispmin,n=10,seed=11",
+            "--algorithm",
+            "distributed-greedy",
+            "--mode",
+            "pm",
+            "--budgets",
+            "0.9",
+            "--reps",
+            "1",
+            "--out",
+            str(out),
+        ]
+    )
+    assert code == EXIT_CHECK_FAILED
+    assert "cell error: faclocation-n3" in capsys.readouterr().err
+    records = json.loads((out / "report.json").read_text(encoding="utf-8"))["records"]
+    assert [r["error"] is not None for r in records] == [True, False]
+
+
+def test_python_dash_m_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "submemo", "--help"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: submemo" in proc.stdout
 
 
 def test_cli_exit_codes(tmp_path, capsys):

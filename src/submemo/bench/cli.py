@@ -36,7 +36,7 @@ from .runner import (
     MINIMIZE_ALGORITHMS,
     run_experiment,
 )
-from .synthetic import SYNTHETIC_KINDS, gen_synthetic
+from .synthetic import gen_synthetic
 from ..functions import FeatureBasedData
 
 EXIT_CHECK_FAILED = 4

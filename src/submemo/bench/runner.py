@@ -12,12 +12,12 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ..bounds import extreme_point, subgradient_at, supergradient_grow, supergradient_shrink
+from ..bounds import extreme_point, supergradient_grow
 from ..core import InputError, SubmodularFunction, wrap_value_oracle
 from ..maximize import (
     Cardinality,

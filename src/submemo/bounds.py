@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import InputError, ModularFunction, Subset, SubmodularFunction, as_subset
+from .core import InputError, ModularFunction, SubmodularFunction, as_subset
 
 
 def check_permutation(n: int, order) -> np.ndarray:

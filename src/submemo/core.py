@@ -12,7 +12,7 @@ from the live statistic.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -394,25 +394,34 @@ class ValueOracleFunction(SubmodularFunction):
         self.counters.oracle_evals += 1
         return self._inner._evaluate(idx)
 
+    def _probe(self, kind: str, j: int) -> float:
+        """f(memo + j) for kind "add", f(memo - j) for "remove": one oracle
+        call, kept as the pending value."""
+        idx = self.memo.to_indices()
+        idx = np.append(idx, j) if kind == "add" else idx[idx != j]
+        fnew = self._oracle(idx)
+        self._pending = (kind, j, fnew)
+        return fnew
+
+    def _move(self, kind: str, j: int) -> None:
+        """Cache f after the move, reusing a pending probe of the same move."""
+        p = self._pending
+        self._cached = p[2] if p and p[:2] == (kind, j) else self._probe(kind, j)
+        self._pending = None
+
     # public overrides: gains are oracle calls here, not statistic reads
 
     def gain_add(self, j) -> float:
         j = _check_id(j, self.n)
         if j in self.memo:
             raise PreconditionError(f"gain_add: element {j} already memoized")
-        idx = np.append(self.memo.to_indices(), j)
-        fnew = self._oracle(idx)
-        self._pending = ("add", j, fnew)
-        return fnew - self._cached
+        return self._probe("add", j) - self._cached
 
     def gain_remove(self, j) -> float:
         j = _check_id(j, self.n)
         if j not in self.memo:
             raise PreconditionError(f"gain_remove: element {j} not memoized")
-        rest = [i for i in self.memo.members if i != j]
-        fnew = self._oracle(np.asarray(rest, dtype=np.intp))
-        self._pending = ("remove", j, fnew)
-        return self._cached - fnew
+        return self._cached - self._probe("remove", j)
 
     def gain_singleton(self, j) -> float:
         j = _check_id(j, self.n)
@@ -423,11 +432,7 @@ class ValueOracleFunction(SubmodularFunction):
         if j in self.memo:
             raise PreconditionError(f"update: element {j} already memoized")
         self.counters.memo_updates += 1
-        if self._pending and self._pending[0] == "add" and self._pending[1] == j:
-            self._cached = self._pending[2]
-        else:
-            self._cached = self._oracle(np.append(self.memo.to_indices(), j))
-        self._pending = None
+        self._move("add", j)
         self.memo.add(j)
 
     def downdate(self, j) -> None:
@@ -435,12 +440,7 @@ class ValueOracleFunction(SubmodularFunction):
         if j not in self.memo:
             raise PreconditionError(f"downdate: element {j} not memoized")
         self.counters.memo_downdates += 1
-        if self._pending and self._pending[0] == "remove" and self._pending[1] == j:
-            self._cached = self._pending[2]
-        else:
-            rest = [i for i in self.memo.members if i != j]
-            self._cached = self._oracle(np.asarray(rest, dtype=np.intp))
-        self._pending = None
+        self._move("remove", j)
         self.memo.remove(j)
 
     def set_memo(self, X) -> None:
@@ -458,17 +458,23 @@ class ValueOracleFunction(SubmodularFunction):
     def _evaluate(self, idx: np.ndarray) -> float:
         return self._inner._evaluate(idx)
 
-    def _gain_add(self, j):  # pragma: no cover - public method bypasses this
-        raise NotImplementedError
+    # hooks, for wrappers that drive this instance as their base; every
+    # answer still comes from a metered oracle call
 
-    def _gain_remove(self, j):  # pragma: no cover
-        raise NotImplementedError
+    def _gain_add(self, j):
+        return self._probe("add", j) - self._cached
 
-    def _update(self, j):  # pragma: no cover
-        raise NotImplementedError
+    def _gain_remove(self, j):
+        return self._cached - self._probe("remove", j)
 
-    def _downdate(self, j):  # pragma: no cover
-        raise NotImplementedError
+    def _singleton(self, j):
+        return self._oracle(np.asarray([j], dtype=np.intp))
+
+    def _update(self, j):
+        self._move("add", j)
+
+    def _downdate(self, j):
+        self._move("remove", j)
 
     def _rebuild(self, idx: np.ndarray) -> None:
         self._pending = None

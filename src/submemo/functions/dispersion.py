@@ -8,7 +8,7 @@ submodular).  Every variant is 0 on sets of fewer than two elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

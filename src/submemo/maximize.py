@@ -22,7 +22,6 @@ from .core import (
     InputError,
     Subset,
     SubmodularFunction,
-    as_subset,
 )
 
 
@@ -238,20 +237,25 @@ def greedy_stochastic(
     _validate_constraint(F, Cardinality(k))
     if not 0.0 < eps < 1.0:
         raise InputError("eps must lie in (0, 1)")
-    pool = list(range(F.n)) if pool is None else sorted(pool)
+    if pool is None:
+        pool = np.arange(F.n, dtype=np.intp)
+    else:
+        pool = np.sort(np.asarray(list(pool)))
+        if pool.size and (pool.dtype.kind not in "iu" or pool.min() < 0 or pool.max() >= F.n):
+            raise InputError(f"pool ids must be integers in [0, {F.n})")
+        pool = pool.astype(np.intp)
     rng = np.random.default_rng(seed)
     sample_size = math.ceil((F.n / k) * math.log(1.0 / eps))
     F.set_memo(())
     trace = []
-    for _ in range(min(k, len(pool))):
-        remaining = [j for j in pool if j not in F.memo]
-        if not remaining:
+    for _ in range(min(k, pool.size)):
+        remaining = pool[~F.memo.mask[pool]]
+        if not remaining.size:
             break
-        take = min(sample_size, len(remaining))
-        sample = sorted(rng.choice(len(remaining), size=take, replace=False))
+        take = min(sample_size, remaining.size)
+        sample = np.sort(rng.choice(remaining.size, size=take, replace=False))
         best_j, best_g = None, -math.inf
-        for pos in sample:
-            j = remaining[pos]
+        for j in remaining[sample].tolist():
             g = F.gain_add(j)
             if g > best_g:
                 best_j, best_g = j, g

@@ -13,7 +13,7 @@ from submemo.constrained import (
     scsk_solve,
     submodular_set_cover,
 )
-from submemo.core import InputError
+from submemo.core import InputError, wrap_value_oracle
 from submemo.functions import (
     GraphCutData,
     ModularData,
@@ -155,6 +155,20 @@ def test_ds_zero_f_matches_local_search(rng):
     res = ds_minimize(DsProblem(f=zero, g=g.clone_detached(), variant="sup-sub"))
     ls = local_search_usm(g.clone_detached())
     assert -res.objective == pytest.approx(ls.value, abs=1e-8)
+
+
+@pytest.mark.parametrize("variant", ["mod-mod", "sub-sup", "sup-sub"])
+def test_ds_value_oracle_matches_pm(variant):
+    # sub-sup and sup-sub drive the value-oracle f or g through a penalised wrapper's hooks
+    f = zoo_instance("setcover", 14, seed=70)
+    g = zoo_instance("faclocation", 14, seed=71)
+    pm = ds_minimize(DsProblem(f=f.clone_detached(), g=g.clone_detached(), variant=variant))
+    fv, gv = wrap_value_oracle(f), wrap_value_oracle(g)
+    vo = ds_minimize(DsProblem(f=fv, g=gv, variant=variant))
+    assert sorted(vo.selected.members) == sorted(pm.selected.members)
+    assert vo.objective == pytest.approx(pm.objective, rel=1e-8, abs=1e-8)
+    assert fv.counters.gain_evals == gv.counters.gain_evals == 0
+    assert fv.counters.oracle_evals > 0 and gv.counters.oracle_evals > 0
 
 
 def test_ds_exact_on_small_instances(rng):

@@ -15,6 +15,7 @@ from submemo.core import (
     as_subset,
     wrap_value_oracle,
 )
+from submemo.functions import ModularPenalizedFunction
 from conftest import zoo_instance
 
 
@@ -200,6 +201,30 @@ def test_value_oracle_pending_accept_costs_nothing_extra():
     delta = vo.counters - base
     assert delta.oracle_evals == 1
     assert vo.memo_value() == pytest.approx(g)
+
+
+def test_value_oracle_hooks_drive_a_penalised_wrapper():
+    # a wrapper reaches its base through the hooks: answers match the
+    # statistic's, and each one is a metered oracle call on the base
+    F = zoo_instance("faclocation", 10, seed=11)
+    w = np.linspace(0.0, 0.9, 10)
+    pm = ModularPenalizedFunction(F.clone_detached(), w)
+    vo = ModularPenalizedFunction(wrap_value_oracle(F.clone_detached()), w)
+    for P in (pm, vo):
+        P.set_memo([1, 5])
+    base = vo.base.counters.copy()
+    assert vo.gain_add(3) == pytest.approx(pm.gain_add(3), rel=1e-12)
+    vo.update(3)  # accepts the pending probe: no second oracle call
+    pm.update(3)
+    assert vo.gain_remove(5) == pytest.approx(pm.gain_remove(5), rel=1e-12)
+    assert vo.gain_singleton(7) == pytest.approx(pm.gain_singleton(7), rel=1e-12)
+    vo.downdate(1)  # not the pending move: one fresh oracle call
+    pm.downdate(1)
+    assert vo.memo_value() == pytest.approx(pm.memo_value(), rel=1e-12)
+    assert vo.base.memo == vo.memo
+    delta = vo.base.counters - base
+    assert delta.oracle_evals == 4
+    assert delta.gain_evals == 0
 
 
 def test_memoized_sweep_counter_accounting():

@@ -131,6 +131,58 @@ def test_stochastic_degenerate_sampling_equals_naive(rng):
     assert res_s.members == res_n.members
 
 
+def _stochastic_by_list(F, k, eps, seed, pool):
+    """greedy_stochastic's step loop written over Python lists, rescanning the
+    pool for unselected ids at every step."""
+    pool = list(range(F.n)) if pool is None else sorted(pool)
+    rng = np.random.default_rng(seed)
+    sample_size = math.ceil((F.n / k) * math.log(1.0 / eps))
+    F.set_memo(())
+    trace = []
+    for _ in range(min(k, len(pool))):
+        remaining = [j for j in pool if j not in F.memo]
+        if not remaining:
+            break
+        take = min(sample_size, len(remaining))
+        sample = sorted(rng.choice(len(remaining), size=take, replace=False))
+        best_j, best_g = None, -math.inf
+        for pos in sample:
+            j = remaining[pos]
+            g = F.gain_add(j)
+            if g > best_g:
+                best_j, best_g = j, g
+        F.update(best_j)
+        trace.append((best_j, best_g))
+    return trace
+
+
+@pytest.mark.parametrize(
+    "kind,k,eps,pool",
+    [
+        ("faclocation", 5, 0.1, None),
+        ("setcover", 12, 0.3, None),
+        ("featurebased", 40, 0.05, None),
+        ("logdet", 6, 0.2, range(3, 30, 2)),
+        ("probsetcover", 8, 0.1, {29, 0, 17, 4, 11, 23, 8, 2, 5}),
+        ("satcov", 6, 0.5, [7, 3, 3, 21, 9, 14, 0]),
+    ],
+)
+def test_stochastic_matches_list_based_loop(kind, k, eps, pool):
+    F = zoo_instance(kind, 40, seed=47)
+    for seed in range(3):
+        want = _stochastic_by_list(F.clone_detached(), k, eps, seed, pool)
+        got = greedy_stochastic(F.clone_detached(), k, eps, seed, pool=pool)
+        assert got.trace == want
+        assert all(type(j) is int for j, _ in got.trace)
+
+
+@pytest.mark.parametrize("pool", [[0, -1, 3], [2, 10], [1.0, 2.0]])
+def test_stochastic_rejects_bad_pool(pool):
+    F = zoo_instance("setcover", 10, seed=48)
+    with pytest.raises(InputError):
+        greedy_stochastic(F, k=2, pool=pool)
+
+
 def test_stochastic_gain_eval_budget():
     n, k, eps = 30, 5, 0.2
     F = zoo_instance("featurebased", n, seed=45)

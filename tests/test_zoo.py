@@ -25,6 +25,7 @@ from submemo.functions import (
     make_function,
     verify_statistic,
 )
+from submemo.functions.graphs import _RETOP_BLOCK
 from conftest import ALL_KINDS, MONOTONE_KINDS, SUBMODULAR_KINDS, random_subset, zoo_instance
 
 S3 = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
@@ -277,6 +278,103 @@ def test_facility_location_downdate_rescans_row_maxima(rng):
         cols = F.data.cols
         want_best = cols[rest].max(axis=0) if rest else np.zeros(n)
         assert np.allclose(F._statistic()["best"], want_best, atol=1e-12)
+
+
+class _Top2Reference:
+    """Facility-location top-2 records kept the straightforward way: boolean
+    mask updates, and re-tops that gather every member's whole row,
+    ``cols[members][:, rows]``, in one unblocked pass."""
+
+    def __init__(self, cols):
+        n = cols.shape[0]
+        self.cols = cols
+        self.best, self.second = np.zeros(n), np.zeros(n)
+        self.arg, self.arg2 = np.full(n, -1, dtype=np.intp), np.full(n, -1, dtype=np.intp)
+
+    def retop(self, rows, members):
+        if members.size == 0:
+            self.best[rows], self.second[rows], self.arg[rows], self.arg2[rows] = 0.0, 0.0, -1, -1
+            return
+        sub = self.cols[members][:, rows]
+        top = sub.argmax(axis=0)
+        r = np.arange(rows.size)
+        self.best[rows], self.arg[rows] = sub[top, r], members[top]
+        if members.size == 1:
+            self.second[rows], self.arg2[rows] = 0.0, -1
+            return
+        sub[top, r] = -np.inf
+        top2 = sub.argmax(axis=0)
+        self.second[rows], self.arg2[rows] = sub[top2, r], members[top2]
+
+    def update(self, j):
+        col = self.cols[j]
+        beats1 = col > self.best
+        beats2 = ~beats1 & (col > self.second)
+        self.second[beats1] = self.best[beats1]
+        self.arg2[beats1] = self.arg[beats1]
+        self.best[beats1] = col[beats1]
+        self.arg[beats1] = j
+        self.second[beats2] = col[beats2]
+        self.arg2[beats2] = j
+
+    def downdate(self, j, rest):
+        affected = np.flatnonzero((self.arg == j) | (self.arg2 == j))
+        if affected.size:
+            self.retop(affected, np.asarray(rest, dtype=np.intp))
+
+    def rebuild(self, members):
+        self.retop(np.arange(self.cols.shape[0]), np.asarray(members, dtype=np.intp))
+
+    def matches(self, F):
+        return all(
+            np.array_equal(a, b)
+            for a, b in zip(
+                (F._best, F._second, F._arg, F._arg2), (self.best, self.second, self.arg, self.arg2)
+            )
+        )
+
+
+_FACLOC_STEPS = st.lists(
+    st.tuples(st.sampled_from(("update", "downdate", "set_memo")), st.integers(0, 2**31)),
+    max_size=30,
+)
+
+
+@given(st.integers(0, 2**31), _FACLOC_STEPS)
+@settings(max_examples=40, deadline=None)
+def test_facility_location_records_match_unblocked_reference(seed, steps):
+    # rows span more than two re-top blocks; values on a 0.1 grid tie often
+    n = 2 * _RETOP_BLOCK + 45
+    rng = np.random.default_rng(seed)
+    F = make_function(n, FacilityLocationData(np.round(rng.random((n, n)), 1)))
+    ref = _Top2Reference(F.data.cols)
+    a, b = (int(j) for j in rng.choice(n, size=2, replace=False))
+    # |members| 2 -> 1 -> 0 through downdates: every row is re-topped each time
+    F.set_memo([a, b])
+    ref.rebuild([a, b])
+    assert ref.matches(F)
+    F.downdate(a)
+    ref.downdate(a, [b])
+    assert ref.matches(F)
+    F.downdate(b)
+    ref.downdate(b, [])
+    assert ref.matches(F)
+    for op, x in steps:
+        members = list(F.memo.members)
+        if op == "update" and len(members) < n:
+            j = [i for i in range(n) if i not in F.memo][x % (n - len(members))]
+            F.update(j)
+            ref.update(j)
+        elif op == "downdate" and members:
+            j = members[x % len(members)]
+            F.downdate(j)
+            ref.downdate(j, [i for i in members if i != j])
+        elif op == "set_memo":
+            size = (0, 1, 2, 9, n // 2, n)[x % 6]
+            X = [int(j) for j in np.random.default_rng(x).permutation(n)[:size]]
+            F.set_memo(X)
+            ref.rebuild(X)
+        assert ref.matches(F), (op, x)
 
 
 def test_logdet_gain_is_schur_complement(rng):

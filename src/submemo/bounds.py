@@ -5,6 +5,10 @@ point is one rebuild plus n gain/update pairs, the tight upper bound at X
 costs one rebuild plus n gains, never a from-scratch oracle call.  Calls
 mutate the function's memo set (they sweep it), so calls on one instance
 must be serialized.
+
+``bound_rounds`` is the one iteration rule of every solver that replaces f
+by a tight modular bound at its current set and re-solves (constrained
+minimization, minorize-maximize, SCSC/SCSK and difference minimization).
 """
 
 from __future__ import annotations
@@ -85,6 +89,37 @@ def supergradient_shrink(F: SubmodularFunction, X) -> ModularFunction:
         weights[j] = F.gain_remove(j)
         inside_total += weights[j]
     return ModularFunction(fx - inside_total, weights)
+
+
+def tight_upper_bounds(F: SubmodularFunction, X):
+    """Both tight modular upper bounds at X: (grow-style, shrink-style)."""
+    return supergradient_grow(F, X), supergradient_shrink(F, X)
+
+
+def bound_rounds(step, max_iters: int):
+    """Iterate ``step`` from the empty set until its sets repeat.
+
+    ``step(current)`` returns ``(value, members)`` for the round's
+    candidate, or None when the candidate cannot improve on the incumbent;
+    an accepted candidate becomes the next ``current``.  Stops on None, on
+    an accepted set seen before (the empty start included), or after
+    ``max_iters`` rounds.  Returns the accepted rounds and ``converged``:
+    True when None or a repeat ended the run, even on its last round.
+    """
+    rounds = []
+    current: list[int] = []
+    seen = {frozenset()}
+    for _ in range(max_iters):
+        out = step(current)
+        if out is None:
+            return rounds, True
+        rounds.append(out)
+        current = out[1]
+        key = frozenset(current)
+        if key in seen:
+            return rounds, True
+        seen.add(key)
+    return rounds, False
 
 
 def _descending_order(x: np.ndarray) -> np.ndarray:

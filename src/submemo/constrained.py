@@ -3,8 +3,10 @@
 Both problem families are solved by iterating tight modular replacements:
 cover/knapsack rounds swap the cost function for one of its two upper
 bounds and keep the better outcome; difference minimization swaps one (or
-both) sides per the chosen variant.  All function access goes through the
-bounds/maximize/minimize primitives, so memoized runs stay oracle-free.
+both) sides per the chosen variant.  Each solver is one round function run
+by ``bounds.bound_rounds``, the single iteration and convergence rule.  All
+function access goes through the bounds/maximize/minimize primitives, so
+memoized runs stay oracle-free.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import subgradient_at, supergradient_grow, supergradient_shrink
+from .bounds import bound_rounds, subgradient_at, tight_upper_bounds
 from .core import (
     ABS_TOL,
     InputError,
@@ -129,10 +131,6 @@ def submodular_set_cover(
     )
 
 
-def _both_supergradients(F: SubmodularFunction, X):
-    return (supergradient_grow(F, X), supergradient_shrink(F, X))
-
-
 def scsc_solve(p: ScProblem, max_iters: int = 50) -> IterativeResult:
     """Minimize f subject to g(X) >= c by iterated upper-bound covers.
 
@@ -143,33 +141,23 @@ def scsc_solve(p: ScProblem, max_iters: int = 50) -> IterativeResult:
     if p.direction != "SCSC":
         raise InputError("scsc_solve needs an SCSC problem")
     f, g, c = p.f, p.g, p.c
-    current: list[int] = []
-    seen = set()
-    trace = []
-    best_members, best_obj = None, math.inf
-    converged = False
-    for _ in range(max_iters):
-        key = frozenset(current)
-        if key in seen:
-            converged = True
-            break
-        seen.add(key)
+
+    def step(current):
         candidates = []
-        for bound in _both_supergradients(f, current):
-            cover = submodular_set_cover(g, np.maximum(bound.weights, _COST_FLOOR), c)
-            cand = cover.members
+        for bound in tight_upper_bounds(f, current):
+            cand = submodular_set_cover(g, np.maximum(bound.weights, _COST_FLOOR), c).members
             candidates.append((f.value_at(cand), cand))
-        obj, current = min(candidates, key=lambda t: (t[0], t[1]))
-        trace.append(obj)
-        if obj < best_obj:
-            best_obj, best_members = obj, list(current)
-    sel = Subset(f.n, best_members or [])
+        return min(candidates)
+
+    rounds, converged = bound_rounds(step, max_iters)
+    best_obj, best_members = min(rounds, key=lambda r: r[0], default=(math.inf, []))
+    sel = Subset(f.n, best_members)
     return IterativeResult(
         selected=sel,
         objective=best_obj,
         constraint_value=g.value_at(sel.members),
-        trace=trace,
-        iterations=len(trace),
+        trace=[obj for obj, _ in rounds],
+        iterations=len(rounds),
         converged=converged,
     )
 
@@ -184,19 +172,10 @@ def scsk_solve(p: ScProblem, max_iters: int = 50) -> IterativeResult:
     if p.direction != "SCSK":
         raise InputError("scsk_solve needs an SCSK problem")
     f, g, b = p.f, p.g, p.b
-    current: list[int] = []
-    seen = set()
-    trace = []
-    best_members, best_obj = [], -math.inf
-    converged = False
-    for _ in range(max_iters):
-        key = frozenset(current)
-        if key in seen:
-            converged = True
-            break
-        seen.add(key)
+
+    def step(current):
         candidates = []
-        for bound in _both_supergradients(f, current):
+        for bound in tight_upper_bounds(f, current):
             slack = b - bound.offset
             costs = np.maximum(bound.weights, _COST_FLOOR)
             if slack <= 0 or not np.any(costs <= slack):
@@ -204,19 +183,20 @@ def scsk_solve(p: ScProblem, max_iters: int = 50) -> IterativeResult:
                 continue
             res = greedy_lazy(g, Knapsack(tuple(costs), slack))
             candidates.append((res.value, res.members))
-        obj, current = max(candidates, key=lambda t: t[0])
-        trace.append(obj)
-        if obj > best_obj:
-            best_obj, best_members = obj, list(current)
-    if best_obj == -math.inf:
-        best_members, best_obj = [], g.value_at([])
+        return max(candidates, key=lambda t: t[0])
+
+    rounds, converged = bound_rounds(step, max_iters)
+    if rounds:
+        best_obj, best_members = max(rounds, key=lambda r: r[0])
+    else:
+        best_obj, best_members = g.value_at([]), []
     sel = Subset(f.n, best_members)
     return IterativeResult(
         selected=sel,
         objective=best_obj,
         constraint_value=f.value_at(sel.members),
-        trace=trace,
-        iterations=len(trace),
+        trace=[obj for obj, _ in rounds],
+        iterations=len(rounds),
         converged=converged,
     )
 
@@ -234,19 +214,11 @@ def ds_minimize(
     the iteration cap returns the best iterate flagged unconverged.
     """
     f, g = p.f, p.g
-    n = f.n
 
     def objective(members) -> float:
         return f.value_at(members) - g.value_at(members)
 
-    current: list[int] = []
-    obj = objective(current)
-    trace = [obj]
-    seen = {frozenset()}
-    best_members, best_obj = list(current), obj
-    converged = False
-    for _ in range(max_iters):
-        candidates = []
+    def candidates(current):
         if p.variant == "sub-sup":
             h = subgradient_at(g, current)
             shifted = ModularPenalizedFunction(f.clone_detached(), h.weights)
@@ -254,40 +226,37 @@ def ds_minimize(
                 res = min_norm_point(shifted, tol=1e-9)
             except NonConvergenceError as err:
                 res = err.result
-            for cand in (res.minimizer_min.members, res.minimizer_max.members):
-                candidates.append((objective(cand), sorted(cand)))
-        elif p.variant == "sup-sub":
-            for bound in _both_supergradients(f, current):
-                shifted = ModularPenalizedFunction(g.clone_detached(), bound.weights)
-                res = local_search_usm(shifted, start=current)
-                cand = res.members
-                candidates.append((objective(cand), sorted(cand)))
-        else:  # mod-mod
-            h = subgradient_at(g, current)
-            for bound in _both_supergradients(f, current):
-                net = bound.weights - h.weights
-                cand = sorted(int(j) for j in np.flatnonzero(net < 0.0))
-                candidates.append((objective(cand), cand))
-        cand_obj, cand = min(candidates, key=lambda t: (t[0], t[1]))
-        if cand_obj > obj + ABS_TOL:
-            converged = True  # replacement could not improve; incumbent is locally tight
-            break
-        current, obj = cand, cand_obj
+            return [res.minimizer_min.members, res.minimizer_max.members]
+        if p.variant == "sup-sub":
+            return [
+                local_search_usm(
+                    ModularPenalizedFunction(g.clone_detached(), bound.weights), start=current
+                ).members
+                for bound in tight_upper_bounds(f, current)
+            ]
+        h = subgradient_at(g, current)  # mod-mod
+        return [
+            [int(j) for j in np.flatnonzero(bound.weights - h.weights < 0.0)]
+            for bound in tight_upper_bounds(f, current)
+        ]
+
+    trace = [objective([])]
+
+    def step(current):
+        obj, cand = min((objective(cand), sorted(cand)) for cand in candidates(current))
+        if obj > trace[-1] + ABS_TOL:
+            return None  # replacement could not improve; incumbent is locally tight
         trace.append(obj)
-        if obj < best_obj:
-            best_obj, best_members = obj, list(cand)
-        key = frozenset(current)
-        if key in seen:
-            converged = True
-            break
-        seen.add(key)
-    sel = Subset(n, best_members)
+        return obj, cand
+
+    rounds, converged = bound_rounds(step, max_iters)
+    best_obj, best_members = min([(trace[0], [])] + rounds, key=lambda r: r[0])
     return IterativeResult(
-        selected=sel,
+        selected=Subset(f.n, best_members),
         objective=best_obj,
         constraint_value=None,
         trace=trace,
-        iterations=len(trace) - 1,
+        iterations=len(rounds),
         converged=converged,
         stats={"variant": p.variant, "seed": seed},
     )

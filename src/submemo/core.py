@@ -75,14 +75,6 @@ class Subset:
         for j in members:
             self.add(j)
 
-    @classmethod
-    def empty(cls, n: int) -> "Subset":
-        return cls(n)
-
-    @classmethod
-    def full(cls, n: int) -> "Subset":
-        return cls(n, range(n))
-
     @property
     def members(self) -> list[int]:
         """Insertion-ordered member ids (do not mutate)."""
@@ -116,9 +108,6 @@ class Subset:
         c._members = list(self._members)
         c._mask = self._mask.copy()
         return c
-
-    def complement_members(self) -> list[int]:
-        return [j for j in range(self.n) if not self._mask[j]]
 
     def __contains__(self, j) -> bool:
         return 0 <= j < self.n and bool(self._mask[j])
@@ -243,7 +232,7 @@ class SubmodularFunction(ABC):
         if n < 1:
             raise InputError(f"ground set must have at least one element, got {n}")
         self.n = int(n)
-        self.memo = Subset.empty(self.n)
+        self.memo = Subset(self.n)
         self.counters = EvalCounters()
 
     # ------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import check_permutation, extreme_point
+from .bounds import bound_rounds, check_permutation, subgradient_at
 from .core import (
     ABS_TOL,
     EvalCounters,
@@ -282,7 +282,7 @@ def sieve_streaming(
     prober.set_memo(())
     prober.reset_counters()
     live: dict[int, SubmodularFunction] = {}
-    retired_counters = EvalCounters()
+    retired: list[EvalCounters] = []  # counters of pruned thresholds' clones
     m = 0.0
     log1e = math.log1p(eps)
 
@@ -299,7 +299,7 @@ def sieve_streaming(
             continue
         lo, hi = grid_range(m)
         for i in [i for i in live if i < lo or i > hi]:
-            retired_counters += live.pop(i).counters
+            retired.append(live.pop(i).counters)
         for i in range(lo, hi + 1):
             if i not in live:
                 inst = F.clone_detached()
@@ -322,11 +322,9 @@ def sieve_streaming(
     if best is None:
         best = prober
         best.set_memo(())
-    total = prober.counters.copy() + retired_counters
-    for inst in live.values():
-        total += inst.counters
     res = _result(best, [])
-    res.counters = total
+    live_counters = [inst.counters for inst in live.values()]
+    res.counters = sum([prober.counters, *retired, *live_counters], EvalCounters())
     res.stats = {"thresholds": len(live), "threshold_gains": touched}
     return res
 
@@ -347,23 +345,22 @@ def distributed_greedy(
     parts = [sorted(int(j) for j in perm[i::machines]) for i in range(machines)]
     union = []
     best_part = None
-    total = F.counters.copy()
-    total.reset()
+    results = []
     for part in parts:
         clone = F.clone_detached()
         clone.set_memo(())
         res = greedy_lazy(clone, Cardinality(min(k, len(part))), pool=part)
         union.extend(res.members)
-        total += res.counters
+        results.append(res)
         if best_part is None or res.value > best_part.value:
             best_part = res
     second = greedy_lazy(F, Cardinality(min(k, len(union))), pool=sorted(union))
-    total += second.counters
+    results.append(second)
     winner = second if second.value >= best_part.value else best_part
     out = MaximizationResult(
         selected=winner.selected,
         value=winner.value,
-        counters=total,
+        counters=sum((r.counters for r in results), EvalCounters()),
         trace=winner.trace,
         seed=seed,
         stats={"partitions": machines, "union_size": len(set(union))},
@@ -406,7 +403,7 @@ def local_search_usm(
                 changed = True
     value = F.memo_value()
     complement = [j for j in range(n) if j not in F.memo]
-    twin = F.clone_detached()
+    twin = F._spawn()  # fresh and empty: nothing to rebuild before value_at
     comp_value = twin.value_at(complement)
     if comp_value > value:
         F.set_memo(complement)
@@ -497,28 +494,18 @@ def minorize_maximize(
     if order_rule == "singletons":
         vals = [(-F.gain_singleton(j), j) for j in range(F.n)]
         base_order = [j for _, j in sorted(vals)]
-    current: list[int] = []
-    seen = set()
-    trace = []
-    best_val = 0.0
-    for it in range(max_iters):
-        key = frozenset(current)
-        if key in seen:
-            break
-        seen.add(key)
-        if order_rule == "random":
-            base_order = [int(j) for j in rng.permutation(F.n)]
-        members = set(current)
-        inside = [j for j in base_order if j in members]
-        outside = [j for j in base_order if j not in members]
-        h = extreme_point(F, np.asarray(inside + outside, dtype=np.intp))
+
+    def step(current):
+        order = rng.permutation(F.n) if order_rule == "random" else base_order
+        h = subgradient_at(F, current, tie_order=order)
         candidate = _modular_maximize(h, c)
         if h.value(candidate) < h.value(current) - ABS_TOL:
-            break  # heuristic inner solve failed to improve the bound
-        current = candidate
-        best_val = F.value_at(current)
-        trace.append((it, best_val))
-    F.set_memo(current)
+            return None  # heuristic inner solve failed to improve the bound
+        return F.value_at(candidate), candidate
+
+    rounds, _ = bound_rounds(step, max_iters)
+    trace = list(enumerate(value for value, _ in rounds))
+    F.set_memo(rounds[-1][1] if rounds else [])
     res = _result(F, trace, seed=seed)
     res.stats = {"iterations": len(trace)}
     return res

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import chain_prefix_values, linear_oracle, supergradient_grow, supergradient_shrink
+from .bounds import bound_rounds, chain_prefix_values, linear_oracle, tight_upper_bounds
 from .core import (
     ABS_TOL,
     InputError,
@@ -267,25 +267,18 @@ def mmin_constrained(
     exactly over the family, and keeps the better candidate; the objective
     is non-increasing from the first feasible iterate on.
     """
-    current: list[int] = []
-    seen = set()
-    trace = []
-    best_members, best_value = None, math.inf
-    for _ in range(max_iters):
-        key = frozenset(current)
-        if key in seen:
-            break
-        seen.add(key)
+
+    def step(current):
         candidates = []
-        for bound_fn in (supergradient_grow, supergradient_shrink):
-            m = bound_fn(F, current)
+        for m in tight_upper_bounds(F, current):
             cand = _modular_minimize(m, family, F.n)
             candidates.append((F.value_at(cand), cand))
-        value, current = min(candidates, key=lambda t: (t[0], t[1]))
-        trace.append(value)
-        if value < best_value:
-            best_value, best_members = value, current
-    sub = Subset(F.n, best_members if best_members is not None else [])
+        return min(candidates)
+
+    rounds, _ = bound_rounds(step, max_iters)
+    trace = [value for value, _ in rounds]
+    best_value, best_members = min(rounds, key=lambda r: r[0], default=(math.inf, []))
+    sub = Subset(F.n, best_members)
     return MinimizationResult(
         minimizer_min=sub,
         minimizer_max=sub.copy(),

@@ -69,6 +69,19 @@ def test_scsc_modular_cost_reduces_to_single_cover(rng):
     assert res.constraint_value >= 3.0 - 1e-9
 
 
+def test_cap_on_a_repeating_round_counts_as_converged():
+    # modular f: the supergradient is exact, so round 2 repeats round 1; a
+    # repeat found on the last allowed round is convergence, not the cap
+    f = make_function(4, ModularData(np.array([2.0, 1.0, 5.0, 3.0])))
+    g = make_function(4, SetCoverData(sets=[[0, 1], [1, 2], [2], [0, 3]], universe=4))
+    sc = scsc_solve(ScProblem(f=f, g=g, direction="SCSC", c=3.0), max_iters=2)
+    sk = scsk_solve(ScProblem(f=f, g=g, direction="SCSK", b=3.5), max_iters=2)
+    for res in (sc, sk):
+        assert res.iterations == 2 and res.trace[0] == res.trace[1]
+        assert res.converged
+    assert not scsc_solve(ScProblem(f=f, g=g, direction="SCSC", c=3.0), max_iters=1).converged
+
+
 def test_scsc_best_iterate_non_increasing(rng):
     for trial in range(15):
         n = int(rng.integers(6, 13))
@@ -169,6 +182,27 @@ def test_ds_value_oracle_matches_pm(variant):
     assert vo.objective == pytest.approx(pm.objective, rel=1e-8, abs=1e-8)
     assert fv.counters.gain_evals == gv.counters.gain_evals == 0
     assert fv.counters.oracle_evals > 0 and gv.counters.oracle_evals > 0
+
+
+@pytest.mark.parametrize("fk, gk", [("setcover", "faclocation"), ("faclocation", "featurebased"),
+                                    ("probsetcover", "satcov"), ("deep2", "setcover")])
+def test_sc_value_oracle_matches_pm(fk, gk):
+    for seed in (0, 1):
+        f, g = zoo_instance(fk, 14, seed=80 + seed), zoo_instance(gk, 14, seed=90 + seed)
+        full_g, full_f = g.evaluate(range(14)), f.evaluate(range(14))
+        for solve, prob in (
+            (scsc_solve, dict(direction="SCSC", c=0.6 * full_g)),
+            (scsk_solve, dict(direction="SCSK", b=0.4 * full_f)),
+        ):
+            fp, gp = f.clone_detached(), g.clone_detached()
+            pm = solve(ScProblem(f=fp, g=gp, **prob))
+            fv, gv = wrap_value_oracle(f), wrap_value_oracle(g)
+            vo = solve(ScProblem(f=fv, g=gv, **prob))
+            where = f"{solve.__name__} {fk}/{gk} seed={seed}"
+            assert vo.selected.members == pm.selected.members, where
+            assert vo.objective == pytest.approx(pm.objective, rel=1e-8, abs=1e-8), where
+            assert fp.counters.oracle_evals == gp.counters.oracle_evals == 0, where
+            assert fv.counters.gain_evals == gv.counters.gain_evals == 0, where
 
 
 def test_ds_exact_on_small_instances(rng):

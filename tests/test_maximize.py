@@ -243,6 +243,23 @@ def test_local_search_modular_converges_to_positive_support(rng):
     assert sorted(res.members) == sorted(int(j) for j in np.flatnonzero(w > 0))
 
 
+@pytest.mark.parametrize("kind, seed", [("graphcut", 3), ("faclocation", 5)])
+def test_local_search_value_oracle_counts_every_evaluation(monkeypatch, kind, seed):
+    # the complement twin must not evaluate f behind the counters' back
+    F = wrap_value_oracle(zoo_instance(kind, 12, seed=seed))
+    cls = type(F._inner)
+    calls = []
+    inner_evaluate = cls._evaluate
+
+    def counted(self, idx):
+        calls.append(len(idx))
+        return inner_evaluate(self, idx)
+
+    monkeypatch.setattr(cls, "_evaluate", counted)
+    res = local_search_usm(F)
+    assert len(calls) == res.counters.oracle_evals > 0
+
+
 def test_bidirectional_worked_example():
     F = make_function(2, TWO_NODE_CUT)
     res = bidirectional_greedy(F, order=[0, 1])

@@ -3,8 +3,20 @@
 Functions are addressed as ``synthetic:<kind>,n=...,seed=...`` strings,
 ``<class>:<path>`` file references, or bare paths (JSON set systems pick
 their class from the file contents; bare dense CSVs default to facility
-location).  Exit codes: 0 success, 2 input error, 3 solver non-convergence,
-4 failed check (a ``validate`` row FAILs or a ``bench`` cell errors).
+location).  Each subcommand takes only the options it reads:
+
+- ``--seed``: ``maximize`` (for the randomized algorithms), ``gradients``,
+  ``bench`` and ``validate``;
+- ``--mode``: every command but ``validate``, which audits the statistic;
+- ``--k`` / ``--budget-frac``: ``maximize`` and ``minimize`` (the floor of
+  ``mmin``); without either, k is 10% of n.
+
+Every instance is built and every gradient input is drawn by
+``runner.instance_for`` and ``runner.run_gradient``, the same path the
+``bench`` command times.  Exit codes: 0 success, 2 input error (an
+out-of-range ``--k`` or ``--budget-frac`` included), 3 solver
+non-convergence, 4 failed check (a ``validate`` row FAILs or a ``bench``
+cell errors).
 """
 
 from __future__ import annotations
@@ -12,16 +24,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from ..bounds import extreme_point, supergradient_grow
 from ..constrained import DsProblem, ScProblem, ds_minimize, scsc_solve, scsk_solve
-from ..core import InputError, NonConvergenceError, wrap_value_oracle
+from ..core import InputError, NonConvergenceError
 from ..functions import (
     DispersionData,
     FacilityLocationData,
+    FeatureBasedData,
     GraphCutData,
     LogDetData,
     SaturatedCoverageData,
@@ -31,24 +44,28 @@ from ..functions import (
 )
 from .dataio import load_dense_matrix, load_set_system, load_sparse_triplets
 from .runner import (
-    ExperimentConfig,
+    ALGORITHMS,
+    GRADIENT_TASKS,
     MAXIMIZE_ALGORITHMS,
     MINIMIZE_ALGORITHMS,
+    ExperimentConfig,
+    instance_for,
+    modes_for,
     run_experiment,
+    run_gradient,
 )
 from .synthetic import gen_synthetic
-from ..functions import FeatureBasedData
 
 EXIT_CHECK_FAILED = 4
 
 _DENSE_CLASSES = {
-    "faclocation": lambda m, p: FacilityLocationData(m),
-    "satcov": lambda m, p: SaturatedCoverageData(m, alpha_fraction=float(p.get("alpha_frac", 0.25))),
-    "graphcut": lambda m, p: GraphCutData(m, lam=float(p.get("lam", 1.0))),
-    "logdet": lambda m, p: LogDetData(m, ridge=p.get("ridge")),
-    "dispmin": lambda m, p: DispersionData(m, kind="min"),
-    "dispsum": lambda m, p: DispersionData(m, kind="sum"),
-    "dispminsum": lambda m, p: DispersionData(m, kind="min-sum"),
+    "faclocation": FacilityLocationData,
+    "satcov": SaturatedCoverageData,
+    "graphcut": GraphCutData,
+    "logdet": LogDetData,
+    "dispmin": partial(DispersionData, kind="min"),
+    "dispsum": partial(DispersionData, kind="sum"),
+    "dispminsum": partial(DispersionData, kind="min-sum"),
 }
 
 
@@ -112,17 +129,13 @@ def _load_file(path: str, klass: str | None):
         raise InputError(
             f"unknown dense function class {klass!r} (choose from {sorted(_DENSE_CLASSES)})"
         )
-    return _DENSE_CLASSES[klass](matrix, {})
+    return _DENSE_CLASSES[klass](matrix)
 
 
-def _build(args, attr="function"):
-    name, data = load_function_spec(getattr(args, attr))
-    inst = make_function(data.n, data)
-    return name, inst
-
-
-def _mode_instance(inst, mode: str):
-    return wrap_value_oracle(inst) if mode == "vo" else inst
+def _build(spec: str):
+    """Resolve a --function argument to (name, function instance)."""
+    name, data = load_function_spec(spec)
+    return name, make_function(data.n, data)
 
 
 def _emit(args, payload: dict) -> None:
@@ -145,164 +158,106 @@ def _json_default(obj):
 
 
 def _resolve_k(args, n: int) -> int:
-    if getattr(args, "k", None):
-        return int(args.k)
-    frac = getattr(args, "budget_frac", None) or 0.1
+    if args.k is not None:
+        if args.k < 1:
+            raise InputError(f"--k must be >= 1, got {args.k}")
+        return args.k
+    frac = 0.1 if args.budget_frac is None else args.budget_frac
+    if not 0.0 < frac <= 1.0:
+        raise InputError(f"--budget-frac must lie in (0, 1], got {frac}")
     return max(1, round(frac * n))
 
 
-def _cmd_maximize(args) -> int:
-    name, inst = _build(args)
-    inst = _mode_instance(inst, args.mode)
+def _cmd_solve(args) -> int:
+    """maximize / minimize: one algorithm on one function."""
+    name, base = _build(args.function)
+    inst = instance_for(base, args.mode)
     k = _resolve_k(args, inst.n)
-    algo = MAXIMIZE_ALGORITHMS[args.algorithm]
-    res = algo(inst, k, args.seed)
-    _emit(
-        args,
-        {
-            "function": name,
-            "algorithm": args.algorithm,
-            "mode": args.mode,
-            "k": k,
-            "selected": res.members,
-            "value": res.value,
-            "counters": res.counters.as_dict(),
-            "seed": args.seed,
-        },
-    )
-    return 0
-
-
-def _cmd_minimize(args) -> int:
-    name, inst = _build(args)
-    inst = _mode_instance(inst, args.mode)
-    k = _resolve_k(args, inst.n)
-    res = MINIMIZE_ALGORITHMS[args.algorithm](inst, k, args.seed)
-    _emit(
-        args,
-        {
-            "function": name,
-            "algorithm": args.algorithm,
-            "mode": args.mode,
-            "minimizer_min": res.minimizer_min.members,
-            "minimizer_max": res.minimizer_max.members,
-            "value": res.value,
-            "iterations": res.iterations,
-            "duality_gap": res.duality_gap,
-            "counters": res.counters.as_dict(),
-        },
-    )
-    return 0
-
-
-def _cmd_sc(args, direction: str) -> int:
-    fname, f = _build(args)
-    gname, g = _build(args, "function_g")
-    f = _mode_instance(f, args.mode)
-    g = _mode_instance(g, args.mode)
-    if direction == "SCSC":
-        level = args.c if args.c is not None else args.c_frac * _total(g)
-        prob = ScProblem(f=f, g=g, direction="SCSC", c=level)
-        res = scsc_solve(prob, max_iters=args.max_iters)
+    seed = getattr(args, "seed", None)  # only maximize takes --seed; no minimizer reads it
+    res = ALGORITHMS[args.algorithm](inst, k, seed)
+    payload = {"function": name, "algorithm": args.algorithm, "mode": args.mode}
+    if args.command == "maximize":
+        payload.update(
+            k=k,
+            selected=res.members,
+            value=res.value,
+            counters=res.counters.as_dict(),
+            seed=seed,
+        )
     else:
-        budget = args.b if args.b is not None else args.b_frac * _total(f)
-        prob = ScProblem(f=f, g=g, direction="SCSK", b=budget)
-        res = scsk_solve(prob, max_iters=args.max_iters)
-    _emit(
-        args,
-        {
-            "f": fname,
-            "g": gname,
-            "direction": direction,
-            "selected": res.members,
-            "objective": res.objective,
-            "constraint_value": res.constraint_value,
-            "iterations": res.iterations,
-            "converged": res.converged,
-            "trace": res.trace,
-        },
-    )
+        payload.update(
+            minimizer_min=res.minimizer_min.members,
+            minimizer_max=res.minimizer_max.members,
+            value=res.value,
+            iterations=res.iterations,
+            duality_gap=res.duality_gap,
+            counters=res.counters.as_dict(),
+        )
+    _emit(args, payload)
     return 0
 
 
-def _total(F) -> float:
-    total = F.value_at(range(F.n))
-    F.set_memo(())
-    return total
-
-
-def _cmd_ds_min(args) -> int:
-    fname, f = _build(args)
-    gname, g = _build(args, "function_g")
-    f = _mode_instance(f, args.mode)
-    g = _mode_instance(g, args.mode)
-    res = ds_minimize(DsProblem(f=f, g=g, variant=args.variant), seed=args.seed, max_iters=args.max_iters)
-    _emit(
-        args,
-        {
-            "f": fname,
-            "g": gname,
-            "variant": args.variant,
-            "selected": res.members,
-            "objective": res.objective,
-            "iterations": res.iterations,
-            "converged": res.converged,
-            "trace": res.trace,
-        },
-    )
+def _cmd_pair(args) -> int:
+    """scsc / scsk / ds-min: one iterative solver on the pair (f, g)."""
+    fname, f_base = _build(args.function)
+    gname, g_base = _build(args.function_g)
+    f, g = instance_for(f_base, args.mode), instance_for(g_base, args.mode)
+    # f(V) and g(V) are read on throwaway instances, so each solve starts fresh
+    full = range(f.n)
+    payload = {"f": fname, "g": gname}
+    if args.command == "ds-min":
+        payload["variant"] = args.variant
+        res = ds_minimize(DsProblem(f=f, g=g, variant=args.variant), max_iters=args.max_iters)
+    elif args.command == "scsc":
+        payload["direction"] = "SCSC"
+        level = args.c
+        if level is None:
+            level = args.c_frac * instance_for(g_base, args.mode).value_at(full)
+        res = scsc_solve(ScProblem(f=f, g=g, direction="SCSC", c=level), max_iters=args.max_iters)
+    else:
+        payload["direction"] = "SCSK"
+        budget = args.b
+        if budget is None:
+            budget = args.b_frac * instance_for(f_base, args.mode).value_at(full)
+        res = scsk_solve(ScProblem(f=f, g=g, direction="SCSK", b=budget), max_iters=args.max_iters)
+    payload.update(selected=res.members, objective=res.objective)
+    if res.constraint_value is not None:  # SCSC and SCSK
+        payload["constraint_value"] = res.constraint_value
+    payload.update(iterations=res.iterations, converged=res.converged, trace=res.trace)
+    _emit(args, payload)
     return 0
 
 
 def _cmd_gradients(args) -> int:
-    name, inst = _build(args)
-    modes = ("pm", "vo") if args.mode == "both" else (args.mode,)
-    rng = np.random.default_rng(args.seed)
-    order = rng.permutation(inst.n)
-    anchor = sorted(rng.choice(inst.n, size=inst.n // 2, replace=False).tolist())
+    name, base = _build(args.function)
+    modes = modes_for(args.mode)
     payload = {"function": name, "seed": args.seed, "runs": {}}
-    weight_views = {}
+    weights = {}
     for mode in modes:
-        runner = _mode_instance(inst.clone_detached(), mode)
-        runner.reset_counters()
-        sub = extreme_point(runner, order)
-        sub_counters = runner.counters.as_dict()
-        runner2 = _mode_instance(inst.clone_detached(), mode)
-        runner2.reset_counters()
-        sup = supergradient_grow(runner2, anchor)
-        payload["runs"][mode] = {
-            "subgradient_counters": sub_counters,
-            "supergradient_counters": runner2.counters.as_dict(),
-        }
-        weight_views[mode] = {
-            "subgradient": sub.weights.tolist(),
-            "supergradient": sup.weights.tolist(),
-        }
+        counters, weights[mode] = {}, {}
+        for task in GRADIENT_TASKS:
+            inst = instance_for(base, mode)
+            weights[mode][task] = run_gradient(inst, task, args.seed).weights.tolist()
+            counters[f"{task}_counters"] = inst.counters.as_dict()
+        payload["runs"][mode] = counters
     if len(modes) == 2:
-        payload["weights_match"] = bool(
-            np.allclose(weight_views["pm"]["subgradient"], weight_views["vo"]["subgradient"], atol=1e-9)
-            and np.allclose(
-                weight_views["pm"]["supergradient"], weight_views["vo"]["supergradient"], atol=1e-9
-            )
+        payload["weights_match"] = all(
+            np.allclose(weights["pm"][task], weights["vo"][task], atol=1e-9)
+            for task in GRADIENT_TASKS
         )
-    payload["weights"] = weight_views
+    payload["weights"] = weights
     _emit(args, payload)
     return 0
 
 
 def _cmd_bench(args) -> int:
-    functions = []
-    for spec in args.function:
-        name, data = load_function_spec(spec)
-        functions.append((name, make_function(data.n, data)))
-    budgets = tuple(float(b) for b in args.budgets.split(","))
     cfg = ExperimentConfig(
-        functions=functions,
+        functions=[_build(spec) for spec in args.function],
         algorithm=args.algorithm,
         mode=args.mode,
-        budgets=budgets,
+        budgets=tuple(float(b) for b in args.budgets.split(",")),
         repetitions=args.reps,
         seed=args.seed,
-        kind=args.kind,
     )
     out_dir = args.out or "bench-out"
     records = run_experiment(cfg, out_dir=out_dir)
@@ -314,7 +269,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    name, inst = _build(args)
+    name, inst = _build(args.function)
     rng = np.random.default_rng(args.seed)
     rows = []
     report = verify_statistic(inst)
@@ -373,55 +328,60 @@ def build_parser() -> argparse.ArgumentParser:
         description="Submodular optimization benchmarks: memoized vs value-oracle.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    spec_help = "synthetic:<kind>,n=..,seed=.. | <class>:<path> | <path>"
 
-    def common(p, g_function=False, modes=("pm", "vo"), default_mode="pm"):
-        p.add_argument("--function", required=True, help="synthetic:<kind>,n=..,seed=.. | <class>:<path> | <path>")
-        if g_function:
-            p.add_argument("--function-g", dest="function_g", required=True)
+    def command(name, fn, help_text, modes=("pm", "vo"), default_mode="pm"):
+        """A subcommand over --function with --mode and --out."""
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--function", required=True, help=spec_help)
         p.add_argument("--mode", choices=modes, default=default_mode)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", default=None)
+        p.set_defaults(fn=fn)
+        return p
+
+    def pair(name, help_text):
+        """A subcommand over (f, g) solved by bound rounds."""
+        p = command(name, _cmd_pair, help_text)
+        p.add_argument("--function-g", dest="function_g", required=True)
+        p.add_argument("--max-iters", dest="max_iters", type=int, default=50)
+        return p
+
+    def budget(p):
         p.add_argument("--k", type=int, default=None)
         p.add_argument("--budget-frac", dest="budget_frac", type=float, default=None)
-        p.add_argument("--out", default=None)
 
-    p = sub.add_parser("maximize", help="run one maximization algorithm")
-    common(p)
+    p = command("maximize", _cmd_solve, "run one maximization algorithm")
+    budget(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--algorithm", choices=sorted(MAXIMIZE_ALGORITHMS), default="lazy-greedy")
-    p.set_defaults(fn=_cmd_maximize)
 
-    p = sub.add_parser("minimize", help="run one minimization algorithm")
-    common(p)
+    p = command("minimize", _cmd_solve, "run one minimization algorithm")
+    budget(p)
     p.add_argument("--algorithm", choices=sorted(MINIMIZE_ALGORITHMS), default="min-norm-point")
-    p.set_defaults(fn=_cmd_minimize)
 
-    p = sub.add_parser("scsc", help="minimize f subject to g >= c")
-    common(p, g_function=True)
+    p = pair("scsc", "minimize f subject to g >= c")
     p.add_argument("--c", type=float, default=None)
     p.add_argument("--c-frac", dest="c_frac", type=float, default=0.5)
-    p.add_argument("--max-iters", dest="max_iters", type=int, default=50)
-    p.set_defaults(fn=lambda a: _cmd_sc(a, "SCSC"))
 
-    p = sub.add_parser("scsk", help="maximize g subject to f <= b")
-    common(p, g_function=True)
+    p = pair("scsk", "maximize g subject to f <= b")
     p.add_argument("--b", type=float, default=None)
     p.add_argument("--b-frac", dest="b_frac", type=float, default=0.25)
-    p.add_argument("--max-iters", dest="max_iters", type=int, default=50)
-    p.set_defaults(fn=lambda a: _cmd_sc(a, "SCSK"))
 
-    p = sub.add_parser("ds-min", help="minimize f - g")
-    common(p, g_function=True)
+    p = pair("ds-min", "minimize f - g")
     p.add_argument("--variant", choices=("sub-sup", "sup-sub", "mod-mod"), default="mod-mod")
-    p.add_argument("--max-iters", dest="max_iters", type=int, default=50)
-    p.set_defaults(fn=_cmd_ds_min)
 
-    p = sub.add_parser("gradients", help="sub/supergradient benchmark")
-    common(p, modes=("pm", "vo", "both"), default_mode="both")
-    p.set_defaults(fn=_cmd_gradients)
+    p = command(
+        "gradients",
+        _cmd_gradients,
+        "sub/supergradient benchmark",
+        modes=("pm", "vo", "both"),
+        default_mode="both",
+    )
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("bench", help="timing table: functions x budgets x modes")
     p.add_argument("--function", action="append", required=True)
-    p.add_argument("--algorithm", default="lazy-greedy")
-    p.add_argument("--kind", choices=("maximize", "minimize", "gradients"), default="maximize")
+    p.add_argument("--algorithm", default="lazy-greedy", help="an algorithm name or 'gradients'")
     p.add_argument("--mode", choices=("pm", "vo", "both"), default="both")
     p.add_argument("--budgets", default="0.05,0.15,0.30")
     p.add_argument("--reps", type=int, default=3)
@@ -430,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser("validate", help="statistic + submodularity audit")
-    common(p)
+    p.add_argument("--function", required=True, help=spec_help)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--audit-rounds", dest="audit_rounds", type=int, default=200)
     p.set_defaults(fn=_cmd_validate)
 

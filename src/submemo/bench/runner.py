@@ -5,6 +5,13 @@ timed on a monotonic clock; the headline figure is the minimum wall time,
 the mean is also recorded.  Reports mirror the familiar benchmark layout:
 functions as rows, budgets-by-mode as columns, plus a JSON file with
 per-cell counters and PM-vs-VO speedup ratios.
+
+The kind of a run follows from the algorithm name: a name in
+``MAXIMIZE_ALGORITHMS`` or ``MINIMIZE_ALGORITHMS`` runs one cell per budget
+and mode, and ``gradients`` runs both ``GRADIENT_TASKS`` per mode, with no
+budget.  The CLI solves through ``instance_for`` and ``run_gradient`` too,
+so one command and one benchmark cell at the same seed solve the same
+problem.
 """
 
 from __future__ import annotations
@@ -12,13 +19,13 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ..bounds import extreme_point, supergradient_grow
-from ..core import InputError, SubmodularFunction, wrap_value_oracle
+from ..core import InputError, ModularFunction, SubmodularFunction, wrap_value_oracle
 from ..maximize import (
     Cardinality,
     bidirectional_greedy,
@@ -51,7 +58,26 @@ MINIMIZE_ALGORITHMS = {
     "mmin": lambda F, k, seed: mmin_constrained(F, AtLeast(k)),
 }
 
+ALGORITHMS = {**MAXIMIZE_ALGORITHMS, **MINIMIZE_ALGORITHMS}
+
+GRADIENTS = "gradients"
 GRADIENT_TASKS = ("subgradient", "supergradient")
+
+
+def kind_of(algorithm: str) -> str:
+    """maximize, minimize or gradients: the kind of run an algorithm name gives."""
+    if algorithm == GRADIENTS:
+        return GRADIENTS
+    if algorithm in MAXIMIZE_ALGORITHMS:
+        return "maximize"
+    if algorithm in MINIMIZE_ALGORITHMS:
+        return "minimize"
+    raise InputError(f"unknown algorithm {algorithm!r}")
+
+
+def modes_for(mode: str) -> tuple:
+    """The modes a pm | vo | both setting runs, PM first."""
+    return ("pm", "vo") if mode == "both" else (mode,)
 
 
 @dataclass
@@ -64,7 +90,6 @@ class ExperimentConfig:
     budgets: tuple = (0.05, 0.15, 0.30)
     repetitions: int = 3
     seed: int = 0
-    kind: str = "maximize"  # maximize | minimize | gradients
 
     def __post_init__(self):
         if self.mode not in ("pm", "vo", "both"):
@@ -74,12 +99,7 @@ class ExperimentConfig:
         for b in self.budgets:
             if not 0.0 < b <= 1.0:
                 raise InputError(f"budgets must lie in (0, 1], got {b}")
-        if self.kind not in ("maximize", "minimize", "gradients"):
-            raise InputError("kind must be maximize, minimize or gradients")
-        if self.kind == "maximize" and self.algorithm not in MAXIMIZE_ALGORITHMS:
-            raise InputError(f"unknown maximization algorithm {self.algorithm!r}")
-        if self.kind == "minimize" and self.algorithm not in MINIMIZE_ALGORITHMS:
-            raise InputError(f"unknown minimization algorithm {self.algorithm!r}")
+        kind_of(self.algorithm)  # raises on an unknown name
 
 
 @dataclass
@@ -95,35 +115,35 @@ class TimingRecord:
     selected_size: int | None = None
     error: str | None = None
 
-    def as_dict(self) -> dict:
-        return {
-            "function": self.function,
-            "algorithm": self.algorithm,
-            "mode": self.mode,
-            "budget": self.budget,
-            "wall_seconds": self.wall_seconds,
-            "wall_mean": self.wall_mean,
-            "counters": self.counters,
-            "value": self.value,
-            "selected_size": self.selected_size,
-            "error": self.error,
-        }
 
-
-def _instance_for(base: SubmodularFunction, mode: str) -> SubmodularFunction:
+def instance_for(base: SubmodularFunction, mode: str) -> SubmodularFunction:
+    """A fresh instance of ``base`` at the empty set with zeroed counters,
+    behind the value oracle when ``mode`` is ``vo``."""
     clone = base.clone_detached()
     clone.set_memo(())
     clone.reset_counters()
     return wrap_value_oracle(clone) if mode == "vo" else clone
 
 
-def _run_gradients(F: SubmodularFunction, task: str, seed: int):
+def run_gradient(F: SubmodularFunction, task: str, seed: int) -> ModularFunction:
+    """The seeded gradient rule: the subgradient at a random permutation, or
+    the grow supergradient at a random half-size anchor set, each drawn
+    from a fresh generator at ``seed``."""
     rng = np.random.default_rng(seed)
     if task == "subgradient":
-        order = rng.permutation(F.n)
-        return extreme_point(F, order)
+        return extreme_point(F, rng.permutation(F.n))
     anchor = sorted(rng.choice(F.n, size=F.n // 2, replace=False).tolist())
     return supergradient_grow(F, anchor)
+
+
+def _solve(cfg: ExperimentConfig, inst, budget, task):
+    """One repetition of a cell: (value, selected size), None where not defined."""
+    if task is not None:
+        run_gradient(inst, task, cfg.seed)
+        return None, None
+    k = max(1, round(budget * inst.n))
+    res = ALGORITHMS[cfg.algorithm](inst, k, cfg.seed)
+    return res.value, len(res.selected) if hasattr(res, "selected") else None
 
 
 def _time_cell(cfg: ExperimentConfig, name: str, base, mode: str, budget, task) -> TimingRecord:
@@ -131,22 +151,12 @@ def _time_cell(cfg: ExperimentConfig, name: str, base, mode: str, budget, task) 
     value = None
     size = None
     counters: dict = {}
-    algorithm = cfg.algorithm if cfg.kind != "gradients" else task
+    algorithm = task or cfg.algorithm
     try:
         for rep in range(cfg.repetitions):
-            inst = _instance_for(base, mode)
+            inst = instance_for(base, mode)
             start = time.perf_counter()
-            if cfg.kind == "gradients":
-                _run_gradients(inst, task, cfg.seed)
-                res_value, res_size = None, None
-            else:
-                k = max(1, round(budget * base.n))
-                fn = (MAXIMIZE_ALGORITHMS if cfg.kind == "maximize" else MINIMIZE_ALGORITHMS)[
-                    cfg.algorithm
-                ]
-                res = fn(inst, k, cfg.seed)
-                res_value = res.value
-                res_size = len(res.selected) if hasattr(res, "selected") else None
+            res_value, res_size = _solve(cfg, inst, budget, task)
             walls.append(time.perf_counter() - start)
             if rep == 0:
                 value, size = res_value, res_size
@@ -177,10 +187,10 @@ def _time_cell(cfg: ExperimentConfig, name: str, base, mode: str, budget, task) 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> list[TimingRecord]:
     """Execute every cell; optionally write report.csv / report.json."""
-    modes = ("pm", "vo") if cfg.mode == "both" else (cfg.mode,)
+    modes = modes_for(cfg.mode)
     cells = []
     for name, base in cfg.functions:
-        if cfg.kind == "gradients":
+        if cfg.algorithm == GRADIENTS:
             for task in GRADIENT_TASKS:
                 for mode in modes:
                     cells.append((name, base, mode, None, task))
@@ -214,21 +224,21 @@ def write_reports(cfg: ExperimentConfig, records: list[TimingRecord], out_dir) -
     out.mkdir(parents=True, exist_ok=True)
     payload = {
         "algorithm": cfg.algorithm,
-        "kind": cfg.kind,
+        "kind": kind_of(cfg.algorithm),
         "mode": cfg.mode,
         "budgets": list(cfg.budgets),
         "repetitions": cfg.repetitions,
         "seed": cfg.seed,
-        "records": [r.as_dict() for r in records],
+        "records": [asdict(r) for r in records],
         "speedups": speedup_ratios(records),
     }
     (out / "report.json").write_text(json.dumps(payload, indent=2), encoding="utf-8")
 
     functions = list(dict.fromkeys(r.function for r in records))
-    modes = ("pm", "vo") if cfg.mode == "both" else (cfg.mode,)
+    modes = modes_for(cfg.mode)
     with open(out / "report.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        if cfg.kind == "gradients":
+        if cfg.algorithm == GRADIENTS:
             header = ["function"] + [
                 f"{task}_{mode}" for task in GRADIENT_TASKS for mode in modes
             ]

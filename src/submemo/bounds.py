@@ -129,10 +129,7 @@ def _descending_order(x: np.ndarray) -> np.ndarray:
 
 def lovasz_subgradient(F: SubmodularFunction, x) -> ModularFunction:
     """Extreme point attaining the convex extension at x (its subgradient)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (F.n,) or not np.all(np.isfinite(x)):
-        raise InputError("need one finite coordinate per element")
-    return extreme_point(F, _descending_order(x))
+    return linear_oracle(F, x)
 
 
 def lovasz_value(F: SubmodularFunction, x) -> float:

@@ -201,9 +201,7 @@ def scsk_solve(p: ScProblem, max_iters: int = 50) -> IterativeResult:
     )
 
 
-def ds_minimize(
-    p: DsProblem, seed: int = 0, max_iters: int = 50
-) -> IterativeResult:
+def ds_minimize(p: DsProblem, max_iters: int = 50) -> IterativeResult:
     """Difference minimization min f - g by modular replacement rounds.
 
     Variants: 'sub-sup' keeps f and lower-bounds g (each round is a
@@ -258,5 +256,5 @@ def ds_minimize(
         trace=trace,
         iterations=len(rounds),
         converged=converged,
-        stats={"variant": p.variant, "seed": seed},
+        stats={"variant": p.variant},
     )

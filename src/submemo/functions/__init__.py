@@ -101,9 +101,6 @@ class StatReport:
     components: dict
     memo_size: int
 
-    def ok(self, tol: float = 1e-9) -> bool:
-        return self.max_deviation <= tol
-
 
 def verify_statistic(F: SubmodularFunction) -> StatReport:
     """Rebuild F's statistic from scratch and report the max relative deviation.
@@ -111,9 +108,7 @@ def verify_statistic(F: SubmodularFunction) -> StatReport:
     Read-only on F: the rebuild happens in a detached twin.  Deviations are
     |live - rebuilt| / max(1, |rebuilt|) per statistic entry.
     """
-    twin = F._spawn()
-    twin.memo = F.memo.copy()
-    twin._rebuild(twin.memo.to_indices())
+    twin = F.clone_detached()
     live = F._statistic()
     fresh = twin._statistic()
     components = {}

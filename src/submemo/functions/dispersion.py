@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import InputError, SubmodularFunction
-from .graphs import _RowSumFunction
+from .graphs import _RowSumFunction, _validated_square
 
 DISPERSION_KINDS = ("min", "sum", "min-sum")
 
@@ -26,15 +26,7 @@ class DispersionData:
     kind: str = "min"
 
     def __post_init__(self):
-        d = np.asarray(self.distance, dtype=float)
-        if d.ndim != 2 or d.shape[0] != d.shape[1]:
-            raise InputError(f"distance matrix must be square, got {d.shape}")
-        if not np.all(np.isfinite(d)):
-            raise InputError("distance matrix contains non-finite entries")
-        if np.any(d < 0):
-            raise InputError("distances must be non-negative")
-        if not np.allclose(d, d.T, rtol=1e-9, atol=1e-12):
-            raise InputError("distance matrix must be symmetric")
+        d = _validated_square(self.distance, True, "distance matrix")
         if np.any(np.diag(d) != 0):
             raise InputError("distance matrix must have a zero diagonal")
         self.distance = d

@@ -167,8 +167,6 @@ def lovasz_descent(
     F: SubmodularFunction,
     iterations: int | None = None,
     eps: float = 0.01,
-    step: float | None = None,
-    x0=None,
 ) -> MinimizationResult:
     """Projected subgradient descent of the convex extension on the unit box.
 
@@ -182,7 +180,7 @@ def lovasz_descent(
         if not 0.0 < eps < 1.0:
             raise InputError("eps must lie in (0, 1)")
         iterations = math.ceil(1.0 / (eps * eps))
-    x = np.full(n, 0.5) if x0 is None else np.clip(np.asarray(x0, dtype=float), 0.0, 1.0)
+    x = np.full(n, 0.5)
     best_members: list[int] = []
     best_value = 0.0
     grad_scale = 0.0
@@ -197,8 +195,8 @@ def lovasz_descent(
             best_members = sorted(int(j) for j in order[:best_i])
         g = h.weights
         grad_scale = max(grad_scale, float(np.linalg.norm(g)), 1e-12)
-        c = step if step is not None else radius / grad_scale
-        x = np.clip(x - (c / math.sqrt(t + 1.0)) * g, 0.0, 1.0)
+        step = radius / grad_scale / math.sqrt(t + 1.0)
+        x = np.clip(x - step * g, 0.0, 1.0)
     dual = float(np.minimum(last_h.weights, 0.0).sum()) if last_h is not None else None
     sub = Subset(n, best_members)
     return MinimizationResult(

@@ -227,7 +227,7 @@ def test_brute_force_cap():
 # ---------------------------------------------------------------------------
 
 
-def _small_cfg(kind="maximize", algorithm="lazy-greedy", mode="both"):
+def _small_cfg(algorithm="lazy-greedy", mode="both"):
     functions = [
         ("facloc", zoo_instance("faclocation", 40, seed=5)),
         ("setcov", zoo_instance("setcover", 40, seed=6)),
@@ -239,7 +239,6 @@ def _small_cfg(kind="maximize", algorithm="lazy-greedy", mode="both"):
         budgets=(0.1, 0.2),
         repetitions=2,
         seed=9,
-        kind=kind,
     )
 
 
@@ -281,7 +280,7 @@ def test_run_experiment_pm_vo_same_solution():
 
 
 def test_run_experiment_gradients_structure(tmp_path):
-    cfg = _small_cfg(kind="gradients")
+    cfg = _small_cfg(algorithm="gradients")
     records = run_experiment(cfg, out_dir=tmp_path)
     assert len(records) == 2 * 2 * 2  # functions x tasks x modes
     header = (tmp_path / "report.csv").read_text(encoding="utf-8").splitlines()[0]

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, spec grammar, exit codes, report files."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,13 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from submemo.bench.cli import EXIT_CHECK_FAILED, cli_main, load_function_spec
+from submemo.bench.cli import EXIT_CHECK_FAILED, build_parser, cli_main, load_function_spec
 from submemo.bench.dataio import save_dense_matrix, save_set_system
+from submemo.bench.runner import GRADIENT_TASKS, instance_for, run_gradient
 from submemo.core import InputError
 from submemo.functions import (
     FacilityLocationData,
     GraphCutData,
     SetCoverData,
+    make_function,
 )
 
 
@@ -217,3 +220,54 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert (
         cli_main(["maximize", "--function", "synthetic:setcover,n=5,seed=1", "--k", "50"]) == 2
     )
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("maximize", ["--k", "0"]),
+        ("maximize", ["--budget-frac", "0"]),
+        ("maximize", ["--budget-frac", "1.5"]),
+        ("minimize", ["--k", "0"]),
+    ],
+)
+def test_cli_out_of_range_budget_is_an_input_error(command, flags, capsys):
+    argv = [command, "--function", "synthetic:setcover,n=30,seed=3", *flags]
+    assert cli_main(argv) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_cli_option_surface():
+    # pins each subcommand's options, so adding or dropping a flag is a deliberate edit
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {
+        name: sorted(o for a in sub._actions for o in a.option_strings if o not in ("-h", "--help"))
+        for name, sub in commands.choices.items()
+    }
+    assert surface == {
+        "maximize": ["--algorithm", "--budget-frac", "--function", "--k", "--mode", "--out",
+                     "--seed"],
+        "minimize": ["--algorithm", "--budget-frac", "--function", "--k", "--mode", "--out"],
+        "scsc": ["--c", "--c-frac", "--function", "--function-g", "--max-iters", "--mode",
+                 "--out"],
+        "scsk": ["--b", "--b-frac", "--function", "--function-g", "--max-iters", "--mode",
+                 "--out"],
+        "ds-min": ["--function", "--function-g", "--max-iters", "--mode", "--out", "--variant"],
+        "gradients": ["--function", "--mode", "--out", "--seed"],
+        "bench": ["--algorithm", "--budgets", "--function", "--mode", "--out", "--reps",
+                  "--seed"],
+        "validate": ["--audit-rounds", "--function", "--seed"],
+    }
+
+
+def test_cli_gradients_use_the_runner_rule(capsys):
+    spec = "synthetic:faclocation,n=20,seed=4"
+    assert cli_main(["gradients", "--function", spec, "--seed", "7"]) == 0
+    weights = json.loads(capsys.readouterr().out)["weights"]
+    _, data = load_function_spec(spec)
+    base = make_function(data.n, data)
+    for mode in ("pm", "vo"):
+        for task in GRADIENT_TASKS:
+            expected = run_gradient(instance_for(base, mode), task, 7).weights.tolist()
+            assert weights[mode][task] == expected, (mode, task)

@@ -142,10 +142,10 @@ def _random_cut_pair(rng, n):
 
 @pytest.mark.parametrize("variant", ["mod-mod", "sub-sup", "sup-sub"])
 def test_ds_trace_non_increasing(variant, rng):
-    for trial in range(10):
+    for _ in range(10):
         n = int(rng.integers(5, 11))
         f, g = _random_cut_pair(rng, n)
-        res = ds_minimize(DsProblem(f=f, g=g, variant=variant), seed=trial)
+        res = ds_minimize(DsProblem(f=f, g=g, variant=variant))
         assert all(
             res.trace[i + 1] <= res.trace[i] + 1e-9 for i in range(len(res.trace) - 1)
         ), (variant, res.trace)
@@ -210,12 +210,12 @@ def test_ds_exact_on_small_instances(rng):
     # optimum and that sub-sup matches the exhaustive minimum of f - g
     from submemo.functions import ModularPenaltyData
 
-    for trial in range(8):
+    for _ in range(8):
         n = int(rng.integers(4, 9))
         f, g_cut = _random_cut_pair(rng, n)
         w = rng.uniform(0.0, 1.0, size=n)
         g = make_function(n, ModularData(w))
-        res = ds_minimize(DsProblem(f=f.clone_detached(), g=g, variant="sub-sup"), seed=trial)
+        res = ds_minimize(DsProblem(f=f.clone_detached(), g=g, variant="sub-sup"))
         diff = make_function(n, ModularPenaltyData(f.clone_detached(), w))
         _, opt = brute_force_min(diff)
         # with modular g the subgradient is exact, so one round solves it

@@ -87,6 +87,13 @@ def _parse_params(parts) -> dict:
     return params
 
 
+def _int_param(params: dict, key: str, default: int) -> int:
+    value = params.pop(key, default)
+    if not isinstance(value, int):
+        raise InputError(f"synthetic parameter {key} must be an integer, got {value!r}")
+    return value
+
+
 def load_function_spec(text: str):
     """Resolve a --function argument to (name, data object)."""
     if text.startswith("synthetic:"):
@@ -94,8 +101,8 @@ def load_function_spec(text: str):
         parts = body.split(",")
         kind = parts[0]
         params = _parse_params(parts[1:])
-        n = int(params.pop("n", 100))
-        seed = int(params.pop("seed", 0))
+        n = _int_param(params, "n", 100)
+        seed = _int_param(params, "seed", 0)
         return f"{kind}-n{n}", gen_synthetic(kind, n, seed, params)
     if ":" in text and not Path(text).exists():
         prefix, path = text.split(":", 1)
@@ -250,12 +257,19 @@ def _cmd_gradients(args) -> int:
     return 0
 
 
+def _budgets(text: str) -> tuple:
+    try:
+        return tuple(float(b) for b in text.split(","))
+    except ValueError:
+        raise InputError(f"--budgets must be comma-separated numbers, got {text!r}") from None
+
+
 def _cmd_bench(args) -> int:
     cfg = ExperimentConfig(
         functions=[_build(spec) for spec in args.function],
         algorithm=args.algorithm,
         mode=args.mode,
-        budgets=tuple(float(b) for b in args.budgets.split(",")),
+        budgets=_budgets(args.budgets),
         repetitions=args.reps,
         seed=args.seed,
     )

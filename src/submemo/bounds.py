@@ -80,7 +80,8 @@ def supergradient_shrink(F: SubmodularFunction, X) -> ModularFunction:
     sub = as_subset(F.n, X)
     fx = F.value_at(sub)
     weights = np.empty(F.n)
-    outside = [j for j in range(F.n) if j not in sub]
+    outside = np.flatnonzero(~sub.mask).tolist()
+    F.gains_ahead(outside)
     for j in outside:
         weights[j] = F.gain_add(j)
     F.set_memo(range(F.n))

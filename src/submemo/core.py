@@ -7,6 +7,15 @@ through the public methods below, which keeps the counter accounting exact:
 ``evaluate`` is the only entry point that pays full oracle cost, while
 ``gain_add`` / ``gain_remove`` / ``gain_singleton`` answer marginal values
 from the live statistic.
+
+``gains_ahead(cands)`` lets a round that reads every candidate of a pool
+compute those add gains in one ``_gains_add`` hook call.  It charges
+nothing: each kept gain is charged one ``gain_evals`` when ``gain_add``
+reads it, so the counters are the same as for scalar reads.  Any change
+of the statistic (``update``, ``downdate``, ``set_memo``) drops what is
+still kept, so a kept gain is never read stale.  Classes without a
+batched hook keep nothing, and ``ValueOracleFunction`` keeps nothing by
+design: a value-oracle gain stays one oracle call.
 """
 
 from __future__ import annotations
@@ -135,6 +144,17 @@ def _check_id(j, n: int) -> int:
     return int(j)
 
 
+def check_ids(cands, n: int) -> np.ndarray:
+    """``_check_id`` over a sequence of ids, as one intp array."""
+    idx = np.asarray(cands)
+    if idx.ndim != 1 or idx.dtype.kind not in "iu":
+        idx = np.fromiter((_check_id(j, n) for j in cands), dtype=np.intp)
+    bad = (idx < 0) | (idx >= n)
+    if bad.any():
+        _check_id(int(idx[bad][0]), n)
+    return idx.astype(np.intp, copy=False)
+
+
 def as_subset(n: int, X) -> Subset:
     """Coerce an iterable of ids (or a Subset) to a validated Subset."""
     if isinstance(X, Subset):
@@ -234,6 +254,7 @@ class SubmodularFunction(ABC):
         self.n = int(n)
         self.memo = Subset(self.n)
         self.counters = EvalCounters()
+        self._ahead: dict[int, float] = {}  # add gains kept by gains_ahead
 
     # ------------------------------------------------------------------
     # public contract
@@ -251,7 +272,22 @@ class SubmodularFunction(ABC):
         if j in self.memo:
             raise PreconditionError(f"gain_add: element {j} already memoized")
         self.counters.gain_evals += 1
-        return self._gain_add(j)
+        g = self._ahead.pop(j, None)
+        return self._gain_add(j) if g is None else g
+
+    def gains_ahead(self, cands) -> None:
+        """Compute the add gains of ``cands`` in one hook call and keep them.
+
+        Ids are checked as ``gain_add`` checks them.  Nothing is charged
+        here: ``gain_add`` charges each kept gain when it reads it.  The
+        next statistic change drops whatever is still kept.
+        """
+        idx = check_ids(cands, self.n)
+        held = idx[self.memo.mask[idx]]
+        if held.size:
+            raise PreconditionError(f"gains_ahead: element {held[0]} already memoized")
+        gains = self._gains_add(idx)
+        self._ahead = {} if gains is None else dict(zip(idx.tolist(), gains.tolist()))
 
     def gain_remove(self, j) -> float:
         """f(memo) - f(memo - j) from the live statistic (read-only)."""
@@ -277,6 +313,7 @@ class SubmodularFunction(ABC):
         if j in self.memo:
             raise PreconditionError(f"update: element {j} already memoized")
         self.counters.memo_updates += 1
+        self._ahead.clear()
         self._update(j)
         self.memo.add(j)
 
@@ -286,6 +323,7 @@ class SubmodularFunction(ABC):
         if j not in self.memo:
             raise PreconditionError(f"downdate: element {j} not memoized")
         self.counters.memo_downdates += 1
+        self._ahead.clear()
         self._downdate(j)
         self.memo.remove(j)
 
@@ -293,6 +331,7 @@ class SubmodularFunction(ABC):
         """Point the memo at X and rebuild the statistic from scratch."""
         sub = as_subset(self.n, X)
         self.counters.memo_rebuilds += 1
+        self._ahead.clear()
         self.memo = sub.copy()
         self._rebuild(self.memo.to_indices())
 
@@ -329,6 +368,11 @@ class SubmodularFunction(ABC):
     @abstractmethod
     def _gain_add(self, j: int) -> float:
         ...
+
+    def _gains_add(self, idx: np.ndarray) -> np.ndarray | None:
+        """``_gain_add`` of every id in ``idx`` (none memoized), bitwise
+        equal to the scalar hook; None where a class has no batched form."""
+        return None
 
     @abstractmethod
     def _gain_remove(self, j: int) -> float:

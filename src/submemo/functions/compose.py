@@ -183,6 +183,10 @@ class ModularPenalizedFunction(SubmodularFunction):
     def _gain_add(self, j):
         return float(self.base._gain_add(j) - self.penalty[j])
 
+    def _gains_add(self, idx):
+        gains = self.base._gains_add(idx)
+        return None if gains is None else gains - self.penalty[idx]
+
     def _gain_remove(self, j):
         return float(self.base._gain_remove(j) - self.penalty[j])
 

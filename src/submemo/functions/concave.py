@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core import InputError, SubmodularFunction
+from .ragged import ragged_positions, ragged_sum
 
 
 class Concave:
@@ -119,6 +120,11 @@ class _SparseLoadFunction(SubmodularFunction):
         ids, vals = self._entry(j)
         p = self._load[ids]
         return float((self._psi(p + vals) - self._psi(p)).sum())
+
+    def _gains_add(self, idx):
+        pos, lens = ragged_positions(self._indptr, idx)
+        p = self._load[self._ids[pos]]
+        return ragged_sum(self._psi(p + self._vals[pos]) - self._psi(p), lens)
 
     def _gain_remove(self, j):
         ids, vals = self._entry(j)

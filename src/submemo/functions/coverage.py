@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core import InputError, SubmodularFunction
+from .ragged import ragged_positions, ragged_sum
 
 
 def _flatten_sets(sets, universe: int):
@@ -92,6 +93,13 @@ class SetCoverFunction(SubmodularFunction):
     def _gain_add(self, j):
         it = self.data.item_slice(j)
         return float(self.data.weights[it[self._count[it] == 0]].sum())
+
+    def _gains_add(self, idx):
+        pos, lens = ragged_positions(self.data.indptr, idx)
+        it = self.data.items[pos]
+        free = self._count[it] == 0
+        row = np.repeat(np.arange(idx.size), lens)
+        return ragged_sum(self.data.weights[it[free]], np.bincount(row[free], minlength=idx.size))
 
     def _gain_remove(self, j):
         it = self.data.item_slice(j)

@@ -22,6 +22,7 @@ from .core import (
     InputError,
     Subset,
     SubmodularFunction,
+    check_ids,
 )
 
 
@@ -119,6 +120,7 @@ def greedy_naive(F: SubmodularFunction, c: Constraint, pool=None) -> Maximizatio
     """
     _validate_constraint(F, c)
     pool = list(range(F.n)) if pool is None else sorted(pool)
+    ids = check_ids(pool, F.n)
     F.set_memo(())
     trace = []
     knapsack = isinstance(c, Knapsack)
@@ -126,12 +128,12 @@ def greedy_naive(F: SubmodularFunction, c: Constraint, pool=None) -> Maximizatio
     while True:
         if not knapsack and len(F.memo) >= c.k:
             break
+        cands = ids[~F.memo.mask[ids]]
+        if knapsack:
+            cands = cands[c.costs[cands] <= c.budget - spent + ABS_TOL]
+        F.gains_ahead(cands)
         best_j, best_gain, best_key = None, None, -math.inf
-        for j in pool:
-            if j in F.memo:
-                continue
-            if knapsack and c.costs[j] > c.budget - spent + ABS_TOL:
-                continue
+        for j in cands.tolist():
             g = F.gain_add(j)
             key = g / c.costs[j] if knapsack else g
             if key > best_key:
@@ -152,10 +154,11 @@ def lazy_argmax(F: SubmodularFunction, pool, key, skip=None):
     """Stale-bound priority queue shared by the lazy greedy loops.
 
     Builds the heap at call time from one ``gain_add`` per pool element,
-    then returns an iterator over ``(j, gain, recomputes)``: j is the best
-    element under the (key(gain, j) descending, id ascending) order, its
-    gain is fresh at the current memo set, and ``recomputes`` counts the
-    stale gains re-evaluated to find it.  Entries carry the memo size at
+    all computed in one ``gains_ahead`` call, then returns an iterator over
+    ``(j, gain, recomputes)``: j is the best element under the (key(gain,
+    j) descending, id ascending) order, its gain is fresh at the current
+    memo set, and ``recomputes`` counts the stale gains re-evaluated to
+    find it.  Entries carry the memo size at
     which their bound was computed; a recomputed entry is yielded at once
     when it still beats the next head, otherwise it is pushed back.  The
     caller either updates F with j or drops it before asking for the next
@@ -163,6 +166,7 @@ def lazy_argmax(F: SubmodularFunction, pool, key, skip=None):
     recomputed.
     """
     heap = []
+    F.gains_ahead(pool)
     for j in pool:
         g = F.gain_add(j)
         heap.append((-key(g, j), j, len(F.memo), g))
@@ -454,10 +458,9 @@ def randomized_greedy(F: SubmodularFunction, k: int, seed: int = 0) -> Maximizat
     trace = []
     dummies = 0
     for _ in range(k):
-        gains = []
-        for j in range(F.n):
-            if j not in F.memo:
-                gains.append((F.gain_add(j), j))
+        cands = np.flatnonzero(~F.memo.mask)
+        F.gains_ahead(cands)
+        gains = [(F.gain_add(j), j) for j in cands.tolist()]
         gains.sort(key=lambda t: (-t[0], t[1]))
         slots = [(g, j) for g, j in gains if g > 0.0][:k]
         pick = int(rng.integers(k))

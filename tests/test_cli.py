@@ -237,6 +237,19 @@ def test_cli_out_of_range_budget_is_an_input_error(command, flags, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["n=abc", "seed=x", "n=2.5"])
+def test_cli_malformed_synthetic_number_is_an_input_error(spec, capsys):
+    assert cli_main(["maximize", "--function", f"synthetic:setcover,{spec}"]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_cli_malformed_bench_budget_is_an_input_error(tmp_path, capsys):
+    argv = ["bench", "--function", "synthetic:setcover,n=10", "--budgets", "0.1,abc",
+            "--out", str(tmp_path)]
+    assert cli_main(argv) == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def test_cli_option_surface():
     # pins each subcommand's options, so adding or dropping a flag is a deliberate edit
     parser = build_parser()

@@ -1,0 +1,196 @@
+"""Batched add gains: ``_gains_add`` hooks, the ``gains_ahead`` contract, and
+greedy runs with and without batching."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from submemo import EvalCounters, InputError, PreconditionError, SubmodularFunction, wrap_value_oracle
+from submemo.functions import ModularPenalizedFunction
+from submemo.functions.ragged import ragged_positions, ragged_sum
+from submemo.maximize import Cardinality, Knapsack, greedy_lazy, greedy_naive, randomized_greedy
+
+from conftest import ALL_KINDS, zoo_instance
+
+# one synthetic kind per batched class; each is also run under a modular penalty
+BATCHED_KINDS = ("faclocation", "featurebased", "clusterconcave", "setcover")
+
+
+def _instance(kind: str, n: int, seed: int, penalised: bool):
+    F = zoo_instance(kind, n, seed=seed)
+    if penalised:
+        F = ModularPenalizedFunction(F, np.random.default_rng(seed).uniform(0.0, 2.0, n))
+    return F
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_batched_class_is_in_the_instance_table():
+    table = [_instance(kind, 20, 0, penalised) for kind in BATCHED_KINDS for penalised in (False, True)]
+    table += [F.base for F in table if isinstance(F, ModularPenalizedFunction)]
+    batched = [cls for cls in _subclasses(SubmodularFunction) if "_gains_add" in cls.__dict__]
+    assert batched
+    for cls in batched:
+        assert any(isinstance(F, cls) for F in table), f"{cls.__name__} overrides _gains_add untested"
+
+
+def _assert_batch_is_scalar(F):
+    cands = np.flatnonzero(~F.memo.mask)
+    batch = F._gains_add(cands)
+    scalar = np.asarray([F._gain_add(int(j)) for j in cands], dtype=float)
+    assert batch is not None and batch.shape == scalar.shape
+    assert np.array_equal(batch, scalar), np.abs(batch - scalar).max()
+
+
+_STEPS = st.lists(
+    st.tuples(st.sampled_from(("update", "downdate", "set_memo")), st.integers(0, 2**31)),
+    min_size=1,
+    max_size=12,
+)
+
+
+@given(
+    st.sampled_from(BATCHED_KINDS),
+    st.booleans(),
+    st.integers(60, 200),
+    st.integers(0, 2**16),
+    _STEPS,
+)
+@settings(max_examples=40, deadline=None)
+def test_batched_gains_equal_scalar_gains_bitwise(kind, penalised, n, seed, steps):
+    F = _instance(kind, n, seed, penalised)
+    _assert_batch_is_scalar(F)
+    for op, x in steps:
+        members = F.memo.members
+        if op == "update" and len(members) < n:
+            outside = np.flatnonzero(~F.memo.mask)
+            F.update(int(outside[x % outside.size]))
+        elif op == "downdate" and members:
+            F.downdate(members[x % len(members)])
+        elif op == "set_memo":
+            size = (0, 1, 5, n // 3, n - 1, n)[x % 6]
+            F.set_memo(np.random.default_rng(x).permutation(n)[:size].tolist())
+        _assert_batch_is_scalar(F)
+
+
+def test_ragged_sum_is_each_segments_own_sum():
+    # lengths 0-7 sum sequentially, 8-128 with 8 accumulators, 130 in blocks
+    rng = np.random.default_rng(11)
+    lens = np.asarray([*range(21), 130, 0, 130, 9, 1] * 3)
+    rng.shuffle(lens)
+    values = rng.standard_normal(lens.sum()) * 10.0 ** rng.integers(-6, 7, lens.sum())
+    starts = np.cumsum(lens) - lens
+    want = np.asarray([values[s:s + m].sum() for s, m in zip(starts, lens)])
+    assert np.array_equal(ragged_sum(values, lens), want)
+    # a left-to-right segment sum rounds differently on these values
+    left_to_right = np.bincount(np.repeat(np.arange(lens.size), lens), weights=values)
+    assert not np.array_equal(left_to_right, want)
+
+
+def test_ragged_positions_concatenate_the_rows():
+    indptr = np.asarray([0, 3, 3, 4, 9])
+    pos, lens = ragged_positions(indptr, np.asarray([3, 1, 0, 2, 3]))
+    assert pos.tolist() == [4, 5, 6, 7, 8, 0, 1, 2, 3, 4, 5, 6, 7, 8]
+    assert lens.tolist() == [5, 0, 3, 1, 5]
+
+
+@pytest.mark.parametrize("change", ["update", "downdate", "set_memo"])
+@pytest.mark.parametrize("kind", BATCHED_KINDS)
+def test_kept_gain_is_never_read_stale(kind, change):
+    F = zoo_instance(kind, 40, seed=3)
+    F.set_memo([1, 2, 3])
+    outside = np.flatnonzero(~F.memo.mask)
+    F.gains_ahead(outside)
+    kept = dict(F._ahead)
+    if change == "update":
+        F.update(int(outside[0]))
+    elif change == "downdate":
+        F.downdate(2)
+    else:
+        F.set_memo([5, 6])
+    fresh = F.clone_detached()
+    readable = [int(j) for j in outside if j not in F.memo]
+    got = [F.gain_add(j) for j in readable]
+    assert got == [fresh.gain_add(j) for j in readable]
+    # the statistic change moved some gain, so a stale read would show
+    assert any(kept[j] != g for j, g in zip(readable, got))
+
+
+def test_gains_ahead_checks_ids_as_gain_add_does():
+    F = zoo_instance("faclocation", 10, seed=1)
+    F.set_memo([4])
+    for bad, error in (([1.5], InputError), (["a"], InputError), ([-1], InputError),
+                       ([10], InputError), ([4], PreconditionError), ([0, 4], PreconditionError)):
+        with pytest.raises(error):
+            F.gain_add(bad[-1])
+        with pytest.raises(error):
+            F.gains_ahead(bad)
+        with pytest.raises(error):
+            F.gains_ahead(np.asarray(bad))
+    assert F.counters.gain_evals == 0
+    F.gains_ahead([])
+    F.gains_ahead([True, np.int32(2), np.uint8(3)])
+    assert sorted(F._ahead) == [1, 2, 3]
+
+
+def test_counters_move_only_on_reads():
+    F = zoo_instance("setcover", 30, seed=2)
+    F.set_memo([0])
+    before = F.counters.copy()
+    F.gains_ahead(range(1, 30))
+    assert F.counters == before
+    scalar = F.clone_detached()
+    for j in (5, 9, 9):
+        assert F.gain_add(j) == scalar.gain_add(j)
+    assert F.counters - before == EvalCounters(gain_evals=3)
+
+
+def test_value_oracle_keeps_nothing_and_pays_per_gain():
+    F = zoo_instance("faclocation", 12, seed=4)
+    V = wrap_value_oracle(F)
+    calls = []
+    inner = V._inner._evaluate
+    V._inner._evaluate = lambda idx: calls.append(idx) or inner(idx)
+    V.gains_ahead(range(12))
+    assert V.counters.oracle_evals == 0 and not calls and not V._ahead
+    for j in range(12):
+        V.gain_add(j)
+    assert V.counters.oracle_evals == 12 == len(calls)
+    assert V.counters.gain_evals == 0
+
+
+def _knapsack(n: int, seed: int) -> Knapsack:
+    costs = np.random.default_rng(seed).uniform(0.5, 1.5, n)
+    return Knapsack(tuple(costs), 4.0)
+
+
+RUNS = {
+    "naive": lambda F, seed: greedy_naive(F, Cardinality(6)),
+    "naive-knapsack": lambda F, seed: greedy_naive(F, _knapsack(F.n, seed)),
+    "lazy": lambda F, seed: greedy_lazy(F, Cardinality(6)),
+    "lazy-knapsack": lambda F, seed: greedy_lazy(F, _knapsack(F.n, seed)),
+    "randomized": lambda F, seed: randomized_greedy(F, 6, seed=seed),
+}
+
+
+def _exact(res) -> tuple:
+    trace = [(j, float(g).hex()) for j, g in res.trace]
+    return res.members, float(res.value).hex(), trace, res.counters.as_dict(), res.stats
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_greedy_runs_identical_with_and_without_batching(kind, monkeypatch):
+    instances = [zoo_instance(kind, 40, seed=seed) for seed in (0, 1, 2)]
+    batched = {(s, name): _exact(run(F.clone_detached(), s))
+               for s, F in enumerate(instances) for name, run in RUNS.items()}
+    for cls in _subclasses(SubmodularFunction):
+        if "_gains_add" in cls.__dict__:
+            monkeypatch.setattr(cls, "_gains_add", lambda self, idx: None)
+    for s, F in enumerate(instances):
+        for name, run in RUNS.items():
+            assert _exact(run(F.clone_detached(), s)) == batched[(s, name)], (kind, s, name)

@@ -10,7 +10,6 @@ from .core import (
     ABS_TOL,
     REL_TOL,
     EvalCounters,
-    GroundSet,
     InputError,
     ModularFunction,
     NonConvergenceError,
@@ -30,7 +29,6 @@ __all__ = [
     "ABS_TOL",
     "REL_TOL",
     "EvalCounters",
-    "GroundSet",
     "InputError",
     "ModularFunction",
     "NonConvergenceError",

@@ -13,10 +13,11 @@ location).  Each subcommand takes only the options it reads:
 
 Every instance is built and every gradient input is drawn by
 ``runner.instance_for`` and ``runner.run_gradient``, the same path the
-``bench`` command times.  Exit codes: 0 success, 2 input error (an
-out-of-range ``--k`` or ``--budget-frac`` included), 3 solver
-non-convergence, 4 failed check (a ``validate`` row FAILs or a ``bench``
-cell errors).
+``bench`` command times.  ``scsc``, ``scsk`` and ``ds-min`` call the
+solvers of ``submemo.constrained`` directly.  Exit codes: 0 success, 2
+input error (an out-of-range ``--k`` or ``--budget-frac`` included, and a
+``--max-iters`` or ``--audit-rounds`` below 1), 3 solver non-convergence,
+4 failed check (a ``validate`` row FAILs or a ``bench`` cell errors).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..constrained import DsProblem, ScProblem, ds_minimize, scsc_solve, scsk_solve
+from ..constrained import DS_VARIANTS, ds_minimize, scsc_solve, scsk_solve
 from ..core import InputError, NonConvergenceError
 from ..functions import (
     DispersionData,
@@ -214,19 +215,19 @@ def _cmd_pair(args) -> int:
     payload = {"f": fname, "g": gname}
     if args.command == "ds-min":
         payload["variant"] = args.variant
-        res = ds_minimize(DsProblem(f=f, g=g, variant=args.variant), max_iters=args.max_iters)
+        res = ds_minimize(f, g, args.variant, args.max_iters)
     elif args.command == "scsc":
         payload["direction"] = "SCSC"
         level = args.c
         if level is None:
             level = args.c_frac * instance_for(g_base, args.mode).value_at(full)
-        res = scsc_solve(ScProblem(f=f, g=g, direction="SCSC", c=level), max_iters=args.max_iters)
+        res = scsc_solve(f, g, level, args.max_iters)
     else:
         payload["direction"] = "SCSK"
         budget = args.b
         if budget is None:
             budget = args.b_frac * instance_for(f_base, args.mode).value_at(full)
-        res = scsk_solve(ScProblem(f=f, g=g, direction="SCSK", b=budget), max_iters=args.max_iters)
+        res = scsk_solve(f, g, budget, args.max_iters)
     payload.update(selected=res.members, objective=res.objective)
     if res.constraint_value is not None:  # SCSC and SCSK
         payload["constraint_value"] = res.constraint_value
@@ -283,6 +284,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    if args.audit_rounds < 1:
+        raise InputError(f"--audit-rounds must be >= 1, got {args.audit_rounds}")
     name, inst = _build(args.function)
     rng = np.random.default_rng(args.seed)
     rows = []
@@ -382,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-frac", dest="b_frac", type=float, default=0.25)
 
     p = pair("ds-min", "minimize f - g")
-    p.add_argument("--variant", choices=("sub-sup", "sup-sub", "mod-mod"), default="mod-mod")
+    p.add_argument("--variant", choices=DS_VARIANTS, default="mod-mod")
 
     p = command(
         "gradients",

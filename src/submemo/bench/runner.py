@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from ..bounds import extreme_point, supergradient_grow
-from ..core import InputError, ModularFunction, SubmodularFunction, wrap_value_oracle
+from ..core import InputError, ModularFunction, SubmodularFunction, ValueOracleFunction
 from ..maximize import (
     Cardinality,
     bidirectional_greedy,
@@ -118,11 +118,9 @@ class TimingRecord:
 
 def instance_for(base: SubmodularFunction, mode: str) -> SubmodularFunction:
     """A fresh instance of ``base`` at the empty set with zeroed counters,
-    behind the value oracle when ``mode`` is ``vo``."""
-    clone = base.clone_detached()
-    clone.set_memo(())
-    clone.reset_counters()
-    return wrap_value_oracle(clone) if mode == "vo" else clone
+    behind the value oracle when ``mode`` is ``vo``.  ``base`` is untouched."""
+    inst = base._spawn()
+    return ValueOracleFunction(inst) if mode == "vo" else inst
 
 
 def run_gradient(F: SubmodularFunction, task: str, seed: int) -> ModularFunction:

@@ -104,9 +104,12 @@ def bound_rounds(step, max_iters: int):
     candidate, or None when the candidate cannot improve on the incumbent;
     an accepted candidate becomes the next ``current``.  Stops on None, on
     an accepted set seen before (the empty start included), or after
-    ``max_iters`` rounds.  Returns the accepted rounds and ``converged``:
-    True when None or a repeat ended the run, even on its last round.
+    ``max_iters`` rounds; a cap below 1 is an InputError, so ``step`` runs
+    at least once.  Returns the accepted rounds and ``converged``: True
+    when None or a repeat ended the run, even on its last round.
     """
+    if max_iters < 1:
+        raise InputError(f"max_iters must be >= 1, got {max_iters}")
     rounds = []
     current: list[int] = []
     seen = {frozenset()}
@@ -128,23 +131,19 @@ def _descending_order(x: np.ndarray) -> np.ndarray:
     return np.argsort(-np.asarray(x, dtype=float), kind="stable")
 
 
-def lovasz_subgradient(F: SubmodularFunction, x) -> ModularFunction:
-    """Extreme point attaining the convex extension at x (its subgradient)."""
-    return linear_oracle(F, x)
-
-
 def lovasz_value(F: SubmodularFunction, x) -> float:
     """Convex extension value at x (equals f at indicator vectors)."""
     x = np.asarray(x, dtype=float)
-    return lovasz_subgradient(F, x).dot(x)
+    return linear_oracle(F, x).dot(x)
 
 
 def linear_oracle(F: SubmodularFunction, x, maximize: bool = True) -> ModularFunction:
     """Optimal base-polytope extreme point for a linear objective <h, x>.
 
-    ``maximize=True`` sorts x descending (the polyhedron LP); ``False``
-    sorts ascending, the direction used inside minimum-norm-point.  Ties
-    break by ascending element id either way.
+    ``maximize=True`` sorts x descending (the polyhedron LP, whose answer
+    is the convex extension's subgradient at x); ``False`` sorts
+    ascending, the direction used inside minimum-norm-point.  Ties break by
+    ascending element id either way.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (F.n,) or not np.all(np.isfinite(x)):

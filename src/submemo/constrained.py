@@ -1,17 +1,25 @@
 """Submodular-constrained and difference-of-submodular procedures.
 
+Each solver is a plain function of the pair (f, g) over one ground set
+and one number:
+
+- ``scsc_solve(f, g, c)``: minimize f subject to g(X) >= c;
+- ``scsk_solve(f, g, b)``: maximize g subject to f(X) <= b;
+- ``ds_minimize(f, g, variant)``: minimize f - g, with ``variant`` one of
+  ``DS_VARIANTS``.
+
 Both problem families are solved by iterating tight modular replacements:
 cover/knapsack rounds swap the cost function for one of its two upper
 bounds and keep the better outcome; difference minimization swaps one (or
 both) sides per the chosen variant.  Each solver is one round function run
-by ``bounds.bound_rounds``, the single iteration and convergence rule.  All
-function access goes through the bounds/maximize/minimize primitives, so
-memoized runs stay oracle-free.
+by ``bounds.bound_rounds``, the single iteration and convergence rule
+(``max_iters``, 50 by default, must be >= 1).  All function access goes
+through the bounds/maximize/minimize primitives, so memoized runs stay
+oracle-free.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,43 +39,12 @@ from .maximize import Knapsack, greedy_lazy, lazy_argmax, local_search_usm
 from .minimize import min_norm_point
 
 _COST_FLOOR = 1e-12
+DS_VARIANTS = ("sub-sup", "sup-sub", "mod-mod")
 
 
-@dataclass
-class ScProblem:
-    """Coupled pair: minimize f with a floor on g (SCSC) or maximize g with a
-    ceiling on f (SCSK)."""
-
-    f: SubmodularFunction
-    g: SubmodularFunction
-    direction: str
-    c: float | None = None
-    b: float | None = None
-
-    def __post_init__(self):
-        if self.direction not in ("SCSC", "SCSK"):
-            raise InputError("direction must be 'SCSC' or 'SCSK'")
-        if self.f.n != self.g.n:
-            raise InputError("f and g must share the ground set")
-        if self.direction == "SCSC" and self.c is None:
-            raise InputError("SCSC needs the cover level c")
-        if self.direction == "SCSK" and self.b is None:
-            raise InputError("SCSK needs the budget b")
-
-
-@dataclass
-class DsProblem:
-    """Minimize f - g for submodular f and g."""
-
-    f: SubmodularFunction
-    g: SubmodularFunction
-    variant: str = "mod-mod"
-
-    def __post_init__(self):
-        if self.variant not in ("sub-sup", "sup-sub", "mod-mod"):
-            raise InputError("variant must be 'sub-sup', 'sup-sub' or 'mod-mod'")
-        if self.f.n != self.g.n:
-            raise InputError("f and g must share the ground set")
+def _check_pair(f: SubmodularFunction, g: SubmodularFunction) -> None:
+    if f.n != g.n:
+        raise InputError("f and g must share the ground set")
 
 
 @dataclass
@@ -85,9 +62,7 @@ class IterativeResult:
         return self.selected.members
 
 
-def submodular_set_cover(
-    g: SubmodularFunction, cost, c: float, pool=None
-) -> IterativeResult:
+def submodular_set_cover(g: SubmodularFunction, cost, c: float) -> IterativeResult:
     """Lazy cost-ratio greedy cover: grow until g reaches the level c.
 
     ``cost`` is a ModularFunction or a weight array; non-positive costs are
@@ -99,7 +74,7 @@ def submodular_set_cover(
     if weights.shape != (n,):
         raise InputError("need one cost per element")
     costs = np.maximum(weights, _COST_FLOOR)
-    pool = list(range(n)) if pool is None else sorted(pool)
+    pool = list(range(n))
     total = g.value_at(pool)
     tol = tol_for(max(1.0, abs(c)))
     if total < c - tol:
@@ -131,16 +106,16 @@ def submodular_set_cover(
     )
 
 
-def scsc_solve(p: ScProblem, max_iters: int = 50) -> IterativeResult:
+def scsc_solve(
+    f: SubmodularFunction, g: SubmodularFunction, c: float, max_iters: int = 50
+) -> IterativeResult:
     """Minimize f subject to g(X) >= c by iterated upper-bound covers.
 
     Each round replaces f by both tight upper bounds at the incumbent,
     solves the resulting modular-cost cover, and keeps the better feasible
     candidate; the best feasible iterate never worsens.
     """
-    if p.direction != "SCSC":
-        raise InputError("scsc_solve needs an SCSC problem")
-    f, g, c = p.f, p.g, p.c
+    _check_pair(f, g)
 
     def step(current):
         candidates = []
@@ -150,7 +125,7 @@ def scsc_solve(p: ScProblem, max_iters: int = 50) -> IterativeResult:
         return min(candidates)
 
     rounds, converged = bound_rounds(step, max_iters)
-    best_obj, best_members = min(rounds, key=lambda r: r[0], default=(math.inf, []))
+    best_obj, best_members = min(rounds, key=lambda r: r[0])
     sel = Subset(f.n, best_members)
     return IterativeResult(
         selected=sel,
@@ -162,16 +137,16 @@ def scsc_solve(p: ScProblem, max_iters: int = 50) -> IterativeResult:
     )
 
 
-def scsk_solve(p: ScProblem, max_iters: int = 50) -> IterativeResult:
+def scsk_solve(
+    f: SubmodularFunction, g: SubmodularFunction, b: float, max_iters: int = 50
+) -> IterativeResult:
     """Maximize g subject to f(X) <= b by iterated upper-bound knapsacks.
 
     The knapsack costs are a tight upper bound on f, so every iterate is
     feasible for the true constraint.  Returns the empty set when no single
     element fits the budget.
     """
-    if p.direction != "SCSK":
-        raise InputError("scsk_solve needs an SCSK problem")
-    f, g, b = p.f, p.g, p.b
+    _check_pair(f, g)
 
     def step(current):
         candidates = []
@@ -186,10 +161,7 @@ def scsk_solve(p: ScProblem, max_iters: int = 50) -> IterativeResult:
         return max(candidates, key=lambda t: t[0])
 
     rounds, converged = bound_rounds(step, max_iters)
-    if rounds:
-        best_obj, best_members = max(rounds, key=lambda r: r[0])
-    else:
-        best_obj, best_members = g.value_at([]), []
+    best_obj, best_members = max(rounds, key=lambda r: r[0])
     sel = Subset(f.n, best_members)
     return IterativeResult(
         selected=sel,
@@ -201,7 +173,12 @@ def scsk_solve(p: ScProblem, max_iters: int = 50) -> IterativeResult:
     )
 
 
-def ds_minimize(p: DsProblem, max_iters: int = 50) -> IterativeResult:
+def ds_minimize(
+    f: SubmodularFunction,
+    g: SubmodularFunction,
+    variant: str = "mod-mod",
+    max_iters: int = 50,
+) -> IterativeResult:
     """Difference minimization min f - g by modular replacement rounds.
 
     Variants: 'sub-sup' keeps f and lower-bounds g (each round is a
@@ -211,13 +188,15 @@ def ds_minimize(p: DsProblem, max_iters: int = 50) -> IterativeResult:
     (exact modular minimization).  The objective never increases; hitting
     the iteration cap returns the best iterate flagged unconverged.
     """
-    f, g = p.f, p.g
+    if variant not in DS_VARIANTS:
+        raise InputError("variant must be 'sub-sup', 'sup-sub' or 'mod-mod'")
+    _check_pair(f, g)
 
     def objective(members) -> float:
         return f.value_at(members) - g.value_at(members)
 
     def candidates(current):
-        if p.variant == "sub-sup":
+        if variant == "sub-sup":
             h = subgradient_at(g, current)
             shifted = ModularPenalizedFunction(f.clone_detached(), h.weights)
             try:
@@ -225,7 +204,7 @@ def ds_minimize(p: DsProblem, max_iters: int = 50) -> IterativeResult:
             except NonConvergenceError as err:
                 res = err.result
             return [res.minimizer_min.members, res.minimizer_max.members]
-        if p.variant == "sup-sub":
+        if variant == "sup-sub":
             return [
                 local_search_usm(
                     ModularPenalizedFunction(g.clone_detached(), bound.weights), start=current
@@ -256,5 +235,5 @@ def ds_minimize(p: DsProblem, max_iters: int = 50) -> IterativeResult:
         trace=trace,
         iterations=len(rounds),
         converged=converged,
-        stats={"variant": p.variant},
+        stats={"variant": variant},
     )

@@ -34,8 +34,8 @@ def close(a: float, b: float, rel: float = REL_TOL) -> bool:
     return abs(a - b) <= max(ABS_TOL, rel * max(1.0, abs(a), abs(b)))
 
 
-def tol_for(value: float, rel: float = REL_TOL) -> float:
-    return max(ABS_TOL, rel * abs(value))
+def tol_for(value: float) -> float:
+    return max(ABS_TOL, REL_TOL * abs(value))
 
 
 class InputError(ValueError):
@@ -52,17 +52,6 @@ class NonConvergenceError(RuntimeError):
     def __init__(self, message: str, result=None):
         super().__init__(message)
         self.result = result
-
-
-@dataclass(frozen=True)
-class GroundSet:
-    """Ground set of ``n`` elements with integer ids ``0..n-1``."""
-
-    n: int
-
-    def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise InputError(f"ground set size must be a positive int, got {self.n!r}")
 
 
 class Subset:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import GroundSet, InputError, SubmodularFunction
+from ..core import InputError, SubmodularFunction
 from .compose import (
     MixtureData,
     MixtureFunction,
@@ -65,15 +65,13 @@ _SIMPLE_BUILDERS = {
 }
 
 
-def make_function(ground, spec) -> SubmodularFunction:
-    """Build a memoized instance for ``spec`` over the given ground set.
+def make_function(n: int, spec) -> SubmodularFunction:
+    """Build a memoized instance for ``spec`` over the ground set ``0..n-1``.
 
-    ``ground`` may be a GroundSet or a plain int.  The instance starts with
-    an empty memo set and an empty statistic.  Raises InputError when the
-    data is dimensionally inconsistent with the ground set or violates a
-    class invariant.
+    The instance starts with an empty memo set and an empty statistic.
+    Raises InputError when the data is dimensionally inconsistent with the
+    ground set or violates a class invariant.
     """
-    n = ground.n if isinstance(ground, GroundSet) else int(ground)
     if n < 1:
         raise InputError("ground set must have at least one element")
     builder = _SIMPLE_BUILDERS.get(type(spec))
@@ -99,7 +97,6 @@ class StatReport:
 
     max_deviation: float
     components: dict
-    memo_size: int
 
 
 def verify_statistic(F: SubmodularFunction) -> StatReport:
@@ -126,7 +123,7 @@ def verify_statistic(F: SubmodularFunction) -> StatReport:
         dev = float((np.abs(a - b) / np.maximum(1.0, np.abs(b))).max())
         components[key] = dev
         worst = max(worst, dev)
-    return StatReport(max_deviation=worst, components=components, memo_size=len(F.memo))
+    return StatReport(max_deviation=worst, components=components)
 
 
 def default_tolerance(F: SubmodularFunction) -> float:

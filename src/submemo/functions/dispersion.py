@@ -71,9 +71,8 @@ class DispersionMinFunction(SubmodularFunction):
     def _evaluate(self, idx):
         return self._pair_min(idx)
 
-    def _min_to_memo(self, j, exclude=None) -> float:
-        members = [i for i in self.memo.members if i != exclude]
-        return float(self.data.distance[j, members].min())
+    def _min_to_memo(self, j) -> float:
+        return float(self.data.distance[j, self.memo.members].min())
 
     def _gain_add(self, j):
         m = len(self.memo)

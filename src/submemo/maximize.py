@@ -22,7 +22,6 @@ from .core import (
     InputError,
     Subset,
     SubmodularFunction,
-    check_ids,
 )
 
 
@@ -58,6 +57,8 @@ class Knapsack:
 
 Constraint = Cardinality | Knapsack
 
+_USM_EPS = 1e-3
+
 
 @dataclass
 class MaximizationResult:
@@ -65,7 +66,6 @@ class MaximizationResult:
     value: float
     counters: object
     trace: list = field(default_factory=list)
-    seed: int | None = None
     stats: dict = field(default_factory=dict)
 
     @property
@@ -86,13 +86,12 @@ def _validate_constraint(F: SubmodularFunction, c: Constraint) -> None:
         raise InputError(f"unknown constraint {c!r}")
 
 
-def _result(F, trace, seed=None, stats=None) -> MaximizationResult:
+def _result(F, trace, stats=None) -> MaximizationResult:
     return MaximizationResult(
         selected=F.memo.copy(),
         value=F.memo_value(),
         counters=F.counters.copy(),
         trace=trace,
-        seed=seed,
         stats=stats or {},
     )
 
@@ -107,11 +106,11 @@ def _best_singleton_swap(F, c: Knapsack, pool, result: MaximizationResult) -> Ma
                 best_j, best_v = j, v
     if best_j is not None and best_v > result.value + ABS_TOL:
         F.set_memo([best_j])
-        return _result(F, [(best_j, best_v)], result.seed, result.stats)
+        return _result(F, [(best_j, best_v)], result.stats)
     return result
 
 
-def greedy_naive(F: SubmodularFunction, c: Constraint, pool=None) -> MaximizationResult:
+def greedy_naive(F: SubmodularFunction, c: Constraint) -> MaximizationResult:
     """Plain greedy: add the feasible element of best gain until saturated.
 
     Under a knapsack the selection rule is the gain/cost ratio and the final
@@ -119,8 +118,6 @@ def greedy_naive(F: SubmodularFunction, c: Constraint, pool=None) -> Maximizatio
     singleton.
     """
     _validate_constraint(F, c)
-    pool = list(range(F.n)) if pool is None else sorted(pool)
-    ids = check_ids(pool, F.n)
     F.set_memo(())
     trace = []
     knapsack = isinstance(c, Knapsack)
@@ -128,7 +125,7 @@ def greedy_naive(F: SubmodularFunction, c: Constraint, pool=None) -> Maximizatio
     while True:
         if not knapsack and len(F.memo) >= c.k:
             break
-        cands = ids[~F.memo.mask[ids]]
+        cands = np.flatnonzero(~F.memo.mask)
         if knapsack:
             cands = cands[c.costs[cands] <= c.budget - spent + ABS_TOL]
         F.gains_ahead(cands)
@@ -146,7 +143,7 @@ def greedy_naive(F: SubmodularFunction, c: Constraint, pool=None) -> Maximizatio
             spent += c.costs[best_j]
     res = _result(F, trace)
     if knapsack:
-        res = _best_singleton_swap(F, c, pool, res)
+        res = _best_singleton_swap(F, c, range(F.n), res)
     return res
 
 
@@ -197,9 +194,10 @@ def greedy_lazy(F: SubmodularFunction, c: Constraint, pool=None) -> Maximization
     Output matches greedy_naive exactly under the deterministic tie rule.
     Under a knapsack, elements that no longer fit the remaining budget are
     dropped unrecomputed: the budget only shrinks, so they never fit again.
+    A repeated pool id counts once.
     """
     _validate_constraint(F, c)
-    pool = list(range(F.n)) if pool is None else sorted(pool)
+    pool = list(range(F.n)) if pool is None else sorted(set(pool))
     F.set_memo(())
     knapsack = isinstance(c, Knapsack)
     spent = 0.0
@@ -265,7 +263,7 @@ def greedy_stochastic(
                 best_j, best_g = j, g
         F.update(best_j)
         trace.append((best_j, best_g))
-    return _result(F, trace, seed=seed)
+    return _result(F, trace)
 
 
 def sieve_streaming(
@@ -366,18 +364,15 @@ def distributed_greedy(
         value=winner.value,
         counters=sum((r.counters for r in results), EvalCounters()),
         trace=winner.trace,
-        seed=seed,
         stats={"partitions": machines, "union_size": len(set(union))},
     )
     return out
 
 
-def local_search_usm(
-    F: SubmodularFunction, eps: float = 1e-3, start=None
-) -> MaximizationResult:
+def local_search_usm(F: SubmodularFunction, start=None) -> MaximizationResult:
     """Unconstrained local search: add/remove passes to an approximate local optimum.
 
-    A move must improve by more than (eps/n^2) * |current value|.  The final
+    A move must improve by more than (_USM_EPS/n^2) * |current value|.  The final
     answer is the better of the local optimum and its complement, which is
     what carries the 1/3 guarantee for non-negative objectives.
     """
@@ -387,7 +382,7 @@ def local_search_usm(
     changed = True
     while changed:
         changed = False
-        threshold = (eps / (n * n)) * abs(value)
+        threshold = (_USM_EPS / (n * n)) * abs(value)
         for j in range(n):
             if j in F.memo:
                 continue
@@ -397,7 +392,7 @@ def local_search_usm(
                 value += g
                 trace.append((j, g))
                 changed = True
-        threshold = (eps / (n * n)) * abs(value)
+        threshold = (_USM_EPS / (n * n)) * abs(value)
         for j in list(F.memo.members):
             g = F.gain_remove(j)
             if g < -max(threshold, ABS_TOL):
@@ -470,46 +465,33 @@ def randomized_greedy(F: SubmodularFunction, k: int, seed: int = 0) -> Maximizat
         g, j = slots[pick]
         F.update(j)
         trace.append((j, g))
-    res = _result(F, trace, seed=seed)
+    res = _result(F, trace)
     res.stats = {"dummy_rounds": dummies}
     return res
 
 
-def minorize_maximize(
-    F: SubmodularFunction,
-    c: Constraint,
-    order_rule: str = "random",
-    seed: int = 0,
-    max_iters: int = 50,
-) -> MaximizationResult:
-    """Iterated tight-lower-bound maximization.
+def minorize_maximize(F: SubmodularFunction, c: Constraint, seed: int = 0) -> MaximizationResult:
+    """Iterated tight-lower-bound maximization, at most 50 rounds.
 
     Each round builds the extreme point tight at the current set (current
-    members first, then the rest, ordered per ``order_rule``), solves the
-    modular problem under the constraint exactly, and keeps the result;
-    the objective never decreases.  ``order_rule`` is "random" (seeded,
-    fresh each round) or "singletons" (fixed descending singleton values).
+    members first, then the rest, each in a fresh seeded random order),
+    solves the modular problem under the constraint exactly, and keeps the
+    result; the objective never decreases.
     """
     _validate_constraint(F, c)
-    if order_rule not in ("random", "singletons"):
-        raise InputError("order_rule must be 'random' or 'singletons'")
     rng = np.random.default_rng(seed)
-    if order_rule == "singletons":
-        vals = [(-F.gain_singleton(j), j) for j in range(F.n)]
-        base_order = [j for _, j in sorted(vals)]
 
     def step(current):
-        order = rng.permutation(F.n) if order_rule == "random" else base_order
-        h = subgradient_at(F, current, tie_order=order)
+        h = subgradient_at(F, current, tie_order=rng.permutation(F.n))
         candidate = _modular_maximize(h, c)
         if h.value(candidate) < h.value(current) - ABS_TOL:
             return None  # heuristic inner solve failed to improve the bound
         return F.value_at(candidate), candidate
 
-    rounds, _ = bound_rounds(step, max_iters)
+    rounds, _ = bound_rounds(step, max_iters=50)
     trace = list(enumerate(value for value, _ in rounds))
     F.set_memo(rounds[-1][1] if rounds else [])
-    res = _result(F, trace, seed=seed)
+    res = _result(F, trace)
     res.stats = {"iterations": len(trace)}
     return res
 

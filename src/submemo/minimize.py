@@ -71,14 +71,15 @@ def min_norm_point(
     F: SubmodularFunction,
     tol: float | None = None,
     max_major: int | None = None,
-    record: bool = False,
 ) -> MinimizationResult:
     """Fujishige-Wolfe minimum-norm point over the base polytope.
 
     Returns both the minimal and maximal minimizers read off the sign
     pattern of the converged point x*.  ``tol`` bounds the Wolfe gap
     <x, x - q>; the default scales with |f(V)|.  Raises NonConvergenceError
-    (carrying the best iterate) when the major-cycle cap is hit.
+    (carrying the best iterate) when the major-cycle cap is hit.  The
+    stats hold x*, ``norm_trace`` (|x|^2 per major cycle) and
+    ``coeff_sums`` (the affine coefficient sum of every minor step).
     """
     n = F.n
     start = linear_oracle(F, np.zeros(n), maximize=False)
@@ -132,10 +133,7 @@ def min_norm_point(
             x = coeffs @ points
         norm_trace.append(float(np.dot(x, x)))
     result = _extract_minimizers(F, x, majors)
-    if record:
-        result.stats["norm_trace"] = norm_trace
-        result.stats["coeff_sums"] = coeff_sums
-    result.stats["x_star"] = x
+    result.stats.update(norm_trace=norm_trace, coeff_sums=coeff_sums, x_star=x)
     if not converged:
         raise NonConvergenceError(
             f"minimum-norm point did not converge in {max_major} major cycles "
@@ -173,22 +171,22 @@ def lovasz_descent(
     Tracks the best level set across every iterate: the sweep that produces
     the subgradient also yields all chain-set values, so thresholding is
     free.  Default iteration count is ceil(1/eps^2), matching the
-    O(1/eps^2) rate of the method.
+    O(1/eps^2) rate of the method; a count below 1 is an InputError.
     """
     n = F.n
     if iterations is None:
         if not 0.0 < eps < 1.0:
             raise InputError("eps must lie in (0, 1)")
         iterations = math.ceil(1.0 / (eps * eps))
+    if iterations < 1:
+        raise InputError(f"iterations must be >= 1, got {iterations}")
     x = np.full(n, 0.5)
     best_members: list[int] = []
     best_value = 0.0
     grad_scale = 0.0
     radius = math.sqrt(n)
-    last_h = None
     for t in range(iterations):
         h, order, prefix = chain_prefix_values(F, x)
-        last_h = h
         best_i = int(np.argmin(prefix))
         if prefix[best_i] < best_value:
             best_value = float(prefix[best_i])
@@ -197,7 +195,7 @@ def lovasz_descent(
         grad_scale = max(grad_scale, float(np.linalg.norm(g)), 1e-12)
         step = radius / grad_scale / math.sqrt(t + 1.0)
         x = np.clip(x - step * g, 0.0, 1.0)
-    dual = float(np.minimum(last_h.weights, 0.0).sum()) if last_h is not None else None
+    dual = float(np.minimum(h.weights, 0.0).sum())  # h of the last sweep
     sub = Subset(n, best_members)
     return MinimizationResult(
         minimizer_min=sub,
@@ -205,7 +203,7 @@ def lovasz_descent(
         value=best_value,
         iterations=iterations,
         counters=F.counters.copy(),
-        duality_gap=None if dual is None else best_value - dual,
+        duality_gap=best_value - dual,
     )
 
 
@@ -256,14 +254,13 @@ def _modular_minimize(h: ModularFunction, family, n: int) -> list:
     raise InputError(f"unsupported constraint family {family!r}")
 
 
-def mmin_constrained(
-    F: SubmodularFunction, family, max_iters: int = 100
-) -> MinimizationResult:
+def mmin_constrained(F: SubmodularFunction, family) -> MinimizationResult:
     """Constrained minimization by iterated tight modular upper bounds.
 
     Each round builds both upper bounds at the current set, minimizes each
     exactly over the family, and keeps the better candidate; the objective
-    is non-increasing from the first feasible iterate on.
+    is non-increasing from the first feasible iterate on.  At most 100
+    rounds.
     """
 
     def step(current):
@@ -273,9 +270,9 @@ def mmin_constrained(
             candidates.append((F.value_at(cand), cand))
         return min(candidates)
 
-    rounds, _ = bound_rounds(step, max_iters)
+    rounds, _ = bound_rounds(step, max_iters=100)
     trace = [value for value, _ in rounds]
-    best_value, best_members = min(rounds, key=lambda r: r[0], default=(math.inf, []))
+    best_value, best_members = min(rounds, key=lambda r: r[0])
     sub = Subset(F.n, best_members)
     return MinimizationResult(
         minimizer_min=sub,

@@ -21,7 +21,8 @@ from submemo.bench import (
     save_sparse_triplets,
     speedup_ratios,
 )
-from submemo.core import InputError
+from submemo.bench.runner import instance_for
+from submemo.core import EvalCounters, InputError, ValueOracleFunction
 from submemo.functions import (
     ClusteredSetCoverData,
     GraphCutData,
@@ -302,6 +303,23 @@ def test_run_experiment_cell_errors_not_fatal():
     )
     records = run_experiment(cfg)
     assert len(records) == 2  # every cell reported, error or not
+
+
+@pytest.mark.parametrize("mode", ["pm", "vo"])
+def test_instance_for_is_fresh_and_leaves_the_base_alone(mode, monkeypatch):
+    base = zoo_instance("faclocation", 12, seed=7)
+    base.set_memo([1, 4, 6])
+    counters, value = base.counters.copy(), base.memo_value()
+    rebuilds = []
+    rebuild = type(base)._rebuild
+    monkeypatch.setattr(type(base), "_rebuild", lambda F, idx: rebuilds.append(1) or rebuild(F, idx))
+    inst = instance_for(base, mode)
+    assert rebuilds == []  # a spawned instance is already empty; nothing to rebuild
+    assert isinstance(inst, ValueOracleFunction) == (mode == "vo")
+    assert len(inst.memo) == 0 and inst.memo_value() == 0.0
+    assert inst.counters == EvalCounters()
+    assert base.memo.members == [1, 4, 6] and base.counters == counters
+    assert base.memo_value() == value
 
 
 def test_speedup_ratios_pairing():

@@ -8,7 +8,6 @@ import pytest
 from submemo.bounds import (
     extreme_point,
     linear_oracle,
-    lovasz_subgradient,
     lovasz_value,
     subgradient_at,
     supergradient_grow,
@@ -151,7 +150,7 @@ def test_lovasz_subgradient_attains_value_and_convexity(rng):
     F = zoo_instance("faclocation", 7, seed=30)
     for _ in range(20):
         x = rng.random(7)
-        h = lovasz_subgradient(F, x)
+        h = linear_oracle(F, x)
         assert h.dot(x) == pytest.approx(lovasz_value(F, x), rel=1e-9, abs=1e-9)
         a, b = rng.random(7), rng.random(7)
         mid = lovasz_value(F, (a + b) / 2.0)
@@ -163,7 +162,7 @@ def test_lovasz_subgradient_matches_set_subgradient_at_indicators():
     S = [1, 3]
     x = np.zeros(6)
     x[S] = 1.0
-    h_cont = lovasz_subgradient(F, x)
+    h_cont = linear_oracle(F, x)
     h_set = subgradient_at(F, S)
     assert np.allclose(h_cont.weights, h_set.weights)
 

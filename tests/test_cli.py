@@ -243,6 +243,25 @@ def test_cli_malformed_synthetic_number_is_an_input_error(spec, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+_PAIR = ["--function", "synthetic:setcover,n=12", "--function-g", "synthetic:faclocation,n=12"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scsc", *_PAIR, "--max-iters", "0"],
+        ["scsk", *_PAIR, "--max-iters", "0"],
+        ["ds-min", *_PAIR, "--max-iters", "-1"],
+        ["validate", "--function", "synthetic:setcover,n=12", "--audit-rounds", "0"],
+        ["validate", "--function", "synthetic:setcover,n=12", "--audit-rounds", "-3"],
+    ],
+)
+def test_cli_count_below_one_is_an_input_error(argv, capsys):
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be >= 1" in captured.err
+
+
 def test_cli_malformed_bench_budget_is_an_input_error(tmp_path, capsys):
     argv = ["bench", "--function", "synthetic:setcover,n=10", "--budgets", "0.1,abc",
             "--out", str(tmp_path)]

@@ -6,8 +6,6 @@ import pytest
 from submemo.bench import brute_force_min
 from submemo.bounds import subgradient_at, supergradient_grow
 from submemo.constrained import (
-    DsProblem,
-    ScProblem,
     ds_minimize,
     scsc_solve,
     scsk_solve,
@@ -62,7 +60,7 @@ def test_cover_infeasible_level():
 def test_scsc_modular_cost_reduces_to_single_cover(rng):
     f = make_function(4, ModularData(np.array([2.0, 1.0, 5.0, 3.0])))
     g = make_function(4, SetCoverData(sets=[[0, 1], [1, 2], [2], [0, 3]], universe=4))
-    res = scsc_solve(ScProblem(f=f, g=g, direction="SCSC", c=3.0))
+    res = scsc_solve(f, g, 3.0)
     assert res.converged
     # modular f: the supergradient is exact, so round 2 repeats round 1
     assert len(res.trace) <= 2
@@ -74,12 +72,12 @@ def test_cap_on_a_repeating_round_counts_as_converged():
     # repeat found on the last allowed round is convergence, not the cap
     f = make_function(4, ModularData(np.array([2.0, 1.0, 5.0, 3.0])))
     g = make_function(4, SetCoverData(sets=[[0, 1], [1, 2], [2], [0, 3]], universe=4))
-    sc = scsc_solve(ScProblem(f=f, g=g, direction="SCSC", c=3.0), max_iters=2)
-    sk = scsk_solve(ScProblem(f=f, g=g, direction="SCSK", b=3.5), max_iters=2)
+    sc = scsc_solve(f, g, 3.0, max_iters=2)
+    sk = scsk_solve(f, g, 3.5, max_iters=2)
     for res in (sc, sk):
         assert res.iterations == 2 and res.trace[0] == res.trace[1]
         assert res.converged
-    assert not scsc_solve(ScProblem(f=f, g=g, direction="SCSC", c=3.0), max_iters=1).converged
+    assert not scsc_solve(f, g, 3.0, max_iters=1).converged
 
 
 def test_scsc_best_iterate_non_increasing(rng):
@@ -88,7 +86,7 @@ def test_scsc_best_iterate_non_increasing(rng):
         f = zoo_instance("faclocation", n, seed=1400 + trial)
         g = zoo_instance("setcover", n, seed=1500 + trial)
         level = 0.6 * g.evaluate(range(n))
-        res = scsc_solve(ScProblem(f=f, g=g, direction="SCSC", c=level))
+        res = scsc_solve(f, g, level)
         best = np.minimum.accumulate(res.trace)
         assert all(best[i + 1] <= best[i] + 1e-9 for i in range(len(best) - 1))
         assert res.constraint_value >= level - 1e-9 * max(1.0, level)
@@ -97,7 +95,7 @@ def test_scsc_best_iterate_non_increasing(rng):
 def test_scsk_modular_f_single_knapsack(rng):
     f = make_function(4, ModularData(np.array([2.0, 1.0, 5.0, 3.0])))
     g = make_function(4, SetCoverData(sets=[[0, 1], [1, 2], [2], [0, 3]], universe=4))
-    res = scsk_solve(ScProblem(f=f, g=g, direction="SCSK", b=3.5))
+    res = scsk_solve(f, g, 3.5)
     assert res.converged
     assert res.constraint_value <= 3.5 + 1e-9
 
@@ -108,26 +106,37 @@ def test_scsk_iterates_always_feasible(rng):
         f = zoo_instance("featurebased", n, seed=1600 + trial)
         g = zoo_instance("faclocation", n, seed=1700 + trial)
         budget = 0.5 * f.evaluate(range(n))
-        res = scsk_solve(ScProblem(f=f, g=g, direction="SCSK", b=budget))
+        res = scsk_solve(f, g, budget)
         assert res.constraint_value <= budget + 1e-9 * max(1.0, budget)
 
 
 def test_scsk_budget_below_singletons_returns_empty():
     f = make_function(3, ModularData(np.array([5.0, 6.0, 7.0])))
     g = make_function(3, SetCoverData(sets=[[0], [1], [2]], universe=3))
-    res = scsk_solve(ScProblem(f=f, g=g, direction="SCSK", b=1.0))
+    res = scsk_solve(f, g, 1.0)
     assert res.members == []
 
 
-def test_sc_problem_validation():
+def test_pair_solver_validation():
     f = make_function(3, ModularData(np.ones(3)))
     g = make_function(3, ModularData(np.ones(3)))
-    with pytest.raises(InputError):
-        ScProblem(f=f, g=g, direction="SCSC")  # missing c
-    with pytest.raises(InputError):
-        ScProblem(f=f, g=g, direction="sideways", c=1.0)
-    with pytest.raises(InputError):
-        DsProblem(f=f, g=g, variant="nope")
+    other = make_function(4, ModularData(np.ones(4)))
+    for call in (
+        lambda: scsc_solve(f, other, 1.0),
+        lambda: scsk_solve(f, other, 1.0),
+        lambda: ds_minimize(f, other),
+    ):
+        with pytest.raises(InputError, match="share the ground set"):
+            call()
+    with pytest.raises(InputError, match="variant"):
+        ds_minimize(f, g, "nope")
+    for call in (
+        lambda: scsc_solve(f, g, 1.0, max_iters=0),
+        lambda: scsk_solve(f, g, 1.0, max_iters=-1),
+        lambda: ds_minimize(f, g, max_iters=0),
+    ):
+        with pytest.raises(InputError, match="max_iters"):
+            call()
 
 
 def _random_cut_pair(rng, n):
@@ -145,7 +154,7 @@ def test_ds_trace_non_increasing(variant, rng):
     for _ in range(10):
         n = int(rng.integers(5, 11))
         f, g = _random_cut_pair(rng, n)
-        res = ds_minimize(DsProblem(f=f, g=g, variant=variant))
+        res = ds_minimize(f, g, variant)
         assert all(
             res.trace[i + 1] <= res.trace[i] + 1e-9 for i in range(len(res.trace) - 1)
         ), (variant, res.trace)
@@ -156,7 +165,7 @@ def test_ds_zero_g_matches_norm_point(rng):
     n = 8
     f, _ = _random_cut_pair(rng, n)
     zero = make_function(n, ModularData(np.zeros(n)))
-    res = ds_minimize(DsProblem(f=f.clone_detached(), g=zero, variant="sub-sup"))
+    res = ds_minimize(f.clone_detached(), zero, "sub-sup")
     mnp = min_norm_point(f.clone_detached())
     assert res.objective == pytest.approx(mnp.value, abs=1e-8)
 
@@ -165,7 +174,7 @@ def test_ds_zero_f_matches_local_search(rng):
     n = 8
     _, g = _random_cut_pair(rng, n)
     zero = make_function(n, ModularData(np.zeros(n)))
-    res = ds_minimize(DsProblem(f=zero, g=g.clone_detached(), variant="sup-sub"))
+    res = ds_minimize(zero, g.clone_detached(), "sup-sub")
     ls = local_search_usm(g.clone_detached())
     assert -res.objective == pytest.approx(ls.value, abs=1e-8)
 
@@ -175,9 +184,9 @@ def test_ds_value_oracle_matches_pm(variant):
     # sub-sup and sup-sub drive the value-oracle f or g through a penalised wrapper's hooks
     f = zoo_instance("setcover", 14, seed=70)
     g = zoo_instance("faclocation", 14, seed=71)
-    pm = ds_minimize(DsProblem(f=f.clone_detached(), g=g.clone_detached(), variant=variant))
+    pm = ds_minimize(f.clone_detached(), g.clone_detached(), variant)
     fv, gv = wrap_value_oracle(f), wrap_value_oracle(g)
-    vo = ds_minimize(DsProblem(f=fv, g=gv, variant=variant))
+    vo = ds_minimize(fv, gv, variant)
     assert sorted(vo.selected.members) == sorted(pm.selected.members)
     assert vo.objective == pytest.approx(pm.objective, rel=1e-8, abs=1e-8)
     assert fv.counters.gain_evals == gv.counters.gain_evals == 0
@@ -190,14 +199,11 @@ def test_sc_value_oracle_matches_pm(fk, gk):
     for seed in (0, 1):
         f, g = zoo_instance(fk, 14, seed=80 + seed), zoo_instance(gk, 14, seed=90 + seed)
         full_g, full_f = g.evaluate(range(14)), f.evaluate(range(14))
-        for solve, prob in (
-            (scsc_solve, dict(direction="SCSC", c=0.6 * full_g)),
-            (scsk_solve, dict(direction="SCSK", b=0.4 * full_f)),
-        ):
+        for solve, level in ((scsc_solve, 0.6 * full_g), (scsk_solve, 0.4 * full_f)):
             fp, gp = f.clone_detached(), g.clone_detached()
-            pm = solve(ScProblem(f=fp, g=gp, **prob))
+            pm = solve(fp, gp, level)
             fv, gv = wrap_value_oracle(f), wrap_value_oracle(g)
-            vo = solve(ScProblem(f=fv, g=gv, **prob))
+            vo = solve(fv, gv, level)
             where = f"{solve.__name__} {fk}/{gk} seed={seed}"
             assert vo.selected.members == pm.selected.members, where
             assert vo.objective == pytest.approx(pm.objective, rel=1e-8, abs=1e-8), where
@@ -215,7 +221,7 @@ def test_ds_exact_on_small_instances(rng):
         f, g_cut = _random_cut_pair(rng, n)
         w = rng.uniform(0.0, 1.0, size=n)
         g = make_function(n, ModularData(w))
-        res = ds_minimize(DsProblem(f=f.clone_detached(), g=g, variant="sub-sup"))
+        res = ds_minimize(f.clone_detached(), g, "sub-sup")
         diff = make_function(n, ModularPenaltyData(f.clone_detached(), w))
         _, opt = brute_force_min(diff)
         # with modular g the subgradient is exact, so one round solves it
@@ -241,7 +247,7 @@ def test_all_procedures_oracle_free_in_pm_mode(rng):
     f, g = _random_cut_pair(rng, n)
     f.reset_counters()
     g.reset_counters()
-    res = ds_minimize(DsProblem(f=f, g=g, variant="mod-mod"))
+    res = ds_minimize(f, g, "mod-mod")
     assert f.counters.oracle_evals == 0
     assert g.counters.oracle_evals == 0
     cover_g = zoo_instance("setcover", n, seed=64)

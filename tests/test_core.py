@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from submemo.core import (
     EvalCounters,
-    GroundSet,
     InputError,
     ModularFunction,
     PreconditionError,
@@ -17,14 +16,6 @@ from submemo.core import (
 )
 from submemo.functions import ModularPenalizedFunction
 from conftest import zoo_instance
-
-
-def test_ground_set_validation():
-    assert GroundSet(3).n == 3
-    with pytest.raises(InputError):
-        GroundSet(0)
-    with pytest.raises(InputError):
-        GroundSet(-2)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=19), unique=True), st.integers(0, 19))

@@ -94,6 +94,15 @@ def test_lazy_equals_naive_on_random_monotone_instances(rng):
         assert res_l.counters.gain_evals <= res_n.counters.gain_evals
 
 
+@pytest.mark.parametrize("constraint", [Cardinality(3), Knapsack(tuple(np.linspace(1, 2, 12)), 3.5)])
+def test_lazy_duplicated_pool_equals_deduplicated(constraint):
+    F = zoo_instance("faclocation", 12, seed=51)
+    want = greedy_lazy(F.clone_detached(), constraint, pool=[1, 2, 5, 8])
+    got = greedy_lazy(F.clone_detached(), constraint, pool=[1, 1, 2, 5, 8, 5])
+    assert got.members == want.members and got.trace == want.trace
+    assert got.counters == want.counters and got.stats == want.stats
+
+
 def test_lazy_modular_recompute_pattern(rng):
     w = np.sort(rng.random(10))[::-1].copy()
     F = make_function(10, ModularData(w))

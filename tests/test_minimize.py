@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from submemo.bench import brute_force_min, brute_force_min_over
-from submemo.core import NonConvergenceError, wrap_value_oracle
+from submemo.core import InputError, NonConvergenceError, wrap_value_oracle
 from submemo.functions import (
     GraphCutData,
     MixtureData,
@@ -31,7 +31,7 @@ def _random_cut(rng, n, lam=None):
 
 def test_mnp_modular_worked_example():
     F = make_function(2, ModularData(np.array([-1.0, 2.0])))
-    res = min_norm_point(F, record=True)
+    res = min_norm_point(F)
     assert np.allclose(res.stats["x_star"], [-1.0, 2.0])
     assert res.minimizer_min.members == [0]
     assert res.value == pytest.approx(-1.0)
@@ -50,7 +50,7 @@ def test_mnp_agrees_with_brute_force_and_stays_in_base(rng):
     for trial in range(25):
         n = int(rng.integers(4, 12))
         F = _random_cut(rng, n)
-        res = min_norm_point(F, record=True)
+        res = min_norm_point(F)
         _, opt = brute_force_min(F.clone_detached())
         assert res.value == pytest.approx(opt, abs=1e-6)
         x = res.stats["x_star"]
@@ -62,7 +62,7 @@ def test_mnp_agrees_with_brute_force_and_stays_in_base(rng):
 
 def test_mnp_wolfe_invariants(rng):
     F = _random_cut(rng, 10)
-    res = min_norm_point(F, record=True)
+    res = min_norm_point(F)
     norms = res.stats["norm_trace"]
     assert all(norms[i + 1] <= norms[i] + 1e-9 for i in range(len(norms) - 1))
     assert all(abs(s - 1.0) <= 1e-6 for s in res.stats["coeff_sums"])
@@ -122,6 +122,13 @@ def test_lovasz_descent_default_iteration_budget():
     F = make_function(3, ModularData(np.array([1.0, -1.0, 0.5])))
     res = lovasz_descent(F, eps=0.1)
     assert res.iterations == 100  # ceil(1 / eps^2)
+
+
+@pytest.mark.parametrize("iterations", [0, -3])
+def test_lovasz_descent_rejects_iterations_below_one(iterations):
+    F = make_function(3, ModularData(np.array([1.0, -1.0, 0.5])))
+    with pytest.raises(InputError, match="iterations"):
+        lovasz_descent(F, iterations=iterations)
 
 
 def test_mmin_modular_exact(rng):

@@ -116,6 +116,8 @@ def test_make_function_validation_errors():
         SetCoverData(sets=[[0, 7]], universe=3)
     with pytest.raises(InputError):  # dimension mismatch with ground set
         make_function(5, FacilityLocationData(S3))
+    with pytest.raises(InputError, match="at least one element"):  # empty ground set
+        make_function(0, FacilityLocationData(S3))
     with pytest.raises(InputError):  # nonzero diagonal
         DispersionData(np.array([[1.0, 2.0], [2.0, 0.0]]), kind="min")
     with pytest.raises(InputError):

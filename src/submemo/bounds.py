@@ -1,10 +1,12 @@
 """Polytope extreme points, modular bounds, and the convex extension.
 
-Everything here is computed through the memoization contract: an extreme
-point is one rebuild plus n gain/update pairs, the tight upper bound at X
-costs one rebuild plus n gains, never a from-scratch oracle call.  Calls
-mutate the function's memo set (they sweep it), so calls on one instance
-must be serialized.
+Everything here is computed through the memoization contract, never a
+from-scratch oracle call.  An extreme point is one
+``SubmodularFunction.sweep``: it is charged as one rebuild plus n
+gain/update pairs, and a class with a ``_chain`` hook does that work in
+one call.  The tight upper bound at X costs one rebuild plus n gains.
+Calls mutate the function's memo set (they sweep it), so calls on one
+instance must be serialized.
 
 ``bound_rounds`` is the one iteration rule of every solver that replaces f
 by a tight modular bound at its current set and re-solves (constrained
@@ -15,14 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import InputError, ModularFunction, SubmodularFunction, as_subset
-
-
-def check_permutation(n: int, order) -> np.ndarray:
-    order = np.asarray(order, dtype=np.intp)
-    if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
-        raise InputError("order must be a permutation of all element ids")
-    return order
+from .core import InputError, ModularFunction, SubmodularFunction, as_subset, check_permutation
 
 
 def extreme_point(F: SubmodularFunction, order) -> ModularFunction:
@@ -30,15 +25,10 @@ def extreme_point(F: SubmodularFunction, order) -> ModularFunction:
 
     weight[order[i]] is the gain of order[i] on top of the first i elements;
     the weights telescope, so they sum to f(V).  Cost: one rebuild, n gain
-    evaluations, n statistic updates.
+    evaluations, n statistic updates, all counted as such; a class with a
+    ``_chain`` hook does the work in one call, the value oracle gain by gain.
     """
-    order = check_permutation(F.n, order)
-    F.set_memo(())
-    weights = np.empty(F.n)
-    for j in order:
-        weights[j] = F.gain_add(j)
-        F.update(j)
-    return ModularFunction(0.0, weights)
+    return ModularFunction(0.0, F.sweep(order))
 
 
 def subgradient_at(F: SubmodularFunction, Y, tie_order=None) -> ModularFunction:

@@ -16,6 +16,18 @@ of the statistic (``update``, ``downdate``, ``set_memo``) drops what is
 still kept, so a kept gain is never read stale.  Classes without a
 batched hook keep nothing, and ``ValueOracleFunction`` keeps nothing by
 design: a value-oracle gain stays one oracle call.
+
+``sweep(order)`` is the extreme-point sweep: the gain of each element of
+``order`` on top of the elements before it.  It is charged and traced as
+``set_memo(())`` plus one ``gain_add``/``update`` pair per element, and
+the memo ends at V in ``order``.  A class with a ``_chain`` hook computes
+the whole chain and the full-set statistic in one call; the public pairs
+still run, reading the chain's gains as kept gains and skipping
+``_update`` (the hook already moved the statistic).  They stay because
+the benchmark's traced run checks one public call per charged gain and
+update against the counters.  Classes without the hook run the pairs as
+a plain loop, and ``ValueOracleFunction`` does so by design: each of its
+gains is one oracle call on the prefix, which is the baseline measured.
 """
 
 from __future__ import annotations
@@ -133,6 +145,13 @@ def _check_id(j, n: int) -> int:
     return int(j)
 
 
+def check_permutation(n: int, order) -> np.ndarray:
+    order = np.asarray(order, dtype=np.intp)
+    if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
+        raise InputError("order must be a permutation of all element ids")
+    return order
+
+
 def check_ids(cands, n: int) -> np.ndarray:
     """``_check_id`` over a sequence of ids, as one intp array."""
     idx = np.asarray(cands)
@@ -244,6 +263,7 @@ class SubmodularFunction(ABC):
         self.memo = Subset(self.n)
         self.counters = EvalCounters()
         self._ahead: dict[int, float] = {}  # add gains kept by gains_ahead
+        self._chained = False  # inside a sweep whose _chain moved the statistic
 
     # ------------------------------------------------------------------
     # public contract
@@ -303,7 +323,8 @@ class SubmodularFunction(ABC):
             raise PreconditionError(f"update: element {j} already memoized")
         self.counters.memo_updates += 1
         self._ahead.clear()
-        self._update(j)
+        if not self._chained:
+            self._update(j)
         self.memo.add(j)
 
     def downdate(self, j) -> None:
@@ -323,6 +344,34 @@ class SubmodularFunction(ABC):
         self._ahead.clear()
         self.memo = sub.copy()
         self._rebuild(self.memo.to_indices())
+
+    def sweep(self, order) -> np.ndarray:
+        """Gains along a permutation: weight[order[i]] is the gain of
+        order[i] on top of the first i elements.
+
+        Charged as ``set_memo(())`` plus one ``gain_add``/``update`` pair
+        per element; the memo ends at V.  A ``_chain`` hook computes the
+        gains and the final statistic in one call, and the pairs then only
+        book them.
+        """
+        order = check_permutation(self.n, order)
+        self.set_memo(())
+        weights = np.empty(self.n)
+        gains = self._chain(order)
+        if gains is None:
+            for j in order.tolist():
+                weights[j] = self.gain_add(j)
+                self.update(j)
+            return weights
+        self._chained = True
+        try:
+            for j, g in zip(order.tolist(), gains.tolist(), strict=True):
+                self._ahead[j] = g
+                weights[j] = self.gain_add(j)
+                self.update(j)
+        finally:
+            self._chained = False
+        return weights
 
     def memo_value(self) -> float:
         """f(memo_set) read off the live statistic; free of oracle cost."""
@@ -361,6 +410,14 @@ class SubmodularFunction(ABC):
     def _gains_add(self, idx: np.ndarray) -> np.ndarray | None:
         """``_gain_add`` of every id in ``idx`` (none memoized), bitwise
         equal to the scalar hook; None where a class has no batched form."""
+        return None
+
+    def _chain(self, order: np.ndarray) -> np.ndarray | None:
+        """Gain of each id of ``order`` on top of the ids before it, from
+        the empty set, leaving the statistic at the full set as one
+        ``_update`` per id would; bitwise equal to that scalar loop.  None
+        where a class has no chained form (then the statistic is untouched).
+        """
         return None
 
     @abstractmethod

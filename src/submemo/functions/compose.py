@@ -187,6 +187,13 @@ class ModularPenalizedFunction(SubmodularFunction):
         gains = self.base._gains_add(idx)
         return None if gains is None else gains - self.penalty[idx]
 
+    def _chain(self, order):
+        gains = self.base._chain(order)
+        if gains is None:
+            return None
+        self.base.memo = type(self.memo)(self.n, order.tolist())
+        return gains - self.penalty[order]
+
     def _gain_remove(self, j):
         return float(self.base._gain_remove(j) - self.penalty[j])
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core import InputError, SubmodularFunction
-from .ragged import ragged_positions, ragged_sum
+from .ragged import ragged_positions, ragged_runs, ragged_sum
 
 
 class Concave:
@@ -125,6 +125,16 @@ class _SparseLoadFunction(SubmodularFunction):
         pos, lens = ragged_positions(self._indptr, idx)
         p = self._load[self._ids[pos]]
         return ragged_sum(self._psi(p + self._vals[pos]) - self._psi(p), lens)
+
+    def _chain(self, order):
+        # every bucket's load runs through its entries in chain order
+        pos, lens = ragged_positions(self._indptr, order)
+        ids, vals = self._ids[pos], self._vals[pos]
+        by_bucket = np.argsort(ids, kind="stable")
+        before, self._load = ragged_runs(vals[by_bucket], np.bincount(ids, minlength=self.num_buckets))
+        p = np.empty(pos.size)
+        p[by_bucket] = before
+        return ragged_sum(self._psi(p + vals) - self._psi(p), lens)
 
     def _gain_remove(self, j):
         ids, vals = self._entry(j)

@@ -101,6 +101,17 @@ class SetCoverFunction(SubmodularFunction):
         row = np.repeat(np.arange(idx.size), lens)
         return ragged_sum(self.data.weights[it[free]], np.bincount(row[free], minlength=idx.size))
 
+    def _chain(self, order):
+        # an element gains the items it is the first in the chain to cover
+        pos, lens = ragged_positions(self.data.indptr, order)
+        it = self.data.items[pos]
+        row = np.repeat(np.arange(order.size), lens)
+        first = np.full(self.data.universe, order.size)
+        np.minimum.at(first, it, row)
+        free = first[it] == row
+        self._count = np.bincount(it, minlength=self.data.universe)
+        return ragged_sum(self.data.weights[it[free]], np.bincount(row[free], minlength=order.size))
+
     def _gain_remove(self, j):
         it = self.data.item_slice(j)
         return float(self.data.weights[it[self._count[it] == 1]].sum())

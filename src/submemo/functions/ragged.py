@@ -5,6 +5,8 @@ elements at once.  ``ragged_sum`` sums each segment as numpy sums the
 segment on its own (pairwise, in the same order), so a batched gain is
 bitwise equal to the scalar one.  A ``bincount`` or ``reduceat`` form
 adds the entries left to right instead and drifts by a few ulps.
+``ragged_runs`` is the running-sum counterpart: it adds each segment left
+to right from 0.0, as repeated ``load[ids] += vals`` updates do.
 """
 
 from __future__ import annotations
@@ -33,3 +35,26 @@ def ragged_sum(values: np.ndarray, lens: np.ndarray) -> np.ndarray:
             rows = np.flatnonzero(lens == length)
             out[rows] = values[starts[rows, None] + np.arange(length)].sum(axis=1)
     return out
+
+
+def ragged_runs(values: np.ndarray, lens: np.ndarray):
+    """(running sum before each entry, total) of each consecutive segment.
+
+    Each segment is added left to right starting from 0.0, exactly as one
+    ``+=`` per entry would: segments of one length are stacked into a 2-d
+    block behind a zero column and run through a sequential ``cumsum``
+    along its rows.  An empty segment totals 0.0.
+    """
+    before = np.empty(values.size)
+    totals = np.zeros(lens.size)
+    starts = np.cumsum(lens) - lens
+    for length in np.unique(lens).tolist():
+        if length:
+            rows = np.flatnonzero(lens == length)
+            at = starts[rows, None] + np.arange(length)
+            run = np.zeros((rows.size, length + 1))
+            run[:, 1:] = values[at]
+            np.cumsum(run, axis=1, out=run)
+            before[at] = run[:, :-1]
+            totals[rows] = run[:, -1]
+    return before, totals

@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import bound_rounds, check_permutation, subgradient_at
+from .bounds import bound_rounds, subgradient_at
 from .core import (
     ABS_TOL,
     EvalCounters,
     InputError,
     Subset,
     SubmodularFunction,
+    check_permutation,
 )
 
 
@@ -234,7 +235,7 @@ def greedy_stochastic(
     """Lazier-than-lazy greedy: per step, best gain within a random sample.
 
     The sample has ceil((n/k) * ln(1/eps)) elements drawn uniformly without
-    replacement from the unselected pool.
+    replacement from the unselected pool.  A repeated pool id counts once.
     """
     _validate_constraint(F, Cardinality(k))
     if not 0.0 < eps < 1.0:
@@ -242,7 +243,7 @@ def greedy_stochastic(
     if pool is None:
         pool = np.arange(F.n, dtype=np.intp)
     else:
-        pool = np.sort(np.asarray(list(pool)))
+        pool = np.unique(np.asarray(list(pool)))
         if pool.size and (pool.dtype.kind not in "iu" or pool.min() < 0 or pool.max() >= F.n):
             raise InputError(f"pool ids must be integers in [0, {F.n})")
         pool = pool.astype(np.intp)

@@ -114,6 +114,22 @@ def test_cli_maximize_json_output(tmp_path, capsys):
     assert payload["counters"]["oracle_evals"] == 0
 
 
+def test_cli_builds_a_mixture_from_the_spec_size(tmp_path, capsys):
+    # a mixture's data object has no n of its own: the spec gives it
+    spec = "synthetic:mixture,n=14"
+    _, data = load_function_spec(spec)
+    F = make_function(14, data)
+    assert cli_main(["maximize", "--function", spec, "--k", "3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["selected"]) == 3
+    assert payload["value"] == pytest.approx(F.evaluate(payload["selected"]))
+    out = tmp_path / "runs"
+    assert cli_main(["bench", "--function", spec, "--mode", "both", "--budgets", "0.2",
+                     "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert {r["mode"] for r in report["records"]} == {"pm", "vo"}
+
+
 def test_cli_minimize_and_nonconvergence_exit_code(capsys):
     code = cli_main(
         [

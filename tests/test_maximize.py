@@ -142,8 +142,8 @@ def test_stochastic_degenerate_sampling_equals_naive(rng):
 
 def _stochastic_by_list(F, k, eps, seed, pool):
     """greedy_stochastic's step loop written over Python lists, rescanning the
-    pool for unselected ids at every step."""
-    pool = list(range(F.n)) if pool is None else sorted(pool)
+    pool for unselected ids at every step.  A repeated pool id counts once."""
+    pool = list(range(F.n)) if pool is None else sorted(set(pool))
     rng = np.random.default_rng(seed)
     sample_size = math.ceil((F.n / k) * math.log(1.0 / eps))
     F.set_memo(())
@@ -183,6 +183,14 @@ def test_stochastic_matches_list_based_loop(kind, k, eps, pool):
         got = greedy_stochastic(F.clone_detached(), k, eps, seed, pool=pool)
         assert got.trace == want
         assert all(type(j) is int for j, _ in got.trace)
+
+
+def test_stochastic_duplicated_pool_equals_deduplicated():
+    F = zoo_instance("faclocation", 12, seed=0)
+    want = greedy_stochastic(F.clone_detached(), k=3, seed=0, pool=[1, 2, 5, 8])
+    got = greedy_stochastic(F.clone_detached(), k=3, seed=0, pool=[1, 1, 2, 5, 8, 5])
+    assert got.members == want.members and got.trace == want.trace
+    assert got.counters == want.counters and got.counters.gain_evals == 9
 
 
 @pytest.mark.parametrize("pool", [[0, -1, 3], [2, 10], [1.0, 2.0]])

@@ -1,0 +1,163 @@
+"""Extreme-point sweeps: ``_chain`` hooks against the scalar gain/update loop,
+and the ``sweep`` contract around them."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from submemo import SubmodularFunction, wrap_value_oracle
+from submemo.bounds import _descending_order, extreme_point
+from submemo.functions import FacilityLocationData, ModularPenalizedFunction, make_function
+
+from conftest import zoo_instance
+
+# one synthetic kind per chained class; each is also run under a modular penalty
+CHAINED_KINDS = ("faclocation", "featurebased", "clusterconcave", "setcover")
+
+
+def _sparse_facloc(n: int, seed: int):
+    # mostly zero similarities: some rows end with no owner or no second owner
+    rng = np.random.default_rng(seed)
+    s = rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < 3.0 / n)
+    return make_function(n, FacilityLocationData(s))
+
+
+def _instance(kind: str, n: int, seed: int, penalised: bool):
+    F = _sparse_facloc(n, seed) if kind == "sparse-faclocation" else zoo_instance(kind, n, seed=seed)
+    if penalised:
+        F = ModularPenalizedFunction(F, np.random.default_rng(seed).uniform(0.0, 2.0, n))
+    return F
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_chained_class_is_in_the_instance_table():
+    table = [_instance(kind, 20, 0, penalised) for kind in CHAINED_KINDS for penalised in (False, True)]
+    table += [F.base for F in table if isinstance(F, ModularPenalizedFunction)]
+    chained = [cls for cls in _subclasses(SubmodularFunction) if "_chain" in cls.__dict__]
+    assert chained
+    for cls in chained:
+        assert any(isinstance(F, cls) for F in table), f"{cls.__name__} overrides _chain untested"
+
+
+def _order(kind: str, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.permutation(n)
+    if kind == "zero":  # Lovász descent at x = 0
+        return _descending_order(np.zeros(n))
+    grid = np.round(rng.uniform(-1.0, 1.0, n), 1)  # ties on a 0.1 grid
+    if kind == "grid-descending":
+        return _descending_order(grid)
+    return np.argsort(grid, kind="stable")  # min-norm-point's ascending order
+
+
+def _state(F) -> dict:
+    out = {k: v.copy() for k, v in F._statistic().items()}
+    base = F.base if isinstance(F, ModularPenalizedFunction) else F
+    if hasattr(base, "_arg"):
+        out["arg"], out["arg2"] = base._arg.copy(), base._arg2.copy()
+    out["memo"] = list(F.memo.members)
+    if base is not F:
+        out["base.memo"] = list(base.memo.members)
+    return out
+
+
+def _assert_sweep_is_loop(F, order):
+    loop = F.clone_detached()
+    loop._chain = lambda order: None
+    assert F._chain(np.asarray(order)) is not None  # the chained path is the one tested
+    F.reset_counters()
+    got, want = F.sweep(order), loop.sweep(order)
+    assert [float(w).hex() for w in got] == [float(w).hex() for w in want]
+    s_got, s_want = _state(F), _state(loop)
+    assert s_got.keys() == s_want.keys()
+    for key in s_want:
+        assert np.array_equal(s_got[key], s_want[key]), key
+    assert F.counters == loop.counters
+
+
+@given(
+    st.sampled_from(CHAINED_KINDS + ("sparse-faclocation",)),
+    st.booleans(),
+    st.integers(60, 200),
+    st.integers(0, 2**16),
+    st.sampled_from(("random", "zero", "grid-descending", "grid-ascending")),
+)
+@settings(max_examples=60, deadline=None)
+def test_chained_sweep_equals_the_scalar_loop_bitwise(kind, penalised, n, seed, order_kind):
+    F = _instance(kind, n, seed, penalised)
+    F.set_memo(np.random.default_rng(seed).permutation(n)[: n // 3].tolist())  # a sweep starts at ∅
+    _assert_sweep_is_loop(F, _order(order_kind, n, seed))
+
+
+def test_sparse_facility_location_leaves_unowned_records():
+    F = _sparse_facloc(120, 3)
+    F.sweep(np.random.default_rng(3).permutation(120))
+    assert (F._arg == -1).any() and (F._arg2 == -1).any()
+    _assert_sweep_is_loop(F, np.random.default_rng(4).permutation(120))
+
+
+def test_sweep_books_every_element_through_the_public_calls(monkeypatch):
+    calls = {"gain_add": 0, "update": 0, "set_memo": 0}
+    for name in calls:
+        original = getattr(SubmodularFunction, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(SubmodularFunction, name, counted)
+    F = zoo_instance("featurebased", 70, seed=5)
+    h = extreme_point(F, np.arange(70)[::-1])
+    assert calls == {"gain_add": 70, "update": 70, "set_memo": 1}
+    assert F.counters.as_dict() == {"oracle_evals": 0, "gain_evals": 70, "memo_updates": 70,
+                                    "memo_downdates": 0, "memo_rebuilds": 1}
+    assert F.memo.members == list(range(69, -1, -1))
+    assert h.weights.sum() == pytest.approx(F.evaluate(range(70)))
+
+
+def _spy_updates(F) -> list:
+    seen = []
+    original = F._update
+    F._update = lambda j: seen.append(j) or original(j)
+    return seen
+
+
+@pytest.mark.parametrize("failure", [None, "raises", "short"])
+def test_update_after_a_sweep_moves_the_statistic(failure):
+    F = zoo_instance("setcover", 60, seed=6)
+    seen = _spy_updates(F)
+    if failure == "raises":
+        F._chain = lambda order: 1 / 0
+        with pytest.raises(ZeroDivisionError):
+            F.sweep(range(60))
+    elif failure == "short":
+        chain = F._chain
+        F._chain = lambda order: chain(order)[:-1]
+        with pytest.raises(ValueError):
+            F.sweep(range(60))
+    else:
+        F.sweep(range(60))
+        assert seen == []
+    assert not F._chained
+    F.set_memo([1, 2])
+    F.update(7)
+    assert seen == [7]
+    fresh = F.clone_detached()
+    assert np.array_equal(F._statistic()["count"], fresh._statistic()["count"])
+
+
+def test_value_oracle_sweeps_gain_by_gain():
+    F = zoo_instance("faclocation", 60, seed=8)
+    V = wrap_value_oracle(F)
+    order = np.random.default_rng(8).permutation(60)
+    h = V.sweep(order)
+    # one oracle call per gain; the update reuses it
+    assert V.counters.oracle_evals == 60 and V.counters.gain_evals == 0
+    assert np.allclose(h, F.sweep(order), rtol=1e-12)

@@ -28,6 +28,18 @@ the benchmark's traced run checks one public call per charged gain and
 update against the counters.  Classes without the hook run the pairs as
 a plain loop, and ``ValueOracleFunction`` does so by design: each of its
 gains is one oracle call on the prefix, which is the baseline measured.
+
+The per-element methods (``gain_add``, ``gain_remove``, ``gain_singleton``,
+``update``, ``downdate``) accept a plain ``int`` in range without calling
+``_check_id``; any other id goes through it, so numpy ints and bools are
+converted and everything else raises as before.  Membership is one byte
+of ``Subset``'s flags, and ``update``/``downdate`` grow or shrink the memo
+without checking the id again.  Booking one n = 1500 sweep (everything
+but ``_chain`` and the rebuild) takes about 0.8 ms, 0.5 us per element,
+against 2.5-2.7 ms through ``Subset.add`` and ``in`` (one host, best of
+30).  ``Subset`` keeps its flags in a ``bytearray`` with ``mask`` a numpy
+view of the same bytes; ``Subset(n, ids)`` checks the ids as one array
+and replays them one by one only to name the first bad id or repeat.
 """
 
 from __future__ import annotations
@@ -71,17 +83,34 @@ class Subset:
 
     The member order is meaningful: it is the order in which elements were
     added, and classes whose statistic is order-sensitive (the triangular
-    factor of the log-det class) rely on it.
+    factor of the log-det class) rely on it.  The flags live in a
+    ``bytearray`` (one byte per id, 1 = member); ``mask`` is a boolean
+    numpy view of the same bytes.
     """
 
-    __slots__ = ("n", "_members", "_mask")
+    __slots__ = ("n", "_members", "_flags", "_mask")
 
     def __init__(self, n: int, members=()):
         if n < 1:
             raise InputError(f"subset needs a positive ground set size, got {n}")
         self.n = int(n)
-        self._members: list[int] = []
-        self._mask = np.zeros(self.n, dtype=bool)
+        self._flags = bytearray(self.n)
+        self._mask = np.frombuffer(self._flags, dtype=bool)
+        if not isinstance(members, (np.ndarray, range, list, tuple)):
+            members = list(members)  # a one-shot iterable is read twice on failure
+        try:
+            idx = check_ids(members, self.n)
+        except InputError:
+            idx = None
+        if idx is not None:
+            self._mask[idx] = True
+            if np.count_nonzero(self._mask) == idx.size:
+                self._members: list[int] = idx.tolist()
+                return
+        # a bad id or a repeat: replay the ids one by one, so the first
+        # failure in input order raises, as with ``add``
+        self._flags[:] = bytes(self.n)
+        self._members = []
         for j in members:
             self.add(j)
 
@@ -97,27 +126,32 @@ class Subset:
 
     def add(self, j) -> None:
         j = _check_id(j, self.n)
-        if self._mask[j]:
+        if self._flags[j]:
             raise PreconditionError(f"element {j} already in subset")
         self._members.append(j)
-        self._mask[j] = True
+        self._flags[j] = 1
 
     def remove(self, j) -> None:
         j = _check_id(j, self.n)
-        if not self._mask[j]:
+        if not self._flags[j]:
             raise PreconditionError(f"element {j} not in subset")
         self._members.remove(j)
-        self._mask[j] = False
+        self._flags[j] = 0
 
     def to_indices(self) -> np.ndarray:
-        return np.asarray(self._members, dtype=np.intp)
+        return np.fromiter(self._members, dtype=np.intp, count=len(self._members))
 
     def copy(self) -> "Subset":
         c = Subset.__new__(Subset)
         c.n = self.n
         c._members = list(self._members)
-        c._mask = self._mask.copy()
+        c._flags = bytearray(self._flags)
+        c._mask = np.frombuffer(c._flags, dtype=bool)
         return c
+
+    def __reduce__(self):
+        # the mask is a view of the flags; rebuilding keeps it one
+        return Subset, (self.n, self._members)
 
     def __contains__(self, j) -> bool:
         return 0 <= j < self.n and bool(self._mask[j])
@@ -130,7 +164,7 @@ class Subset:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Subset):
-            return self.n == other.n and np.array_equal(self._mask, other._mask)
+            return self.n == other.n and self._flags == other._flags
         return NotImplemented
 
     def __repr__(self) -> str:
@@ -154,8 +188,11 @@ def check_permutation(n: int, order) -> np.ndarray:
 
 def check_ids(cands, n: int) -> np.ndarray:
     """``_check_id`` over a sequence of ids, as one intp array."""
-    idx = np.asarray(cands)
-    if idx.ndim != 1 or idx.dtype.kind not in "iu":
+    try:
+        idx = np.asarray(cands)
+    except ValueError:  # ragged nesting: _check_id names the first bad id
+        idx = None
+    if idx is None or idx.ndim != 1 or idx.dtype.kind not in "iu":
         idx = np.fromiter((_check_id(j, n) for j in cands), dtype=np.intp)
     bad = (idx < 0) | (idx >= n)
     if bad.any():
@@ -277,8 +314,9 @@ class SubmodularFunction(ABC):
 
     def gain_add(self, j) -> float:
         """f(memo + j) - f(memo) from the live statistic (read-only)."""
-        j = _check_id(j, self.n)
-        if j in self.memo:
+        if type(j) is not int or not 0 <= j < self.n:
+            j = _check_id(j, self.n)
+        if self.memo._flags[j]:
             raise PreconditionError(f"gain_add: element {j} already memoized")
         self.counters.gain_evals += 1
         g = self._ahead.pop(j, None)
@@ -300,8 +338,9 @@ class SubmodularFunction(ABC):
 
     def gain_remove(self, j) -> float:
         """f(memo) - f(memo - j) from the live statistic (read-only)."""
-        j = _check_id(j, self.n)
-        if j not in self.memo:
+        if type(j) is not int or not 0 <= j < self.n:
+            j = _check_id(j, self.n)
+        if not self.memo._flags[j]:
             raise PreconditionError(f"gain_remove: element {j} not memoized")
         self.counters.gain_evals += 1
         return self._gain_remove(j)
@@ -312,37 +351,44 @@ class SubmodularFunction(ABC):
         Cheap for every class (the empty statistic is trivial), so it is
         accounted as a statistic-based gain, not an oracle call.
         """
-        j = _check_id(j, self.n)
+        if type(j) is not int or not 0 <= j < self.n:
+            j = _check_id(j, self.n)
         self.counters.gain_evals += 1
         return self._singleton(j)
 
     def update(self, j) -> None:
         """Transform the statistic p_X into p_{X+j} and grow the memo set."""
-        j = _check_id(j, self.n)
-        if j in self.memo:
+        if type(j) is not int or not 0 <= j < self.n:
+            j = _check_id(j, self.n)
+        if self.memo._flags[j]:
             raise PreconditionError(f"update: element {j} already memoized")
         self.counters.memo_updates += 1
         self._ahead.clear()
         if not self._chained:
             self._update(j)
-        self.memo.add(j)
+        memo = self.memo  # j is checked: grow it without Subset.add's checks
+        memo._members.append(j)
+        memo._flags[j] = 1
 
     def downdate(self, j) -> None:
         """Transform the statistic p_X into p_{X-j} and shrink the memo set."""
-        j = _check_id(j, self.n)
-        if j not in self.memo:
+        if type(j) is not int or not 0 <= j < self.n:
+            j = _check_id(j, self.n)
+        if not self.memo._flags[j]:
             raise PreconditionError(f"downdate: element {j} not memoized")
         self.counters.memo_downdates += 1
         self._ahead.clear()
         self._downdate(j)
-        self.memo.remove(j)
+        memo = self.memo
+        memo._members.remove(j)
+        memo._flags[j] = 0
 
     def set_memo(self, X) -> None:
         """Point the memo at X and rebuild the statistic from scratch."""
         sub = as_subset(self.n, X)
         self.counters.memo_rebuilds += 1
         self._ahead.clear()
-        self.memo = sub.copy()
+        self.memo = sub.copy() if sub is X else sub
         self._rebuild(self.memo.to_indices())
 
     def sweep(self, order) -> np.ndarray:
@@ -356,21 +402,25 @@ class SubmodularFunction(ABC):
         """
         order = check_permutation(self.n, order)
         self.set_memo(())
-        weights = np.empty(self.n)
         gains = self._chain(order)
+        gain_add, update, ahead = self.gain_add, self.update, self._ahead
+        got = []
+        put = got.append
         if gains is None:
             for j in order.tolist():
-                weights[j] = self.gain_add(j)
-                self.update(j)
-            return weights
-        self._chained = True
-        try:
-            for j, g in zip(order.tolist(), gains.tolist(), strict=True):
-                self._ahead[j] = g
-                weights[j] = self.gain_add(j)
-                self.update(j)
-        finally:
-            self._chained = False
+                put(gain_add(j))
+                update(j)
+        else:
+            self._chained = True
+            try:
+                for j, g in zip(order.tolist(), gains.tolist(), strict=True):
+                    ahead[j] = g
+                    put(gain_add(j))
+                    update(j)
+            finally:
+                self._chained = False
+        weights = np.empty(self.n)
+        weights[order] = got
         return weights
 
     def memo_value(self) -> float:
@@ -491,41 +541,50 @@ class ValueOracleFunction(SubmodularFunction):
     # public overrides: gains are oracle calls here, not statistic reads
 
     def gain_add(self, j) -> float:
-        j = _check_id(j, self.n)
-        if j in self.memo:
+        if type(j) is not int or not 0 <= j < self.n:
+            j = _check_id(j, self.n)
+        if self.memo._flags[j]:
             raise PreconditionError(f"gain_add: element {j} already memoized")
         return self._probe("add", j) - self._cached
 
     def gain_remove(self, j) -> float:
-        j = _check_id(j, self.n)
-        if j not in self.memo:
+        if type(j) is not int or not 0 <= j < self.n:
+            j = _check_id(j, self.n)
+        if not self.memo._flags[j]:
             raise PreconditionError(f"gain_remove: element {j} not memoized")
         return self._cached - self._probe("remove", j)
 
     def gain_singleton(self, j) -> float:
-        j = _check_id(j, self.n)
+        if type(j) is not int or not 0 <= j < self.n:
+            j = _check_id(j, self.n)
         return self._oracle(np.asarray([j], dtype=np.intp))
 
     def update(self, j) -> None:
-        j = _check_id(j, self.n)
-        if j in self.memo:
+        if type(j) is not int or not 0 <= j < self.n:
+            j = _check_id(j, self.n)
+        if self.memo._flags[j]:
             raise PreconditionError(f"update: element {j} already memoized")
         self.counters.memo_updates += 1
         self._move("add", j)
-        self.memo.add(j)
+        memo = self.memo
+        memo._members.append(j)
+        memo._flags[j] = 1
 
     def downdate(self, j) -> None:
-        j = _check_id(j, self.n)
-        if j not in self.memo:
+        if type(j) is not int or not 0 <= j < self.n:
+            j = _check_id(j, self.n)
+        if not self.memo._flags[j]:
             raise PreconditionError(f"downdate: element {j} not memoized")
         self.counters.memo_downdates += 1
         self._move("remove", j)
-        self.memo.remove(j)
+        memo = self.memo
+        memo._members.remove(j)
+        memo._flags[j] = 0
 
     def set_memo(self, X) -> None:
         sub = as_subset(self.n, X)
         self.counters.memo_rebuilds += 1
-        self.memo = sub.copy()
+        self.memo = sub.copy() if sub is X else sub
         self._pending = None
         if len(self.memo) == 0:
             self._cached = 0.0  # normalization, known without an oracle call

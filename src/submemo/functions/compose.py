@@ -127,7 +127,7 @@ class MixtureFunction(SubmodularFunction):
 
     def _rebuild(self, idx):
         for _, child in self.components:
-            child.memo = type(self.memo)(self.n, idx.tolist())
+            child.memo = type(self.memo)(self.n, idx)
             child._rebuild(idx)
 
     def _value_from_statistic(self):
@@ -191,7 +191,7 @@ class ModularPenalizedFunction(SubmodularFunction):
         gains = self.base._chain(order)
         if gains is None:
             return None
-        self.base.memo = type(self.memo)(self.n, order.tolist())
+        self.base.memo = type(self.memo)(self.n, order)
         return gains - self.penalty[order]
 
     def _gain_remove(self, j):
@@ -209,7 +209,7 @@ class ModularPenalizedFunction(SubmodularFunction):
         self.base.memo.remove(j)
 
     def _rebuild(self, idx):
-        self.base.memo = type(self.memo)(self.n, idx.tolist())
+        self.base.memo = type(self.memo)(self.n, idx)
         self.base._rebuild(idx)
 
     def _value_from_statistic(self):

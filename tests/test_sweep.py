@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 from submemo import SubmodularFunction, wrap_value_oracle
 from submemo.bounds import _descending_order, extreme_point
-from submemo.functions import FacilityLocationData, ModularPenalizedFunction, make_function
+from submemo.functions import (
+    FacilityLocationData,
+    FacilityLocationFunction,
+    ModularPenalizedFunction,
+    make_function,
+    verify_statistic,
+)
+from submemo.minimize import lovasz_descent
 
 from conftest import zoo_instance
 
@@ -99,6 +106,7 @@ def test_chained_sweep_equals_the_scalar_loop_bitwise(kind, penalised, n, seed, 
 def test_sparse_facility_location_leaves_unowned_records():
     F = _sparse_facloc(120, 3)
     F.sweep(np.random.default_rng(3).permutation(120))
+    F._statistic()  # builds the records the sweep left owed
     assert (F._arg == -1).any() and (F._arg2 == -1).any()
     _assert_sweep_is_loop(F, np.random.default_rng(4).permutation(120))
 
@@ -161,3 +169,110 @@ def test_value_oracle_sweeps_gain_by_gain():
     # one oracle call per gain; the update reuses it
     assert V.counters.oracle_evals == 60 and V.counters.gain_evals == 0
     assert np.allclose(h, F.sweep(order), rtol=1e-12)
+
+
+# --- facility location: records a chain leaves owed -------------------------
+
+
+def _records(F) -> dict:
+    """The raw top-2 arrays, read without any hook building owed records."""
+    base = F.base if isinstance(F, ModularPenalizedFunction) else F
+    return {k: getattr(base, k).copy() for k in ("_best", "_second", "_arg", "_arg2")}
+
+
+def _read(how: str, F):
+    if how == "gain_remove":
+        return [float(F.gain_remove(j)).hex() for j in range(0, F.n, 7)]
+    if how == "downdate":
+        for j in range(0, F.n, 5):
+            F.downdate(j)
+        return float(F.memo_value()).hex()
+    if how == "memo_value":
+        return float(F.memo_value()).hex()
+    if how == "statistic":
+        return {k: v.copy() for k, v in F._statistic().items()}
+    if how == "clone_detached":
+        return _state(F.clone_detached())
+    return verify_statistic(F)
+
+
+@pytest.mark.parametrize("how", ["gain_remove", "downdate", "memo_value", "statistic",
+                                 "clone_detached", "verify_statistic"])
+@pytest.mark.parametrize("penalised", [False, True])
+@pytest.mark.parametrize("kind", ["faclocation", "sparse-faclocation"])
+def test_owed_records_read_as_the_loop_leaves_them(kind, penalised, how):
+    F = _instance(kind, 150, 11, penalised)
+    loop = F.clone_detached()
+    loop._chain = lambda order: None
+    order = np.random.default_rng(11).permutation(150)
+    F.sweep(order)
+    loop.sweep(order)
+    got, want = _read(how, F), _read(how, loop)
+    if isinstance(want, dict):
+        assert got.keys() == want.keys()
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key
+    else:
+        assert got == want
+    # memo_value reads only the best record, and a clone rebuilds its own
+    reads_records = how not in ("memo_value", "clone_detached")
+    assert ((F.base if penalised else F)._owed is None) == reads_records
+    for key, arr in _records(loop).items():
+        if reads_records or key == "_best":
+            assert np.array_equal(_records(F)[key], arr), key
+    assert F.counters == loop.counters
+    s_got, s_want = _state(F), _state(loop)
+    for key in s_want:
+        assert np.array_equal(s_got[key], s_want[key]), key
+
+
+def _count_record_builds(monkeypatch) -> list:
+    calls = []
+    original = FacilityLocationFunction._chain_records
+
+    def counted(self, order):
+        calls.append(order.size)
+        return original(self, order)
+
+    monkeypatch.setattr(FacilityLocationFunction, "_chain_records", counted)
+    return calls
+
+
+def test_records_are_not_built_when_nothing_reads_them(monkeypatch):
+    calls = _count_record_builds(monkeypatch)
+    F = _instance("faclocation", 120, 12, False)
+    F.sweep(np.random.default_rng(12).permutation(120))
+    F.set_memo(())
+    assert calls == []
+    P = _instance("faclocation", 120, 13, True)
+    lovasz_descent(P, iterations=5)
+    assert calls == []
+    P.sweep(np.arange(120))
+    P.gain_remove(3)
+    P.gain_remove(4)
+    assert calls == [120]  # built once, on the first read
+
+
+def test_a_sweep_does_not_keep_the_callers_order_array():
+    F = _instance("faclocation", 100, 14, True)
+    loop = F.clone_detached()
+    loop._chain = lambda order: None
+    order = np.random.default_rng(14).permutation(100)
+    F.sweep(order)
+    loop.sweep(order.copy())
+    order.fill(0)
+    s_got, s_want = _state(F), _state(loop)
+    for key in s_want:
+        assert np.array_equal(s_got[key], s_want[key]), key
+
+
+def test_a_rebuild_after_a_sweep_drops_the_owed_records():
+    F = _instance("faclocation", 100, 15, True)
+    half = np.random.default_rng(15).permutation(100)[:50].tolist()
+    F.sweep(np.random.default_rng(16).permutation(100))
+    F.set_memo(half)
+    fresh = F.clone_detached()
+    assert [F.gain_remove(j) for j in half] == [fresh.gain_remove(j) for j in half]
+    s_got, s_want = _state(F), _state(fresh)
+    for key in s_want:
+        assert np.array_equal(s_got[key], s_want[key]), key

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -526,8 +527,12 @@ class ValueOracleFunction(SubmodularFunction):
     def _probe(self, kind: str, j: int) -> float:
         """f(memo + j) for kind "add", f(memo - j) for "remove": one oracle
         call, kept as the pending value."""
-        idx = self.memo.to_indices()
-        idx = np.append(idx, j) if kind == "add" else idx[idx != j]
+        members = self.memo._members
+        if kind == "add":
+            idx = np.fromiter(chain(members, (j,)), dtype=np.intp, count=len(members) + 1)
+        else:
+            idx = self.memo.to_indices()
+            idx = idx[idx != j]
         fnew = self._oracle(idx)
         self._pending = (kind, j, fnew)
         return fnew

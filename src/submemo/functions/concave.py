@@ -105,11 +105,15 @@ class _SparseLoadFunction(SubmodularFunction):
         return self._ids[lo:hi], self._vals[lo:hi]
 
     def _accumulate(self, idx: np.ndarray) -> np.ndarray:
-        load = np.zeros(self.num_buckets)
-        for j in idx:
-            ids, vals = self._entry(j)
-            load[ids] += vals
-        return load
+        """Loads of the members ``idx``, bitwise as one ``load[ids] += vals`` each.
+
+        ``bincount`` adds each bucket's entries in member order from 0.0,
+        and an element lists a bucket at most once.  With no entries it
+        returns int64 even for float weights, hence the cast.
+        """
+        pos, _ = ragged_positions(self._indptr, idx)
+        load = np.bincount(self._ids[pos], self._vals[pos], minlength=self.num_buckets)
+        return load.astype(float, copy=False)
 
     def _evaluate(self, idx):
         if idx.size == 0:

@@ -79,16 +79,13 @@ class SetCoverFunction(SubmodularFunction):
         self.data = data
         self._count = np.zeros(data.universe, dtype=np.int64)
 
-    def _covered_weight(self, idx) -> float:
+    def _evaluate(self, idx):
         if idx.size == 0:
             return 0.0
+        pos, _ = ragged_positions(self.data.indptr, idx)
         covered = np.zeros(self.data.universe, dtype=bool)
-        for j in idx:
-            covered[self.data.item_slice(j)] = True
+        covered[self.data.items[pos]] = True
         return float(self.data.weights[covered].sum())
-
-    def _evaluate(self, idx):
-        return self._covered_weight(idx)
 
     def _gain_add(self, j):
         it = self.data.item_slice(j)
@@ -123,9 +120,8 @@ class SetCoverFunction(SubmodularFunction):
         self._count[self.data.item_slice(j)] -= 1
 
     def _rebuild(self, idx):
-        self._count = np.zeros(self.data.universe, dtype=np.int64)
-        for j in idx:
-            self._count[self.data.item_slice(j)] += 1
+        pos, _ = ragged_positions(self.data.indptr, idx)
+        self._count = np.bincount(self.data.items[pos], minlength=self.data.universe)
 
     def _value_from_statistic(self):
         return float(self.data.weights[self._count > 0].sum())

@@ -27,6 +27,10 @@ from ..core import InputError, SubmodularFunction
 # cache through its transpose and both argmax passes.  256-row blocks
 # rebuilt a 1500-member set 1.7x slower on such a host.
 _RETOP_BLOCK = 128
+# Member rows per block of a value-oracle call: the running maximum over
+# 64 x n blocks stays in L2.  At n = 1500 and 450 members (2 MB L2) it took
+# 650 us, against 800 us with 128-row blocks and 1060 us for one gather.
+_EVAL_BLOCK = 64
 # Candidate rows per block of a batched gain: 64 x n floats, 768 KB at
 # n = 1500, so the block stays in L2 through the subtract, clip and sum.
 _GAIN_BLOCK = 64
@@ -128,7 +132,11 @@ class FacilityLocationFunction(SubmodularFunction):
     def _evaluate(self, idx):
         if idx.size == 0:
             return 0.0
-        return float(self.data.cols[idx].max(axis=0).sum())
+        cols = self.data.cols
+        best = cols[idx[:_EVAL_BLOCK]].max(axis=0)
+        for lo in range(_EVAL_BLOCK, idx.size, _EVAL_BLOCK):
+            np.maximum(best, cols[idx[lo:lo + _EVAL_BLOCK]].max(axis=0), out=best)
+        return float(best.sum())
 
     def _gain_add(self, j):
         buf = self._buf

@@ -97,6 +97,11 @@ def test_ragged_positions_concatenate_the_rows():
     pos, lens = ragged_positions(indptr, np.asarray([3, 1, 0, 2, 3]))
     assert pos.tolist() == [4, 5, 6, 7, 8, 0, 1, 2, 3, 4, 5, 6, 7, 8]
     assert lens.tolist() == [5, 0, 3, 1, 5]
+    # one row, empty ones included, takes its own path
+    for j in range(4):
+        pos, lens = ragged_positions(indptr, np.asarray([j]))
+        assert pos.tolist() == list(range(indptr[j], indptr[j + 1]))
+        assert lens.tolist() == [indptr[j + 1] - indptr[j]]
 
 
 @pytest.mark.parametrize("change", ["update", "downdate", "set_memo"])

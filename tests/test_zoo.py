@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from submemo.core import InputError, close
 from submemo.functions import (
+    ClusteredConcaveModularData,
+    ClusteredSetCoverData,
     DispersionData,
     FacilityLocationData,
     FeatureBasedData,
@@ -470,3 +472,98 @@ def test_modular_class_gain_identity(rng):
     assert F.gain_add(2) == pytest.approx(w[2])
     assert F.gain_remove(4) == pytest.approx(w[4])
     assert F.evaluate([1, 2, 3]) == pytest.approx(w[[1, 2, 3]].sum())
+
+
+# ---------------------------------------------------------------------------
+# vectorised value oracles against per-member reference loops
+# ---------------------------------------------------------------------------
+
+
+def _csr_instance(kind, seed):
+    """A small CSR instance with few buckets (so buckets collect many entries,
+    whose sum depends on its order), some empty rows, and values spanning
+    twelve decades."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 25))
+    m = int(rng.integers(1, 5))
+    rows = [np.flatnonzero(rng.random(m) < 0.7) if rng.random() < 0.8 else np.zeros(0, int) for _ in range(n)]
+    vals = [rng.random(r.size) * 10.0 ** rng.integers(-6, 7, r.size) for r in rows]
+    if kind == "featurebased":
+        data = FeatureBasedData(list(zip(rows, vals)), concave="sqrt", num_features=m)
+    elif kind == "clusterconcave":
+        # cluster c holds the elements whose row lists c
+        members = [[j for j in range(n) if c in rows[j]] for c in range(m)]
+        weights = [[vals[j][list(rows[j]).index(c)] for j in cl] for c, cl in enumerate(members)]
+        data = ClusteredConcaveModularData(members, weights, n)
+    elif kind == "setcover":
+        data = SetCoverData(rows, universe=m, weights=rng.random(m) * 10.0 ** rng.integers(-6, 7, m))
+    else:
+        data = ClusteredSetCoverData(rows, universe=m, clusters=[[0], list(range(m))], weights=rng.random(m))
+    idx = rng.permutation(n)[: int(rng.integers(0, n + 1))].tolist()
+    return make_function(n, data), idx
+
+
+def _loop_loads(F, idx):
+    load = np.zeros(F.num_buckets)
+    for j in idx:
+        lo, hi = F._indptr[j], F._indptr[j + 1]
+        load[F._ids[lo:hi]] += F._vals[lo:hi]
+    return load
+
+
+def _loop_counts(F, idx):
+    d = F.data
+    count = np.zeros(d.universe, dtype=np.int64)
+    for j in idx:
+        count[d.items[d.indptr[j]:d.indptr[j + 1]]] += 1
+    return count
+
+
+@given(st.integers(0, 2**31), st.sampled_from(("featurebased", "clusterconcave")))
+@settings(max_examples=150, deadline=None)
+def test_load_oracle_is_bitwise_the_member_loop(seed, kind):
+    F, idx = _csr_instance(kind, seed)
+    want = _loop_loads(F, idx)
+    value = 0.0 if not idx else float(F._psi(want).sum())
+    assert F._evaluate(np.asarray(idx, dtype=np.intp)).hex() == value.hex()
+    F.set_memo(idx)
+    assert F._load.dtype == np.float64
+    assert [x.hex() for x in F._load.tolist()] == [x.hex() for x in want.tolist()]
+
+
+@given(st.integers(0, 2**31), st.sampled_from(("setcover", "clustersetcover")))
+@settings(max_examples=100, deadline=None)
+def test_cover_oracle_is_bitwise_the_member_loop(seed, kind):
+    F, idx = _csr_instance(kind, seed)
+    d = F.data
+    covered = np.zeros(d.universe, dtype=bool)
+    for j in idx:
+        covered[d.items[d.indptr[j]:d.indptr[j + 1]]] = True
+    value = 0.0 if not idx else float(d.weights[covered].sum())
+    assert F._evaluate(np.asarray(idx, dtype=np.intp)).hex() == value.hex()
+    F.set_memo(idx)
+    assert F._count.dtype == np.int64
+    assert np.array_equal(F._count, _loop_counts(F, idx))
+
+
+@pytest.mark.parametrize("kind", ("featurebased", "clusterconcave", "setcover"))
+def test_rebuild_of_nothing_keeps_the_statistic_dtype(kind):
+    # np.bincount of no entries is int64 even with float weights
+    F = zoo_instance(kind, 12, seed=4)
+    F.set_memo(())
+    F.update(3)
+    stat = F._count if kind == "setcover" else F._load
+    assert stat.dtype == (np.int64 if kind == "setcover" else np.float64)
+    assert verify_statistic(F).max_deviation == 0.0
+
+
+@given(st.integers(0, 2**31))
+@settings(max_examples=20, deadline=None)
+def test_facility_location_blocked_oracle_is_the_whole_gather(seed):
+    n = 160
+    rng = np.random.default_rng(seed)
+    F = make_function(n, FacilityLocationData(rng.random((n, n)) * 10.0 ** rng.integers(-6, 7, (n, n))))
+    for size in (0, 1, 63, 64, 65, 129):
+        idx = rng.permutation(n)[:size].astype(np.intp)
+        want = float(F.data.cols[idx].max(axis=0).sum()) if size else 0.0
+        assert F._evaluate(idx).hex() == want.hex(), size

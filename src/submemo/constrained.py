@@ -34,7 +34,7 @@ from .core import (
     SubmodularFunction,
     tol_for,
 )
-from .functions.compose import ModularPenalizedFunction
+from .functions import ModularPenaltyData, make_function
 from .maximize import Knapsack, greedy_lazy, lazy_argmax, local_search_usm
 from .minimize import min_norm_point
 
@@ -198,7 +198,7 @@ def ds_minimize(
     def candidates(current):
         if variant == "sub-sup":
             h = subgradient_at(g, current)
-            shifted = ModularPenalizedFunction(f.clone_detached(), h.weights)
+            shifted = make_function(f.n, ModularPenaltyData(f._spawn(), h.weights))
             try:
                 res = min_norm_point(shifted, tol=1e-9)
             except NonConvergenceError as err:
@@ -207,7 +207,8 @@ def ds_minimize(
         if variant == "sup-sub":
             return [
                 local_search_usm(
-                    ModularPenalizedFunction(g.clone_detached(), bound.weights), start=current
+                    make_function(g.n, ModularPenaltyData(g._spawn(), bound.weights)),
+                    start=current,
                 ).members
                 for bound in tight_upper_bounds(f, current)
             ]

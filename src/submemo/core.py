@@ -34,12 +34,10 @@ The per-element methods (``gain_add``, ``gain_remove``, ``gain_singleton``,
 ``_check_id``; any other id goes through it, so numpy ints and bools are
 converted and everything else raises as before.  Membership is one byte
 of ``Subset``'s flags, and ``update``/``downdate`` grow or shrink the memo
-without checking the id again.  Booking one n = 1500 sweep (everything
-but ``_chain`` and the rebuild) takes about 0.8 ms, 0.5 us per element,
-against 2.5-2.7 ms through ``Subset.add`` and ``in`` (one host, best of
-30).  ``Subset`` keeps its flags in a ``bytearray`` with ``mask`` a numpy
-view of the same bytes; ``Subset(n, ids)`` checks the ids as one array
-and replays them one by one only to name the first bad id or repeat.
+without checking the id again.  ``Subset`` keeps its flags in a
+``bytearray`` with ``mask`` a numpy view of the same bytes; ``Subset(n,
+ids)`` checks the ids as one array and replays them one by one only to
+name the first bad id or repeat.
 """
 
 from __future__ import annotations
@@ -155,7 +153,8 @@ class Subset:
         return Subset, (self.n, self._members)
 
     def __contains__(self, j) -> bool:
-        return 0 <= j < self.n and bool(self._mask[j])
+        # anything but an integer id in range is not a member, as with a set
+        return isinstance(j, (int, np.integer)) and 0 <= j < self.n and bool(self._flags[j])
 
     def __len__(self) -> int:
         return len(self._members)
@@ -269,12 +268,7 @@ class ModularFunction:
         return self.weights.shape[0]
 
     def value(self, X) -> float:
-        if isinstance(X, Subset):
-            idx = X.to_indices()
-        else:
-            idx = np.asarray(list(X), dtype=np.intp)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.n):
-            raise InputError("element id out of range in modular evaluation")
+        idx = as_subset(self.n, X).to_indices()
         return float(self.offset + self.weights[idx].sum())
 
     def dot(self, x: np.ndarray) -> float:
@@ -434,10 +428,12 @@ class SubmodularFunction(ABC):
         return self.memo_value()
 
     def clone_detached(self) -> "SubmodularFunction":
-        """Independent copy: shared immutable data, fresh memo state/counters."""
+        """Independent copy: shared immutable data, fresh memo state, zeroed
+        counters (building the copy is not metered)."""
         c = self._spawn()
         c.memo = self.memo.copy()
         c._rebuild(c.memo.to_indices())
+        c.counters.reset()
         return c
 
     def reset_counters(self) -> None:
@@ -621,7 +617,7 @@ class ValueOracleFunction(SubmodularFunction):
 
     def _rebuild(self, idx: np.ndarray) -> None:
         self._pending = None
-        self._cached = 0.0 if idx.size == 0 else self._inner._evaluate(idx)
+        self._cached = 0.0 if idx.size == 0 else self._oracle(idx)
 
     def _value_from_statistic(self) -> float:
         return self._cached
@@ -636,10 +632,10 @@ class ValueOracleFunction(SubmodularFunction):
 def wrap_value_oracle(F: SubmodularFunction) -> ValueOracleFunction:
     """Value-oracle view of ``F``: same function, oracle-only accounting.
 
-    The wrapper starts at F's current memo set (its cached value is filled
-    during construction, which is not metered).
+    The wrapper starts at F's current memo set, with zeroed counters: the
+    oracle call that fills its cached value is not metered.
     """
     vo = ValueOracleFunction(F._spawn())
-    vo.memo = F.memo.copy()
-    vo._cached = 0.0 if len(vo.memo) == 0 else vo._inner._evaluate(vo.memo.to_indices())
+    vo.set_memo(F.memo)
+    vo.reset_counters()
     return vo

@@ -6,13 +6,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import InputError, SubmodularFunction
+from ..core import InputError, SubmodularFunction, ValueOracleFunction
 from .compose import (
     MixtureData,
     MixtureFunction,
     ModularData,
     ModularPenaltyData,
-    ModularPenalizedFunction,
     ModularSetFunction,
 )
 from .concave import (
@@ -83,7 +82,8 @@ def make_function(n: int, spec) -> SubmodularFunction:
         inst = MixtureFunction([(w, make_function(n, sub)) for w, sub in spec.components])
     elif isinstance(spec, ModularPenaltyData):
         base = spec.base if isinstance(spec.base, SubmodularFunction) else make_function(n, spec.base)
-        inst = ModularPenalizedFunction(base, spec.penalty)
+        penalty = ModularSetFunction(ModularData(-spec.penalty))
+        inst = MixtureFunction([(1.0, base), (1.0, penalty)])
     else:
         raise InputError(f"unknown function spec type {type(spec).__name__}")
     if inst.n != n:
@@ -128,23 +128,13 @@ def verify_statistic(F: SubmodularFunction) -> StatReport:
 
 def default_tolerance(F: SubmodularFunction) -> float:
     """Per-class agreement tolerance (log-det factors are looser)."""
-    probe = F
-    while True:
-        if isinstance(probe, LogDetFunction):
-            return LOGDET_REL_TOL
-        if isinstance(probe, MixtureFunction):
-            tols = []
-            for _, child in probe.components:
-                tols.append(default_tolerance(child))
-            return max(tols)
-        if isinstance(probe, ModularPenalizedFunction):
-            probe = probe.base
-            continue
-        inner = getattr(probe, "_inner", None)
-        if inner is not None:
-            probe = inner
-            continue
-        return 1e-9
+    if isinstance(F, LogDetFunction):
+        return LOGDET_REL_TOL
+    if isinstance(F, MixtureFunction):
+        return max(default_tolerance(child) for _, child in F.components)
+    if isinstance(F, ValueOracleFunction):
+        return default_tolerance(F._inner)
+    return 1e-9
 
 
 __all__ = [
@@ -185,5 +175,4 @@ __all__ = [
     "MixtureData",
     "MixtureFunction",
     "ModularPenaltyData",
-    "ModularPenalizedFunction",
 ]

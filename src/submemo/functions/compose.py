@@ -1,8 +1,10 @@
 """Composition classes: modular functions, weighted mixtures, modular penalties.
 
-A mixture owns full child instances and drives their internal hooks, so the
-mixture's own counters meter one logical operation per call regardless of
-how many components it fans out to.
+Compositions form one function tree.  A mixture drives its components
+through their hooks, and each component belongs to one mixture: its memo
+and its counters are the mixture's own objects, so the tree keeps one memo
+and one set of counters.  A modular penalty is not a class of its own:
+f - m is the mixture of f and the modular function -m.
 """
 
 from __future__ import annotations
@@ -34,14 +36,17 @@ class ModularData:
 
 
 class ModularSetFunction(SubmodularFunction):
-    """Trivially memoized modular function; statistic is the running sum."""
+    """Modular function: the memo is its whole statistic.
+
+    Gains are weights, and the value is the weights summed over the memo
+    in member order, so there is no running sum to drift or to update.
+    """
 
     name = "modular"
 
     def __init__(self, data: ModularData):
         super().__init__(data.n)
         self.data = data
-        self._sum = 0.0
 
     def _evaluate(self, idx):
         return float(self.data.weights[idx].sum())
@@ -49,23 +54,29 @@ class ModularSetFunction(SubmodularFunction):
     def _gain_add(self, j):
         return float(self.data.weights[j])
 
+    def _gains_add(self, idx):
+        return self.data.weights[idx]
+
+    def _chain(self, order):
+        return self.data.weights[order]
+
     def _gain_remove(self, j):
         return float(self.data.weights[j])
 
     def _update(self, j):
-        self._sum += self.data.weights[j]
+        pass
 
     def _downdate(self, j):
-        self._sum -= self.data.weights[j]
+        pass
 
     def _rebuild(self, idx):
-        self._sum = float(self.data.weights[idx].sum())
+        pass
 
     def _value_from_statistic(self):
-        return self._sum
+        return float(self.data.weights[self.memo.to_indices()].sum())
 
     def _statistic(self):
-        return {"sum": np.asarray([self._sum])}
+        return {}
 
     def _spawn(self):
         return ModularSetFunction(self.data)
@@ -86,7 +97,23 @@ class MixtureData:
 
 
 class MixtureFunction(SubmodularFunction):
-    """Gains, updates and rebuilds fan out to every component."""
+    """Weighted sum of component instances; each hook is the weighted sum
+    of the components' hooks.
+
+    One tree: a component belongs to one mixture, and its ``memo`` and
+    ``counters`` are the mixture's own objects.  The mixture's public
+    methods grow and shrink that one memo, and whatever a component meters
+    (a value-oracle component's oracle calls) lands in the mixture's
+    counters.  ``_rebuild`` points the components at the mixture's memo
+    again, because ``set_memo`` and ``clone_detached`` replace it; a
+    component joins at the empty set, rebuilt there.
+
+    The per-element hooks loop explicitly (a generator ``sum`` timed
+    slower).  ``_gains_add`` and ``_chain`` are vectorised when every
+    component has the hook and None otherwise.  A ``_chain`` that meets a
+    component without one first rebuilds the components that already
+    chained, so a None leaves the statistic untouched, as the contract asks.
+    """
 
     name = "mixture"
 
@@ -102,15 +129,42 @@ class MixtureFunction(SubmodularFunction):
                 raise InputError("mixture weights must be finite and non-negative")
         super().__init__(n)
         self.components = [(float(w), child) for w, child in components]
+        self._rebuild(self.memo.to_indices())
 
     def _evaluate(self, idx):
         return float(sum(w * child._evaluate(idx) for w, child in self.components))
 
     def _gain_add(self, j):
-        return float(sum(w * child._gain_add(j) for w, child in self.components))
+        total = 0.0
+        for w, child in self.components:
+            total += w * child._gain_add(j)
+        return float(total)
+
+    def _gains_add(self, idx):
+        total = 0.0
+        for w, child in self.components:
+            gains = child._gains_add(idx)
+            if gains is None:
+                return None
+            total = total + w * gains
+        return total
+
+    def _chain(self, order):
+        total = 0.0
+        for c, (w, child) in enumerate(self.components):
+            gains = child._chain(order)
+            if gains is None:
+                for _, chained in self.components[:c]:
+                    chained._rebuild(order[:0])
+                return None
+            total = total + w * gains
+        return total
 
     def _gain_remove(self, j):
-        return float(sum(w * child._gain_remove(j) for w, child in self.components))
+        total = 0.0
+        for w, child in self.components:
+            total += w * child._gain_remove(j)
+        return float(total)
 
     def _singleton(self, j):
         return float(sum(w * child._singleton(j) for w, child in self.components))
@@ -118,16 +172,14 @@ class MixtureFunction(SubmodularFunction):
     def _update(self, j):
         for _, child in self.components:
             child._update(j)
-            child.memo.add(j)
 
     def _downdate(self, j):
         for _, child in self.components:
             child._downdate(j)
-            child.memo.remove(j)
 
     def _rebuild(self, idx):
         for _, child in self.components:
-            child.memo = type(self.memo)(self.n, idx)
+            child.memo, child.counters = self.memo, self.counters
             child._rebuild(idx)
 
     def _value_from_statistic(self):
@@ -146,7 +198,11 @@ class MixtureFunction(SubmodularFunction):
 
 @dataclass
 class ModularPenaltyData:
-    """Base function minus a modular term: f(X) = base(X) - sum_{j in X} p_j."""
+    """Base function minus a modular term: f(X) = base(X) - sum_{j in X} p_j.
+
+    ``make_function`` builds the mixture of ``base`` (data, or an instance
+    that becomes a component) and the modular function with weights -p.
+    """
 
     base: object
     penalty: np.ndarray
@@ -156,68 +212,3 @@ class ModularPenaltyData:
         if p.ndim != 1 or not np.all(np.isfinite(p)):
             raise InputError("penalty weights must be a finite 1-d array")
         self.penalty = p
-
-
-class ModularPenalizedFunction(SubmodularFunction):
-    """Submodular base shifted by a (possibly signed) modular term.
-
-    Keeps submodularity of the base; used for difference-style objectives
-    f(X) - h(X) with h modular.
-    """
-
-    name = "modular-penalized"
-
-    def __init__(self, base: SubmodularFunction, penalty: np.ndarray):
-        penalty = np.asarray(penalty, dtype=float)
-        if penalty.shape != (base.n,):
-            raise InputError("penalty must have one weight per element")
-        if not np.all(np.isfinite(penalty)):
-            raise InputError("penalty weights must be finite")
-        super().__init__(base.n)
-        self.base = base
-        self.penalty = penalty
-
-    def _evaluate(self, idx):
-        return float(self.base._evaluate(idx) - self.penalty[idx].sum())
-
-    def _gain_add(self, j):
-        return float(self.base._gain_add(j) - self.penalty[j])
-
-    def _gains_add(self, idx):
-        gains = self.base._gains_add(idx)
-        return None if gains is None else gains - self.penalty[idx]
-
-    def _chain(self, order):
-        gains = self.base._chain(order)
-        if gains is None:
-            return None
-        self.base.memo = type(self.memo)(self.n, order)
-        return gains - self.penalty[order]
-
-    def _gain_remove(self, j):
-        return float(self.base._gain_remove(j) - self.penalty[j])
-
-    def _singleton(self, j):
-        return float(self.base._singleton(j) - self.penalty[j])
-
-    def _update(self, j):
-        self.base._update(j)
-        self.base.memo.add(j)
-
-    def _downdate(self, j):
-        self.base._downdate(j)
-        self.base.memo.remove(j)
-
-    def _rebuild(self, idx):
-        self.base.memo = type(self.memo)(self.n, idx)
-        self.base._rebuild(idx)
-
-    def _value_from_statistic(self):
-        idx = self.memo.to_indices()
-        return float(self.base._value_from_statistic() - self.penalty[idx].sum())
-
-    def _statistic(self):
-        return {f"base.{k}": v for k, v in self.base._statistic().items()}
-
-    def _spawn(self):
-        return ModularPenalizedFunction(self.base._spawn(), self.penalty)

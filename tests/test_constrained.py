@@ -181,7 +181,7 @@ def test_ds_zero_f_matches_local_search(rng):
 
 @pytest.mark.parametrize("variant", ["mod-mod", "sub-sup", "sup-sub"])
 def test_ds_value_oracle_matches_pm(variant):
-    # sub-sup and sup-sub drive the value-oracle f or g through a penalised wrapper's hooks
+    # sub-sup and sup-sub drive the value-oracle f or g through a penalty mixture's hooks
     f = zoo_instance("setcover", 14, seed=70)
     g = zoo_instance("faclocation", 14, seed=71)
     pm = ds_minimize(f.clone_detached(), g.clone_detached(), variant)

@@ -14,7 +14,7 @@ from submemo.core import (
     as_subset,
     wrap_value_oracle,
 )
-from submemo.functions import ModularPenalizedFunction
+from submemo.functions import ModularPenaltyData, make_function
 from conftest import zoo_instance
 
 
@@ -46,6 +46,24 @@ def test_subset_errors():
         Subset(3, [0, 0])
     with pytest.raises(InputError):
         as_subset(3, Subset(4, [0]))
+
+
+def test_subset_membership_of_a_non_id_is_false():
+    sub = Subset(4, [1, 2])
+    for probe in (1.5, 1.0, "x", None, -1, 4, (1,)):
+        assert probe not in sub
+    assert np.int64(2) in sub and True in sub  # integer ids, as a set sees them
+
+
+def test_modular_function_value_checks_ids():
+    m = ModularFunction(0.5, np.array([1.0, 2.0, 4.0]))
+    assert m.value([0, 2]) == 5.5
+    assert m.value(Subset(3, [1])) == 2.5
+    for bad in ([1.7], [0, 0], [3], [-1], ["a"]):
+        with pytest.raises(InputError):
+            m.value(bad)
+    with pytest.raises(InputError):
+        m.value(Subset(4, [0]))
 
 
 def test_counters_arithmetic():
@@ -195,15 +213,16 @@ def test_value_oracle_pending_accept_costs_nothing_extra():
 
 
 def test_value_oracle_hooks_drive_a_penalised_wrapper():
-    # a wrapper reaches its base through the hooks: answers match the
-    # statistic's, and each one is a metered oracle call on the base
+    # the penalty mixture reaches its value-oracle component through the
+    # hooks: answers match the statistic's, the component shares the
+    # mixture's memo, and its oracle calls land in the mixture's counters
     F = zoo_instance("faclocation", 10, seed=11)
     w = np.linspace(0.0, 0.9, 10)
-    pm = ModularPenalizedFunction(F.clone_detached(), w)
-    vo = ModularPenalizedFunction(wrap_value_oracle(F.clone_detached()), w)
+    pm = make_function(10, ModularPenaltyData(F.clone_detached(), w))
+    vo = make_function(10, ModularPenaltyData(wrap_value_oracle(F.clone_detached()), w))
     for P in (pm, vo):
         P.set_memo([1, 5])
-    base = vo.base.counters.copy()
+    base = vo.counters.copy()
     assert vo.gain_add(3) == pytest.approx(pm.gain_add(3), rel=1e-12)
     vo.update(3)  # accepts the pending probe: no second oracle call
     pm.update(3)
@@ -212,10 +231,26 @@ def test_value_oracle_hooks_drive_a_penalised_wrapper():
     vo.downdate(1)  # not the pending move: one fresh oracle call
     pm.downdate(1)
     assert vo.memo_value() == pytest.approx(pm.memo_value(), rel=1e-12)
-    assert vo.base.memo == vo.memo
-    delta = vo.base.counters - base
+    for _, child in vo.components:
+        assert child.memo is vo.memo and child.counters is vo.counters
+    delta = vo.counters - base
     assert delta.oracle_evals == 4
-    assert delta.gain_evals == 0
+    assert delta.gain_evals == 3
+
+
+def test_value_oracle_rebuild_is_metered_and_clones_start_at_zero():
+    F = zoo_instance("faclocation", 10, seed=12)
+    F.set_memo([2, 4, 8])
+    vo = wrap_value_oracle(F)
+    assert vo.counters == EvalCounters()  # filling the cached value is not metered
+    assert vo.memo == F.memo and vo.memo_value() == F.memo_value()
+    clone = vo.clone_detached()
+    assert clone.counters == EvalCounters() and clone.memo_value() == F.memo_value()
+    P = make_function(10, ModularPenaltyData(vo, np.ones(10)))
+    P.set_memo([1, 3])  # the mixture's rebuild is the component's oracle call
+    assert P.counters.as_dict() == {"oracle_evals": 1, "gain_evals": 0, "memo_updates": 0,
+                                    "memo_downdates": 0, "memo_rebuilds": 1}
+    assert P.clone_detached().counters == EvalCounters()
 
 
 def test_memoized_sweep_counter_accounting():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submemo import EvalCounters, InputError, PreconditionError, SubmodularFunction, wrap_value_oracle
-from submemo.functions import ModularPenalizedFunction
+from submemo.functions import MixtureFunction, ModularPenaltyData, make_function
 from submemo.functions.ragged import ragged_positions, ragged_sum
 from submemo.maximize import Cardinality, Knapsack, greedy_lazy, greedy_naive, randomized_greedy
 
@@ -18,9 +18,13 @@ BATCHED_KINDS = ("faclocation", "featurebased", "clusterconcave", "setcover")
 
 
 def _instance(kind: str, n: int, seed: int, penalised: bool):
-    F = zoo_instance(kind, n, seed=seed)
+    if kind == "nested":  # a penalty over a mixture: a three-level tree
+        F = MixtureFunction([(0.5, zoo_instance("faclocation", n, seed=seed)),
+                             (2.0, zoo_instance("setcover", n, seed=seed))])
+    else:
+        F = zoo_instance(kind, n, seed=seed)
     if penalised:
-        F = ModularPenalizedFunction(F, np.random.default_rng(seed).uniform(0.0, 2.0, n))
+        F = make_function(n, ModularPenaltyData(F, np.random.default_rng(seed).uniform(0.0, 2.0, n)))
     return F
 
 
@@ -32,7 +36,7 @@ def _subclasses(cls):
 
 def test_every_batched_class_is_in_the_instance_table():
     table = [_instance(kind, 20, 0, penalised) for kind in BATCHED_KINDS for penalised in (False, True)]
-    table += [F.base for F in table if isinstance(F, ModularPenalizedFunction)]
+    table += [child for F in table if isinstance(F, MixtureFunction) for _, child in F.components]
     batched = [cls for cls in _subclasses(SubmodularFunction) if "_gains_add" in cls.__dict__]
     assert batched
     for cls in batched:
@@ -55,7 +59,7 @@ _STEPS = st.lists(
 
 
 @given(
-    st.sampled_from(BATCHED_KINDS),
+    st.sampled_from(BATCHED_KINDS + ("nested",)),
     st.booleans(),
     st.integers(60, 200),
     st.integers(0, 2**16),
@@ -76,6 +80,15 @@ def test_batched_gains_equal_scalar_gains_bitwise(kind, penalised, n, seed, step
             size = (0, 1, 5, n // 3, n - 1, n)[x % 6]
             F.set_memo(np.random.default_rng(x).permutation(n)[:size].tolist())
         _assert_batch_is_scalar(F)
+
+
+def test_a_mixture_batches_only_when_every_component_does():
+    F = MixtureFunction([(1.0, zoo_instance("faclocation", 30, seed=5)),
+                         (1.0, zoo_instance("logdet", 30, seed=5))])
+    F.set_memo([2, 7])
+    assert F._gains_add(np.arange(10, 20)) is None
+    F.gains_ahead(range(10, 20))
+    assert not F._ahead
 
 
 def test_ragged_sum_is_each_segments_own_sum():

@@ -11,7 +11,9 @@ from submemo.bounds import _descending_order, extreme_point
 from submemo.functions import (
     FacilityLocationData,
     FacilityLocationFunction,
-    ModularPenalizedFunction,
+    MixtureFunction,
+    ModularPenaltyData,
+    default_tolerance,
     make_function,
     verify_statistic,
 )
@@ -33,8 +35,13 @@ def _sparse_facloc(n: int, seed: int):
 def _instance(kind: str, n: int, seed: int, penalised: bool):
     F = _sparse_facloc(n, seed) if kind == "sparse-faclocation" else zoo_instance(kind, n, seed=seed)
     if penalised:
-        F = ModularPenalizedFunction(F, np.random.default_rng(seed).uniform(0.0, 2.0, n))
+        F = make_function(n, ModularPenaltyData(F, np.random.default_rng(seed).uniform(0.0, 2.0, n)))
     return F
+
+
+def _base(F):
+    """The penalised function's base: the first component of its mixture."""
+    return F.components[0][1] if isinstance(F, MixtureFunction) else F
 
 
 def _subclasses(cls):
@@ -45,7 +52,7 @@ def _subclasses(cls):
 
 def test_every_chained_class_is_in_the_instance_table():
     table = [_instance(kind, 20, 0, penalised) for kind in CHAINED_KINDS for penalised in (False, True)]
-    table += [F.base for F in table if isinstance(F, ModularPenalizedFunction)]
+    table += [child for F in table if isinstance(F, MixtureFunction) for _, child in F.components]
     chained = [cls for cls in _subclasses(SubmodularFunction) if "_chain" in cls.__dict__]
     assert chained
     for cls in chained:
@@ -66,12 +73,11 @@ def _order(kind: str, n: int, seed: int) -> np.ndarray:
 
 def _state(F) -> dict:
     out = {k: v.copy() for k, v in F._statistic().items()}
-    base = F.base if isinstance(F, ModularPenalizedFunction) else F
+    base = _base(F)
     if hasattr(base, "_arg"):
         out["arg"], out["arg2"] = base._arg.copy(), base._arg2.copy()
     out["memo"] = list(F.memo.members)
-    if base is not F:
-        out["base.memo"] = list(base.memo.members)
+    assert base.memo is F.memo  # a component shares its mixture's memo
     return out
 
 
@@ -101,6 +107,56 @@ def test_chained_sweep_equals_the_scalar_loop_bitwise(kind, penalised, n, seed, 
     F = _instance(kind, n, seed, penalised)
     F.set_memo(np.random.default_rng(seed).permutation(n)[: n // 3].tolist())  # a sweep starts at ∅
     _assert_sweep_is_loop(F, _order(order_kind, n, seed))
+
+
+def _spy_chains(F) -> list:
+    seen = []
+    original = F._chain
+    F._chain = lambda order: seen.append(order.size) or original(order)
+    return seen
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_mixture_with_an_unchained_component_sweeps_as_the_loop(seed):
+    # facility location chains, log-det has no _chain: the mixture rebuilds
+    # the chained component at the empty set and runs the scalar loop
+    n = 40
+    F = MixtureFunction([(0.7, zoo_instance("faclocation", n, seed=seed)),
+                         (1.3, zoo_instance("logdet", n, seed=seed))])
+    F.set_memo(np.random.default_rng(seed).permutation(n)[: n // 3].tolist())
+    loop = F.clone_detached()
+    loop._chain = lambda order: None
+    chains = _spy_chains(F.components[0][1])
+    F.reset_counters()
+    order = np.random.default_rng(seed + 10).permutation(n)
+    got, want = F.sweep(order), loop.sweep(order)
+    assert chains == [n]  # the chained component did run, and was rolled back
+    assert [float(w).hex() for w in got] == [float(w).hex() for w in want]
+    assert F.counters == loop.counters
+    s_got, s_want = _state(F), _state(loop)
+    assert s_got.keys() == s_want.keys()
+    for key in s_want:
+        assert np.array_equal(s_got[key], s_want[key]), key
+    for j in order[: n // 2].tolist():
+        F.downdate(j)
+    assert verify_statistic(F).max_deviation <= default_tolerance(F)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_penalty_over_a_mixture_sweeps_as_the_loop(seed):
+    n = 60
+    inner = MixtureFunction([(0.5, zoo_instance("faclocation", n, seed=seed)),
+                             (2.0, zoo_instance("featurebased", n, seed=seed))])
+    P = make_function(n, ModularPenaltyData(inner, np.random.default_rng(seed).uniform(0.0, 2.0, n)))
+    leaves = [leaf for _, leaf in inner.components]
+    P.set_memo([3, 1, 4])
+    for node in [inner, *leaves]:
+        assert node.memo is P.memo and node.counters is P.counters
+    _assert_sweep_is_loop(P, np.random.default_rng(seed).permutation(n))
+    for j in range(0, n, 3):
+        P.downdate(j)
+    assert verify_statistic(P).max_deviation <= default_tolerance(P)
+    assert P.memo_value() == pytest.approx(P.evaluate(P.memo), rel=default_tolerance(P))
 
 
 def test_sparse_facility_location_leaves_unowned_records():
@@ -176,8 +232,7 @@ def test_value_oracle_sweeps_gain_by_gain():
 
 def _records(F) -> dict:
     """The raw top-2 arrays, read without any hook building owed records."""
-    base = F.base if isinstance(F, ModularPenalizedFunction) else F
-    return {k: getattr(base, k).copy() for k in ("_best", "_second", "_arg", "_arg2")}
+    return {k: getattr(_base(F), k).copy() for k in ("_best", "_second", "_arg", "_arg2")}
 
 
 def _read(how: str, F):
@@ -216,7 +271,7 @@ def test_owed_records_read_as_the_loop_leaves_them(kind, penalised, how):
         assert got == want
     # memo_value reads only the best record, and a clone rebuilds its own
     reads_records = how not in ("memo_value", "clone_detached")
-    assert ((F.base if penalised else F)._owed is None) == reads_records
+    assert (_base(F)._owed is None) == reads_records
     for key, arr in _records(loop).items():
         if reads_records or key == "_best":
             assert np.array_equal(_records(F)[key], arr), key

@@ -18,7 +18,7 @@ from submemo.functions import (
     LogDetData,
     MixtureData,
     ModularData,
-    ModularPenalizedFunction,
+    ModularPenaltyData,
     ProbabilisticSetCoverData,
     SaturatedCoverageData,
     SetCoverData,
@@ -432,7 +432,7 @@ def test_dispersion_values_and_small_set_normalization(rng):
 def test_modular_penalized_wrapper(rng):
     base = zoo_instance("featurebased", 8, seed=13)
     penalty = rng.normal(size=8)
-    F = ModularPenalizedFunction(base, penalty)
+    F = make_function(8, ModularPenaltyData(base, penalty))
     X = [1, 5, 6]
     fresh = zoo_instance("featurebased", 8, seed=13)
     assert F.evaluate(X) == pytest.approx(fresh.evaluate(X) - penalty[X].sum())

@@ -243,7 +243,8 @@ def _cmd_pair(args) -> int:
     payload.update(selected=res.members, objective=res.objective)
     if res.constraint_value is not None:  # SCSC and SCSK
         payload["constraint_value"] = res.constraint_value
-    payload.update(iterations=res.iterations, converged=res.converged, trace=res.trace)
+    payload.update(iterations=res.iterations, converged=res.converged, trace=res.trace,
+                   counters=res.counters.as_dict())
     _emit(args, payload)
     return 0
 

@@ -70,10 +70,8 @@ def supergradient_shrink(F: SubmodularFunction, X) -> ModularFunction:
     sub = as_subset(F.n, X)
     fx = F.value_at(sub)
     weights = np.empty(F.n)
-    outside = np.flatnonzero(~sub.mask).tolist()
-    F.gains_ahead(outside)
-    for j in outside:
-        weights[j] = F.gain_add(j)
+    outside = np.flatnonzero(~sub.mask)
+    weights[outside] = F.gains_add(outside)
     F.set_memo(range(F.n))
     inside_total = 0.0
     for j in sub.members:
@@ -145,9 +143,9 @@ def linear_oracle(F: SubmodularFunction, x, maximize: bool = True) -> ModularFun
 def chain_prefix_values(F: SubmodularFunction, x):
     """Extreme point at x plus the chain-set values its sweep passes through.
 
-    Returns (h, prefix) where prefix[i] = f of the first i elements of the
-    descending order of x; the chain sets are exactly the level sets of x,
-    so the best threshold set is free once the sweep is done.
+    Returns (h, order, prefix): prefix[i] = f of the first i elements of
+    ``order``, the descending order of x.  The chain sets are exactly the
+    level sets of x, so the best threshold set is free after the sweep.
     """
     x = np.asarray(x, dtype=float)
     order = _descending_order(x)

@@ -27,6 +27,7 @@ import numpy as np
 from .bounds import bound_rounds, subgradient_at, tight_upper_bounds
 from .core import (
     ABS_TOL,
+    EvalCounters,
     InputError,
     ModularFunction,
     NonConvergenceError,
@@ -47,14 +48,22 @@ def _check_pair(f: SubmodularFunction, g: SubmodularFunction) -> None:
         raise InputError("f and g must share the ground set")
 
 
+def _total(*counters: EvalCounters) -> EvalCounters:
+    """Sum of the counters, each object once (f and g may be one instance)."""
+    return sum({id(c): c for c in counters}.values(), EvalCounters())
+
+
 @dataclass
 class IterativeResult:
+    """``counters`` covers f, g and every instance an inner solve built."""
+
     selected: Subset
     objective: float
     constraint_value: float | None
     trace: list
     iterations: int
     converged: bool
+    counters: EvalCounters
     stats: dict = field(default_factory=dict)
 
     @property
@@ -102,6 +111,7 @@ def submodular_set_cover(g: SubmodularFunction, cost, c: float) -> IterativeResu
         trace=trace,
         iterations=len(trace),
         converged=covered >= c - tol,
+        counters=g.counters.copy(),
         stats={"cost_floored": bool(np.any(weights < _COST_FLOOR))},
     )
 
@@ -134,6 +144,7 @@ def scsc_solve(
         trace=[obj for obj, _ in rounds],
         iterations=len(rounds),
         converged=converged,
+        counters=_total(f.counters, g.counters),
     )
 
 
@@ -170,6 +181,7 @@ def scsk_solve(
         trace=[obj for obj, _ in rounds],
         iterations=len(rounds),
         converged=converged,
+        counters=_total(f.counters, g.counters),
     )
 
 
@@ -191,6 +203,7 @@ def ds_minimize(
     if variant not in DS_VARIANTS:
         raise InputError("variant must be 'sub-sup', 'sup-sub' or 'mod-mod'")
     _check_pair(f, g)
+    inner = []  # the counters of each inner solve
 
     def objective(members) -> float:
         return f.value_at(members) - g.value_at(members)
@@ -203,15 +216,14 @@ def ds_minimize(
                 res = min_norm_point(shifted, tol=1e-9)
             except NonConvergenceError as err:
                 res = err.result
+            inner.append(shifted.counters)
             return [res.minimizer_min.members, res.minimizer_max.members]
         if variant == "sup-sub":
-            return [
-                local_search_usm(
-                    make_function(g.n, ModularPenaltyData(g._spawn(), bound.weights)),
-                    start=current,
-                ).members
-                for bound in tight_upper_bounds(f, current)
-            ]
+            mixtures = [make_function(g.n, ModularPenaltyData(g._spawn(), bound.weights))
+                        for bound in tight_upper_bounds(f, current)]
+            runs = [local_search_usm(F, start=current) for F in mixtures]
+            inner.extend(res.counters for res in runs)
+            return [res.members for res in runs]
         h = subgradient_at(g, current)  # mod-mod
         return [
             [int(j) for j in np.flatnonzero(bound.weights - h.weights < 0.0)]
@@ -236,5 +248,6 @@ def ds_minimize(
         trace=trace,
         iterations=len(rounds),
         converged=converged,
+        counters=_total(f.counters, g.counters, *inner),
         stats={"variant": variant},
     )

@@ -8,26 +8,22 @@ through the public methods below, which keeps the counter accounting exact:
 ``gain_add`` / ``gain_remove`` / ``gain_singleton`` answer marginal values
 from the live statistic.
 
-``gains_ahead(cands)`` lets a round that reads every candidate of a pool
-compute those add gains in one ``_gains_add`` hook call.  It charges
-nothing: each kept gain is charged one ``gain_evals`` when ``gain_add``
-reads it, so the counters are the same as for scalar reads.  Any change
-of the statistic (``update``, ``downdate``, ``set_memo``) drops what is
-still kept, so a kept gain is never read stale.  Classes without a
-batched hook keep nothing, and ``ValueOracleFunction`` keeps nothing by
-design: a value-oracle gain stays one oracle call.
+``gains_add(cands)`` reads the add gains of every id in ``cands``: one
+``_gains_add`` hook call hands its answers to ``gain_add`` in ``_ahead``,
+and each gain is still read and charged there, so counters and traced
+calls are those of scalar reads.  ``_ahead`` is empty outside
+``gains_add`` and ``sweep``.  ``ValueOracleFunction`` has no batched hook
+by design: a value-oracle gain stays one oracle call.
 
 ``sweep(order)`` is the extreme-point sweep: the gain of each element of
-``order`` on top of the elements before it.  It is charged and traced as
-``set_memo(())`` plus one ``gain_add``/``update`` pair per element, and
-the memo ends at V in ``order``.  A class with a ``_chain`` hook computes
-the whole chain and the full-set statistic in one call; the public pairs
-still run, reading the chain's gains as kept gains and skipping
-``_update`` (the hook already moved the statistic).  They stay because
-the benchmark's traced run checks one public call per charged gain and
-update against the counters.  Classes without the hook run the pairs as
-a plain loop, and ``ValueOracleFunction`` does so by design: each of its
-gains is one oracle call on the prefix, which is the baseline measured.
+``order`` on top of the elements before it, charged and traced as
+``set_memo(())`` plus one ``gain_add``/``update`` pair per element; the
+memo ends at V in ``order``.  A ``_chain`` hook computes the whole chain
+and the full-set statistic in one call; its gains go to ``_ahead``, and
+``update`` skips ``_update``.  The pairs stay because the benchmark's
+traced run checks one public call per charged gain and update against the
+counters.  Without the hook each gain is computed on the prefix, for
+``ValueOracleFunction`` one oracle call each: the baseline measured.
 
 The per-element methods (``gain_add``, ``gain_remove``, ``gain_singleton``,
 ``update``, ``downdate``) accept a plain ``int`` in range without calling
@@ -294,7 +290,7 @@ class SubmodularFunction(ABC):
         self.n = int(n)
         self.memo = Subset(self.n)
         self.counters = EvalCounters()
-        self._ahead: dict[int, float] = {}  # add gains kept by gains_ahead
+        self._ahead: dict[int, float] = {}  # hook gains handed to gain_add
         self._chained = False  # inside a sweep whose _chain moved the statistic
 
     # ------------------------------------------------------------------
@@ -317,19 +313,25 @@ class SubmodularFunction(ABC):
         g = self._ahead.pop(j, None)
         return self._gain_add(j) if g is None else g
 
-    def gains_ahead(self, cands) -> None:
-        """Compute the add gains of ``cands`` in one hook call and keep them.
+    def gains_add(self, cands) -> np.ndarray:
+        """``gain_add`` of every id in ``cands``, computed in one hook call.
 
-        Ids are checked as ``gain_add`` checks them.  Nothing is charged
-        here: ``gain_add`` charges each kept gain when it reads it.  The
-        next statistic change drops whatever is still kept.
+        Ids are checked as ``gain_add`` checks them, and each gain is read
+        and charged through ``gain_add``.
         """
         idx = check_ids(cands, self.n)
         held = idx[self.memo.mask[idx]]
         if held.size:
-            raise PreconditionError(f"gains_ahead: element {held[0]} already memoized")
+            raise PreconditionError(f"gains_add: element {held[0]} already memoized")
         gains = self._gains_add(idx)
-        self._ahead = {} if gains is None else dict(zip(idx.tolist(), gains.tolist()))
+        ids = idx.tolist()
+        try:
+            if gains is not None:
+                self._ahead = dict(zip(ids, gains.tolist()))
+            gain_add = self.gain_add
+            return np.array([gain_add(j) for j in ids], dtype=float)
+        finally:
+            self._ahead.clear()
 
     def gain_remove(self, j) -> float:
         """f(memo) - f(memo - j) from the live statistic (read-only)."""
@@ -358,7 +360,6 @@ class SubmodularFunction(ABC):
         if self.memo._flags[j]:
             raise PreconditionError(f"update: element {j} already memoized")
         self.counters.memo_updates += 1
-        self._ahead.clear()
         if not self._chained:
             self._update(j)
         memo = self.memo  # j is checked: grow it without Subset.add's checks
@@ -372,7 +373,6 @@ class SubmodularFunction(ABC):
         if not self.memo._flags[j]:
             raise PreconditionError(f"downdate: element {j} not memoized")
         self.counters.memo_downdates += 1
-        self._ahead.clear()
         self._downdate(j)
         memo = self.memo
         memo._members.remove(j)
@@ -382,7 +382,6 @@ class SubmodularFunction(ABC):
         """Point the memo at X and rebuild the statistic from scratch."""
         sub = as_subset(self.n, X)
         self.counters.memo_rebuilds += 1
-        self._ahead.clear()
         self.memo = sub.copy() if sub is X else sub
         self._rebuild(self.memo.to_indices())
 
@@ -397,23 +396,21 @@ class SubmodularFunction(ABC):
         """
         order = check_permutation(self.n, order)
         self.set_memo(())
-        gains = self._chain(order)
-        gain_add, update, ahead = self.gain_add, self.update, self._ahead
+        ids = order.tolist()
+        gain_add, update = self.gain_add, self.update
         got = []
         put = got.append
-        if gains is None:
-            for j in order.tolist():
+        try:
+            gains = self._chain(order)
+            if gains is not None:
+                self._ahead = dict(zip(ids, gains.tolist(), strict=True))
+                self._chained = True
+            for j in ids:
                 put(gain_add(j))
                 update(j)
-        else:
-            self._chained = True
-            try:
-                for j, g in zip(order.tolist(), gains.tolist(), strict=True):
-                    ahead[j] = g
-                    put(gain_add(j))
-                    update(j)
-            finally:
-                self._chained = False
+        finally:
+            self._chained = False
+            self._ahead.clear()
         weights = np.empty(self.n)
         weights[order] = got
         return weights

@@ -22,6 +22,7 @@ from .core import (
     InputError,
     Subset,
     SubmodularFunction,
+    check_ids,
     check_permutation,
 )
 
@@ -111,6 +112,11 @@ def _best_singleton_swap(F, c: Knapsack, pool, result: MaximizationResult) -> Ma
     return result
 
 
+def _pool(F: SubmodularFunction, pool) -> np.ndarray:
+    """The pool's distinct checked ids in ascending order; all ids if None."""
+    return np.arange(F.n, dtype=np.intp) if pool is None else np.unique(check_ids(pool, F.n))
+
+
 def greedy_naive(F: SubmodularFunction, c: Constraint) -> MaximizationResult:
     """Plain greedy: add the feasible element of best gain until saturated.
 
@@ -129,14 +135,12 @@ def greedy_naive(F: SubmodularFunction, c: Constraint) -> MaximizationResult:
         cands = np.flatnonzero(~F.memo.mask)
         if knapsack:
             cands = cands[c.costs[cands] <= c.budget - spent + ABS_TOL]
-        F.gains_ahead(cands)
-        best_j, best_gain, best_key = None, None, -math.inf
-        for j in cands.tolist():
-            g = F.gain_add(j)
-            key = g / c.costs[j] if knapsack else g
-            if key > best_key:
-                best_j, best_gain, best_key = j, g, key
-        if best_j is None or best_gain <= -ABS_TOL:
+        if not cands.size:
+            break
+        gains = F.gains_add(cands)
+        best = int(np.argmax(gains / c.costs[cands] if knapsack else gains))
+        best_j, best_gain = int(cands[best]), float(gains[best])
+        if best_gain <= -ABS_TOL:
             break
         F.update(best_j)
         trace.append((best_j, best_gain))
@@ -151,8 +155,8 @@ def greedy_naive(F: SubmodularFunction, c: Constraint) -> MaximizationResult:
 def lazy_argmax(F: SubmodularFunction, pool, key, skip=None):
     """Stale-bound priority queue shared by the lazy greedy loops.
 
-    Builds the heap at call time from one ``gain_add`` per pool element,
-    all computed in one ``gains_ahead`` call, then returns an iterator over
+    Builds the heap at call time from the pool's gains, read in one
+    ``gains_add`` call, then returns an iterator over
     ``(j, gain, recomputes)``: j is the best element under the (key(gain,
     j) descending, id ascending) order, its gain is fresh at the current
     memo set, and ``recomputes`` counts the stale gains re-evaluated to
@@ -163,11 +167,7 @@ def lazy_argmax(F: SubmodularFunction, pool, key, skip=None):
     element.  ``skip(j)`` discards a popped element before its gain is
     recomputed.
     """
-    heap = []
-    F.gains_ahead(pool)
-    for j in pool:
-        g = F.gain_add(j)
-        heap.append((-key(g, j), j, len(F.memo), g))
+    heap = [(-key(g, j), j, len(F.memo), g) for j, g in zip(pool, F.gains_add(pool).tolist())]
     heapq.heapify(heap)
 
     def pops():
@@ -198,7 +198,7 @@ def greedy_lazy(F: SubmodularFunction, c: Constraint, pool=None) -> Maximization
     A repeated pool id counts once.
     """
     _validate_constraint(F, c)
-    pool = list(range(F.n)) if pool is None else sorted(set(pool))
+    pool = _pool(F, pool).tolist()
     F.set_memo(())
     knapsack = isinstance(c, Knapsack)
     spent = 0.0
@@ -240,13 +240,7 @@ def greedy_stochastic(
     _validate_constraint(F, Cardinality(k))
     if not 0.0 < eps < 1.0:
         raise InputError("eps must lie in (0, 1)")
-    if pool is None:
-        pool = np.arange(F.n, dtype=np.intp)
-    else:
-        pool = np.unique(np.asarray(list(pool)))
-        if pool.size and (pool.dtype.kind not in "iu" or pool.min() < 0 or pool.max() >= F.n):
-            raise InputError(f"pool ids must be integers in [0, {F.n})")
-        pool = pool.astype(np.intp)
+    pool = _pool(F, pool)
     rng = np.random.default_rng(seed)
     sample_size = math.ceil((F.n / k) * math.log(1.0 / eps))
     F.set_memo(())
@@ -272,7 +266,7 @@ def sieve_streaming(
 ) -> MaximizationResult:
     """Single-pass streaming maximization with a geometric threshold grid.
 
-    A detached clone (own statistic) lives per active threshold v; element e
+    A fresh instance (own statistic) lives per active threshold v; element e
     joins v's set when the set is below k and the gain clears
     (v/2 - f(S_v)) / (k - |S_v|).  The grid {(1+eps)^i} tracks the running
     best singleton m within [m, 2km]; sets of pruned thresholds are dropped.
@@ -281,11 +275,9 @@ def sieve_streaming(
     if not 0.0 < eps < 1.0:
         raise InputError("eps must lie in (0, 1)")
     order = list(range(F.n)) if stream is None else list(stream)
-    prober = F.clone_detached()
-    prober.set_memo(())
-    prober.reset_counters()
+    prober = F._spawn()
     live: dict[int, SubmodularFunction] = {}
-    retired: list[EvalCounters] = []  # counters of pruned thresholds' clones
+    retired: list[EvalCounters] = []  # counters of pruned thresholds' instances
     m = 0.0
     log1e = math.log1p(eps)
 
@@ -305,10 +297,7 @@ def sieve_streaming(
             retired.append(live.pop(i).counters)
         for i in range(lo, hi + 1):
             if i not in live:
-                inst = F.clone_detached()
-                inst.set_memo(())
-                inst.reset_counters()
-                live[i] = inst
+                live[i] = F._spawn()
         for i, inst in live.items():
             if len(inst.memo) >= k or e in inst.memo:
                 continue
@@ -350,9 +339,7 @@ def distributed_greedy(
     best_part = None
     results = []
     for part in parts:
-        clone = F.clone_detached()
-        clone.set_memo(())
-        res = greedy_lazy(clone, Cardinality(min(k, len(part))), pool=part)
+        res = greedy_lazy(F._spawn(), Cardinality(min(k, len(part))), pool=part)
         union.extend(res.members)
         results.append(res)
         if best_part is None or res.value > best_part.value:
@@ -455,8 +442,7 @@ def randomized_greedy(F: SubmodularFunction, k: int, seed: int = 0) -> Maximizat
     dummies = 0
     for _ in range(k):
         cands = np.flatnonzero(~F.memo.mask)
-        F.gains_ahead(cands)
-        gains = [(F.gain_add(j), j) for j in cands.tolist()]
+        gains = list(zip(F.gains_add(cands).tolist(), cands.tolist()))
         gains.sort(key=lambda t: (-t[0], t[1]))
         slots = [(g, j) for g, j in gains if g > 0.0][:k]
         pick = int(rng.integers(k))
@@ -476,8 +462,9 @@ def minorize_maximize(F: SubmodularFunction, c: Constraint, seed: int = 0) -> Ma
 
     Each round builds the extreme point tight at the current set (current
     members first, then the rest, each in a fresh seeded random order),
-    solves the modular problem under the constraint exactly, and keeps the
-    result; the objective never decreases.
+    solves the modular problem under the constraint (``_modular_maximize``,
+    a heuristic for a knapsack above n = 20), and keeps the result; the
+    objective never decreases.
     """
     _validate_constraint(F, c)
     rng = np.random.default_rng(seed)
@@ -498,7 +485,9 @@ def minorize_maximize(F: SubmodularFunction, c: Constraint, seed: int = 0) -> Ma
 
 
 def _modular_maximize(h, c: Constraint) -> list:
-    """Exact modular maximization under the constraint (small-n knapsack)."""
+    """Modular maximization under the constraint: exact under a cardinality
+    and for a knapsack up to n = 20 (all 2^n subsets); above that, ratio
+    greedy or the best feasible singleton, a heuristic."""
     w = h.weights
     n = w.shape[0]
     if isinstance(c, Cardinality):

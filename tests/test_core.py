@@ -11,6 +11,8 @@ from submemo.core import (
     ModularFunction,
     PreconditionError,
     Subset,
+    SubmodularFunction,
+    ValueOracleFunction,
     as_subset,
     wrap_value_oracle,
 )
@@ -265,3 +267,20 @@ def test_memoized_sweep_counter_accounting():
     delta = F.counters - base
     assert delta.gain_evals == F.n - len(X)
     assert delta.oracle_evals == 0
+
+
+def test_contract_method_surface():
+    # pins the public methods, so a new contract method is a deliberate edit
+    def public(cls, names=None):
+        names = dir(cls) if names is None else names
+        return sorted(n for n in names if not n.startswith("_") and callable(getattr(cls, n)))
+
+    assert public(SubmodularFunction) == [
+        "clone_detached", "downdate", "evaluate", "gain_add", "gain_remove", "gain_singleton",
+        "gains_add", "memo_value", "reset_counters", "set_memo", "sweep", "update", "value_at",
+    ]
+    assert public(ValueOracleFunction) == public(SubmodularFunction)
+    # the value-oracle class answers these itself
+    assert public(ValueOracleFunction, vars(ValueOracleFunction)) == [
+        "downdate", "gain_add", "gain_remove", "gain_singleton", "set_memo", "update",
+    ]

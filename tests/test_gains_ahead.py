@@ -1,4 +1,4 @@
-"""Batched add gains: ``_gains_add`` hooks, the ``gains_ahead`` contract, and
+"""Batched add gains: ``_gains_add`` hooks, the ``gains_add`` contract, and
 greedy runs with and without batching."""
 
 import numpy as np
@@ -87,7 +87,8 @@ def test_a_mixture_batches_only_when_every_component_does():
                          (1.0, zoo_instance("logdet", 30, seed=5))])
     F.set_memo([2, 7])
     assert F._gains_add(np.arange(10, 20)) is None
-    F.gains_ahead(range(10, 20))
+    got = F.gains_add(range(10, 20))
+    assert got.tolist() == [F.clone_detached().gain_add(j) for j in range(10, 20)]
     assert not F._ahead
 
 
@@ -123,8 +124,8 @@ def test_kept_gain_is_never_read_stale(kind, change):
     F = zoo_instance(kind, 40, seed=3)
     F.set_memo([1, 2, 3])
     outside = np.flatnonzero(~F.memo.mask)
-    F.gains_ahead(outside)
-    kept = dict(F._ahead)
+    before = F.gains_add(outside)
+    assert not F._ahead  # nothing outlives the call
     if change == "update":
         F.update(int(outside[0]))
     elif change == "downdate":
@@ -132,14 +133,14 @@ def test_kept_gain_is_never_read_stale(kind, change):
     else:
         F.set_memo([5, 6])
     fresh = F.clone_detached()
-    readable = [int(j) for j in outside if j not in F.memo]
-    got = [F.gain_add(j) for j in readable]
-    assert got == [fresh.gain_add(j) for j in readable]
+    readable = np.asarray([j for j in outside if j not in F.memo])
+    got = F.gains_add(readable)
+    assert got.tolist() == [fresh.gain_add(int(j)) for j in readable]
     # the statistic change moved some gain, so a stale read would show
-    assert any(kept[j] != g for j, g in zip(readable, got))
+    assert not np.array_equal(before[np.isin(outside, readable)], got)
 
 
-def test_gains_ahead_checks_ids_as_gain_add_does():
+def test_gains_add_checks_ids_as_gain_add_does():
     F = zoo_instance("faclocation", 10, seed=1)
     F.set_memo([4])
     for bad, error in (([1.5], InputError), (["a"], InputError), ([-1], InputError),
@@ -147,25 +148,28 @@ def test_gains_ahead_checks_ids_as_gain_add_does():
         with pytest.raises(error):
             F.gain_add(bad[-1])
         with pytest.raises(error):
-            F.gains_ahead(bad)
+            F.gains_add(bad)
         with pytest.raises(error):
-            F.gains_ahead(np.asarray(bad))
+            F.gains_add(np.asarray(bad))
     assert F.counters.gain_evals == 0
-    F.gains_ahead([])
-    F.gains_ahead([True, np.int32(2), np.uint8(3)])
-    assert sorted(F._ahead) == [1, 2, 3]
+    assert F.gains_add([]).shape == (0,)
+    got = F.gains_add([True, np.int32(2), np.uint8(3)])
+    assert got.tolist() == [F.gain_add(j) for j in (1, 2, 3)]
 
 
 def test_counters_move_only_on_reads():
-    F = zoo_instance("setcover", 30, seed=2)
-    F.set_memo([0])
-    before = F.counters.copy()
-    F.gains_ahead(range(1, 30))
-    assert F.counters == before
-    scalar = F.clone_detached()
-    for j in (5, 9, 9):
-        assert F.gain_add(j) == scalar.gain_add(j)
-    assert F.counters - before == EvalCounters(gain_evals=3)
+    # gains_add is gain_add over the ids, bitwise, charged one gain per id
+    # (a repeat too), with and without a batched hook
+    for F in (zoo_instance("setcover", 30, seed=2), zoo_instance("logdet", 30, seed=2),
+              _instance("faclocation", 30, 2, penalised=True)):
+        F.set_memo([0])
+        scalar = F.clone_detached()
+        before = F.counters.copy()
+        cands = [5, 9, 9, *range(10, 30)]
+        got = F.gains_add(cands)
+        assert [g.hex() for g in got.tolist()] == [scalar.gain_add(j).hex() for j in cands]
+        assert F.counters - before == EvalCounters(gain_evals=len(cands))
+        assert not F._ahead
 
 
 def test_value_oracle_keeps_nothing_and_pays_per_gain():
@@ -174,12 +178,23 @@ def test_value_oracle_keeps_nothing_and_pays_per_gain():
     calls = []
     inner = V._inner._evaluate
     V._inner._evaluate = lambda idx: calls.append(idx) or inner(idx)
-    V.gains_ahead(range(12))
-    assert V.counters.oracle_evals == 0 and not calls and not V._ahead
-    for j in range(12):
-        V.gain_add(j)
-    assert V.counters.oracle_evals == 12 == len(calls)
+    got = V.gains_add(range(12))
+    assert V.counters.oracle_evals == 12 == len(calls) and not V._ahead
     assert V.counters.gain_evals == 0
+    assert np.allclose(got, [F.gain_add(j) for j in range(12)], rtol=1e-12)
+
+
+def test_nothing_is_handed_on_after_a_call():
+    # the chained sweep and a plain gains_add are checked where they are tested
+    L = zoo_instance("logdet", 12, seed=6)
+    L.sweep(range(12))  # no _chain hook: one gain at a time
+    assert not L._ahead and not L._chained
+    F = zoo_instance("featurebased", 30, seed=6)
+    reads = []
+    F.gain_add = lambda j: reads.append(j) or (1 / 0 if len(reads) == 2 else 0.0)
+    with pytest.raises(ZeroDivisionError):  # a read that raises half way
+        F.gains_add(range(5))
+    assert reads == [0, 1] and not F._ahead
 
 
 def _knapsack(n: int, seed: int) -> Knapsack:

@@ -193,11 +193,14 @@ def test_stochastic_duplicated_pool_equals_deduplicated():
     assert got.counters == want.counters and got.counters.gain_evals == 9
 
 
-@pytest.mark.parametrize("pool", [[0, -1, 3], [2, 10], [1.0, 2.0]])
+@pytest.mark.parametrize("pool", [[0, -1, 3], [2, 10], [1.0, 2.0], [1, "a"], [1, None]])
 def test_stochastic_rejects_bad_pool(pool):
+    # lazy greedy shares the pool rule
     F = zoo_instance("setcover", 10, seed=48)
     with pytest.raises(InputError):
         greedy_stochastic(F, k=2, pool=pool)
+    with pytest.raises(InputError):
+        greedy_lazy(F, Cardinality(2), pool=pool)
 
 
 def test_stochastic_gain_eval_budget():

@@ -209,7 +209,7 @@ def test_update_after_a_sweep_moves_the_statistic(failure):
     else:
         F.sweep(range(60))
         assert seen == []
-    assert not F._chained
+    assert not F._chained and not F._ahead
     F.set_memo([1, 2])
     F.update(7)
     assert seen == [7]

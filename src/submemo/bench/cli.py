@@ -18,6 +18,8 @@ solvers of ``submemo.constrained`` directly.  Exit codes: 0 success, 2
 input error (an out-of-range ``--k`` or ``--budget-frac`` included, and a
 ``--max-iters`` or ``--audit-rounds`` below 1), 3 solver non-convergence,
 4 failed check (a ``validate`` row FAILs or a ``bench`` cell errors).
+Every JSON result carries ``runner.run_metadata()`` under ``meta``, with
+n and, where the command takes one, the seed.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from .runner import (
     modes_for,
     run_experiment,
     run_gradient,
+    run_metadata,
 )
 from .synthetic import gen_synthetic
 
@@ -158,7 +161,13 @@ def _build(spec: str):
     return name, make_function(n, data)
 
 
-def _emit(args, payload: dict) -> None:
+def _emit(args, payload: dict, n: int) -> None:
+    """Print the payload as JSON, and write it to ``--out``, with the run's
+    metadata under ``meta``."""
+    meta = {**run_metadata(), "n": n}
+    if hasattr(args, "seed"):  # maximize and gradients take --seed
+        meta["seed"] = args.seed
+    payload["meta"] = meta
     text = json.dumps(payload, indent=2, default=_json_default)
     if args.out:
         out = Path(args.out)
@@ -213,7 +222,7 @@ def _cmd_solve(args) -> int:
             duality_gap=res.duality_gap,
             counters=res.counters.as_dict(),
         )
-    _emit(args, payload)
+    _emit(args, payload, inst.n)
     return 0
 
 
@@ -245,7 +254,7 @@ def _cmd_pair(args) -> int:
         payload["constraint_value"] = res.constraint_value
     payload.update(iterations=res.iterations, converged=res.converged, trace=res.trace,
                    counters=res.counters.as_dict())
-    _emit(args, payload)
+    _emit(args, payload, f.n)
     return 0
 
 
@@ -267,7 +276,7 @@ def _cmd_gradients(args) -> int:
             for task in GRADIENT_TASKS
         )
     payload["weights"] = weights
-    _emit(args, payload)
+    _emit(args, payload, base.n)
     return 0
 
 

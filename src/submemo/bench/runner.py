@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import platform
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -62,6 +63,30 @@ ALGORITHMS = {**MAXIMIZE_ALGORITHMS, **MINIMIZE_ALGORITHMS}
 
 GRADIENTS = "gradients"
 GRADIENT_TASKS = ("subgradient", "supergradient")
+
+
+# the checkout this file runs from: src/submemo/bench/runner.py -> its root
+_CHECKOUT = Path(__file__).resolve().parents[3]
+
+
+def run_metadata() -> dict:
+    """The git sha of the checkout this package runs from, and the numpy
+    and Python versions.  The sha is read from ``.git`` directly; it is
+    None outside a checkout or when HEAD names no commit."""
+    git = _CHECKOUT / ".git"
+    sha = None
+    if (git / "HEAD").is_file():
+        head = (git / "HEAD").read_text(encoding="utf-8").strip()
+        ref = head[5:] if head.startswith("ref: ") else None
+        if ref is None:
+            sha = head
+        elif (git / ref).is_file():
+            sha = (git / ref).read_text(encoding="utf-8").strip()
+        elif (git / "packed-refs").is_file():
+            for line in (git / "packed-refs").read_text(encoding="utf-8").splitlines():
+                if line.endswith(" " + ref):
+                    sha = line.split()[0]
+    return {"git_sha": sha, "numpy": np.__version__, "python": platform.python_version()}
 
 
 def kind_of(algorithm: str) -> str:
@@ -229,6 +254,8 @@ def write_reports(cfg: ExperimentConfig, records: list[TimingRecord], out_dir) -
         "seed": cfg.seed,
         "records": [asdict(r) for r in records],
         "speedups": speedup_ratios(records),
+        "meta": {**run_metadata(), "n": {name: F.n for name, F in cfg.functions},
+                 "seed": cfg.seed},
     }
     (out / "report.json").write_text(json.dumps(payload, indent=2), encoding="utf-8")
 

@@ -392,7 +392,9 @@ class SubmodularFunction(ABC):
         Charged as ``set_memo(())`` plus one ``gain_add``/``update`` pair
         per element; the memo ends at V.  A ``_chain`` hook computes the
         gains and the final statistic in one call, and the pairs then only
-        book them.
+        book them.  If anything raises after the first ``set_memo(())``, a
+        second, charged ``set_memo(())`` brings the memo and the statistic
+        back to ∅ together before the error propagates.
         """
         order = check_permutation(self.n, order)
         self.set_memo(())
@@ -408,6 +410,9 @@ class SubmodularFunction(ABC):
             for j in ids:
                 put(gain_add(j))
                 update(j)
+        except BaseException:
+            self.set_memo(())
+            raise
         finally:
             self._chained = False
             self._ahead.clear()

@@ -6,8 +6,10 @@ for the other two.  The matrix is stored column-contiguously (``cols[j]``
 is the similarity of every i to j) because gains and updates touch whole
 columns.  A facility-location downdate costs O(|X| * |affected rows|): it
 reads only the entries of the rows whose best or second member left, and a
-rebuild reads the |X| x n entries in blocks of rows.  After an
-extreme-point chain only the best records are current; the second-best
+rebuild reads the |X| x n entries in blocks of rows.  An extreme-point
+chain runs the best records' running maximum in blocks of chain
+positions and reads a block's gains off it with one subtract and one row
+sum.  After a chain only the best records are current; the second-best
 and owner records are owed, and the hooks that read them
 (``_gain_remove``, ``_update``, ``_downdate``, ``_statistic``) build them
 first.  The row-sum statistic lives once, in ``_RowSumFunction``, which
@@ -34,6 +36,13 @@ _EVAL_BLOCK = 64
 # Candidate rows per block of a batched gain: 64 x n floats, 768 KB at
 # n = 1500, so the block stays in L2 through the subtract, clip and sum.
 _GAIN_BLOCK = 64
+# Chain positions per block of an extreme-point chain.  The running maximum
+# (B + 1 rows, the first carrying the best records in) and its differences
+# (B rows) share the kept _GAIN_BLOCK-row block.  At n = 1500 on a 2-vCPU
+# x86-64 host (seed 7, 40 interleaved trials, median per sweep) a loop of
+# three numpy calls per element took 12.5 ms, B = 16/24/31 8.5-8.7 ms, and
+# B = 64 in a separate block 9.7 ms.
+_CHAIN_BLOCK = (_GAIN_BLOCK - 1) // 2
 
 
 def _validated_square(matrix, require_symmetric: bool, what: str) -> np.ndarray:
@@ -105,12 +114,14 @@ class FacilityLocationFunction(SubmodularFunction):
     those entries.  A rebuild recomputes every row the same way, a block of
     consecutive rows at a time, so its temporary stays |X| x block.
 
-    ``_chain`` leaves only ``_best`` current and keeps the chain order as
-    records owed.  ``_gain_remove``, ``_update``, ``_downdate`` and
-    ``_statistic`` build them first (``_build_owed``); ``_rebuild`` drops
-    them.  The add gains and the value read ``_best`` alone, so Lovász
-    descent and min-norm-point, whose next sweep starts with a rebuild,
-    never build them.
+    ``_chain`` runs the best records' running maximum in blocks of
+    ``_CHAIN_BLOCK`` chain positions: one ``np.maximum`` per element, one
+    subtract and one row sum per block.  It leaves only ``_best`` current
+    and keeps the chain order as records owed.  ``_gain_remove``,
+    ``_update``, ``_downdate`` and ``_statistic`` build them first
+    (``_build_owed``); ``_rebuild`` drops them.  The add gains and the
+    value read ``_best`` alone, so Lovász descent and min-norm-point, whose
+    next sweep starts with a rebuild, never build them.
     """
 
     name = "facility-location"
@@ -125,8 +136,9 @@ class FacilityLocationFunction(SubmodularFunction):
         self._arg2 = np.full(n, -1, dtype=np.intp)
         self._owed = None  # chain order whose records past _best are not built yet
         self._buf = np.empty(n)
-        # kept, not reallocated per call: a fresh 768 KB block per batch
-        # raised peak RSS by 17 MB over a 40 s greedy-pm benchmark run (seed 1)
+        # kept for _gains_add and _chain, not reallocated per call: a fresh
+        # 768 KB block per batch raised peak RSS by 17 MB over a 40 s
+        # greedy-pm benchmark run (seed 1)
         self._block = np.empty((_GAIN_BLOCK, n))
 
     def _evaluate(self, idx):
@@ -156,26 +168,39 @@ class FacilityLocationFunction(SubmodularFunction):
         return out
 
     def _chain(self, order):
-        """Chain gains off the running best record; the rest of the records
-        at V stay owed.
+        """Chain gains off the running best record, ``_CHAIN_BLOCK``
+        positions at a time; the rest of the records at V stay owed.
 
-        Each gain is ``sum(max(best, col) - best)``, bitwise the scalar
-        ``sum(max(col - best, 0))``: both are ``col - best`` where col
-        beats best and 0 elsewhere.  Three numpy calls per element against
-        twelve for a gain and an update.  The running maximum is ``_best``
-        at V (a max is exact).  ``_second``, ``_arg`` and ``_arg2`` are
-        built by ``_chain_records`` only when a hook reads them; a sweep
-        followed by another sweep or a ``set_memo`` never builds them.
+        Row r of ``run`` is the best record after the block's first r
+        elements; row 0 carries it in from the block before.  One
+        ``np.maximum`` per element fills a row, then one ``np.subtract``
+        takes the differences of consecutive rows and one row sum reads the
+        block's gains.  Each gain is ``sum(max(best, col) - best)``, bitwise
+        the scalar ``sum(max(col - best, 0))``: both are ``col - best`` where
+        col beats best and a zero elsewhere, a zero's sign does not reach a
+        sum, and a contiguous row's sum is the 1-d pairwise sum.  The last
+        row is ``_best`` at V (a max is exact), copied out of the block,
+        which ``_gains_add`` reuses.  ``+ 0.0`` makes its zeros +0.0 as the
+        loop leaves them, whichever zero ``np.maximum`` returns on a tie.
+        ``_second``, ``_arg`` and ``_arg2`` are built by ``_chain_records``
+        only when a hook reads them; a sweep followed by another sweep or a
+        ``set_memo`` never builds them.
         """
         out = np.empty(order.size)
-        best, nxt, diff = np.zeros(self.n), np.empty(self.n), self._buf
         cols = self.data.cols
-        for i, j in enumerate(order.tolist()):
-            np.maximum(best, cols[j], out=nxt)
-            np.subtract(nxt, best, out=diff)
-            out[i] = diff.sum()
-            best, nxt = nxt, best
-        self._best = best
+        run = self._block[:_CHAIN_BLOCK + 1]
+        diff = self._block[_CHAIN_BLOCK + 1:2 * _CHAIN_BLOCK + 1]
+        rows = list(run)
+        rows[0].fill(0.0)
+        ids = order.tolist()
+        for lo in range(0, len(ids), _CHAIN_BLOCK):
+            m = min(_CHAIN_BLOCK, len(ids) - lo)
+            for r, j in enumerate(ids[lo:lo + m]):
+                np.maximum(rows[r], cols[j], out=rows[r + 1])
+            np.subtract(run[1:m + 1], run[:m], out=diff[:m])
+            diff[:m].sum(axis=1, out=out[lo:lo + m])
+            np.copyto(rows[0], rows[m])
+        self._best = rows[0] + 0.0
         self._owed = order.copy()  # the caller may reuse its order array
         return out
 
@@ -190,7 +215,8 @@ class FacilityLocationFunction(SubmodularFunction):
 
         Rows are read from ``similarity`` ``_GAIN_BLOCK`` at a time with the
         members in chain order, so ties go to the earliest member; a record
-        no member beats (0) stays unowned (-1).  At n = 1500 this took 7-9 ms
+        no member beats (0) stays unowned (-1) and, as the loop leaves it,
+        +0.0 whatever the sign of the zeros read.  At n = 1500 this took 7-9 ms
         against 17 ms for ``_retop``.  The block lives for one call: a
         block kept per instance stayed resident and raised peak RSS.
         """
@@ -201,6 +227,8 @@ class FacilityLocationFunction(SubmodularFunction):
             rows = slice(lo, lo + sub.shape[0])
             np.take(self.data.similarity[rows], order, axis=1, out=sub, mode="clip")
             self._top2(rows, sub, order)
+        self._best += 0.0
+        self._second += 0.0
         self._arg[self._best == 0.0] = -1
         self._arg2[self._second == 0.0] = -1
 

@@ -12,7 +12,8 @@ import pytest
 
 from submemo.bench.cli import EXIT_CHECK_FAILED, build_parser, cli_main, load_function_spec
 from submemo.bench.dataio import save_dense_matrix, save_set_system
-from submemo.bench.runner import GRADIENT_TASKS, instance_for, run_gradient
+from submemo.bench import runner
+from submemo.bench.runner import GRADIENT_TASKS, instance_for, run_gradient, run_metadata
 from submemo.core import InputError
 from submemo.functions import (
     FacilityLocationData,
@@ -112,6 +113,61 @@ def test_cli_maximize_json_output(tmp_path, capsys):
     assert payload["k"] == 5
     assert len(payload["selected"]) <= 5
     assert payload["counters"]["oracle_evals"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, run",
+    [
+        (["maximize", "--function", "synthetic:setcover,n=30,seed=3", "--k", "5", "--seed", "4"],
+         {"n": 30, "seed": 4}),
+        (["minimize", "--function", "synthetic:graphcut,n=12,seed=1"], {"n": 12}),
+        (["ds-min", "--function", "synthetic:setcover,n=14,seed=1",
+          "--function-g", "synthetic:faclocation,n=14,seed=2"], {"n": 14}),
+        (["gradients", "--function", "synthetic:satcov,n=16,seed=2", "--seed", "5"],
+         {"n": 16, "seed": 5}),
+    ],
+)
+def test_cli_json_carries_run_metadata(argv, run, tmp_path, capsys):
+    assert cli_main([*argv, "--out", str(tmp_path)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    written = json.loads((tmp_path / "result.json").read_text(encoding="utf-8"))
+    assert printed == written
+    assert written["meta"] == {**run_metadata(), **run}
+
+
+def test_bench_report_carries_run_metadata(tmp_path, capsys):
+    out = tmp_path / "runs"
+    assert cli_main(["bench", "--function", "synthetic:setcover,n=20,seed=1", "--mode", "pm",
+                     "--budgets", "0.2", "--reps", "1", "--seed", "6", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["meta"] == {**run_metadata(), "n": {"setcover-n20": 20}, "seed": 6}
+
+
+_SHA = "0123456789abcdef0123456789abcdef01234567"
+
+
+@pytest.mark.parametrize(
+    "files, sha",
+    [
+        ({}, None),  # not a checkout
+        ({"HEAD": _SHA + "\n"}, _SHA),  # detached
+        ({"HEAD": "ref: refs/heads/main\n", "refs/heads/main": _SHA + "\n"}, _SHA),
+        ({"HEAD": "ref: refs/heads/main\n",
+          "packed-refs": f"# pack-refs with: peeled\n{'f' * 40} refs/heads/other\n{_SHA} refs/heads/main\n"},
+         _SHA),
+        ({"HEAD": "ref: refs/heads/main\n"}, None),  # a branch with no commit yet
+    ],
+)
+def test_run_metadata_reads_the_sha_from_git(files, sha, tmp_path, monkeypatch):
+    for name, text in files.items():
+        path = tmp_path / ".git" / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(runner, "_CHECKOUT", tmp_path)
+    meta = run_metadata()
+    assert meta["git_sha"] == sha
+    assert meta["numpy"] == np.__version__
+    assert meta["python"] == ".".join(map(str, sys.version_info[:3]))
 
 
 def test_cli_builds_a_mixture_from_the_spec_size(tmp_path, capsys):

@@ -17,6 +17,7 @@ from submemo.functions import (
     make_function,
     verify_statistic,
 )
+from submemo.functions.graphs import _CHAIN_BLOCK
 from submemo.minimize import lovasz_descent
 
 from conftest import zoo_instance
@@ -25,15 +26,21 @@ from conftest import zoo_instance
 CHAINED_KINDS = ("faclocation", "featurebased", "clusterconcave", "setcover")
 
 
-def _sparse_facloc(n: int, seed: int):
+def _sparse_facloc(n: int, seed: int, signed_zeros: bool = False):
     # mostly zero similarities: some rows end with no owner or no second owner
     rng = np.random.default_rng(seed)
     s = rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < 3.0 / n)
+    if signed_zeros:  # every zero stored as -0.0, and one column all -0.0
+        s[s == 0.0] = -0.0
+        s[:, rng.integers(n)] = -0.0
     return make_function(n, FacilityLocationData(s))
 
 
 def _instance(kind: str, n: int, seed: int, penalised: bool):
-    F = _sparse_facloc(n, seed) if kind == "sparse-faclocation" else zoo_instance(kind, n, seed=seed)
+    if kind.endswith("-faclocation"):
+        F = _sparse_facloc(n, seed, signed_zeros=kind == "signed-zero-faclocation")
+    else:
+        F = zoo_instance(kind, n, seed=seed)
     if penalised:
         F = make_function(n, ModularPenaltyData(F, np.random.default_rng(seed).uniform(0.0, 2.0, n)))
     return F
@@ -81,6 +88,13 @@ def _state(F) -> dict:
     return out
 
 
+def _assert_same_bits(got: dict, want: dict):
+    # tobytes, not np.array_equal, which takes -0.0 for 0.0
+    assert got.keys() == want.keys()
+    for key in want:
+        assert np.asarray(got[key]).tobytes() == np.asarray(want[key]).tobytes(), key
+
+
 def _assert_sweep_is_loop(F, order):
     loop = F.clone_detached()
     loop._chain = lambda order: None
@@ -88,10 +102,9 @@ def _assert_sweep_is_loop(F, order):
     F.reset_counters()
     got, want = F.sweep(order), loop.sweep(order)
     assert [float(w).hex() for w in got] == [float(w).hex() for w in want]
-    s_got, s_want = _state(F), _state(loop)
-    assert s_got.keys() == s_want.keys()
-    for key in s_want:
-        assert np.array_equal(s_got[key], s_want[key]), key
+    if hasattr(_base(F), "_best"):  # the chained record, before a read builds the owed ones
+        assert _base(F)._best.tobytes() == _base(loop)._best.tobytes()
+    _assert_same_bits(_state(F), _state(loop))
     assert F.counters == loop.counters
 
 
@@ -159,6 +172,24 @@ def test_a_penalty_over_a_mixture_sweeps_as_the_loop(seed):
     assert P.memo_value() == pytest.approx(P.evaluate(P.memo), rel=default_tolerance(P))
 
 
+@pytest.mark.parametrize("order_kind", ["random", "grid-descending"])
+@pytest.mark.parametrize("n", [1, 2, _CHAIN_BLOCK - 1, _CHAIN_BLOCK, _CHAIN_BLOCK + 1,
+                               2 * _CHAIN_BLOCK, 2 * _CHAIN_BLOCK + 1])
+@pytest.mark.parametrize("penalised", [False, True])
+@pytest.mark.parametrize("kind", ["faclocation", "sparse-faclocation", "signed-zero-faclocation"])
+def test_facility_location_chain_at_block_edges(kind, penalised, n, order_kind):
+    F = _instance(kind, n, n, penalised)
+    order = _order(order_kind, n, n)
+    _assert_sweep_is_loop(F, order)
+    base = _base(F)
+    assert not np.shares_memory(base._best, base._block)  # _gains_add reuses the block
+    ids = sorted({int(order[0]), int(order[n // 2]), int(order[-1])})
+    for j in ids:
+        F.downdate(j)
+    want = F.clone_detached().gains_add(ids)
+    assert [g.hex() for g in F.gains_add(ids).tolist()] == [g.hex() for g in want.tolist()]
+
+
 def test_sparse_facility_location_leaves_unowned_records():
     F = _sparse_facloc(120, 3)
     F.sweep(np.random.default_rng(3).permutation(120))
@@ -193,28 +224,59 @@ def _spy_updates(F) -> list:
     return seen
 
 
+def _fail_after_chaining(F, fail):
+    chain = F._chain
+
+    def failing(order):
+        gains = chain(order)  # the statistic describes V from here on
+        return fail(gains)
+
+    F._chain = failing
+
+
+def _assert_at_the_empty_set(F):
+    assert len(F.memo) == 0
+    assert F.memo_value() == 0.0
+    assert verify_statistic(F).max_deviation == 0.0
+
+
 @pytest.mark.parametrize("failure", [None, "raises", "short"])
 def test_update_after_a_sweep_moves_the_statistic(failure):
     F = zoo_instance("setcover", 60, seed=6)
     seen = _spy_updates(F)
+    rebuilds = F.counters.memo_rebuilds
     if failure == "raises":
-        F._chain = lambda order: 1 / 0
+        _fail_after_chaining(F, lambda gains: 1 / 0)
         with pytest.raises(ZeroDivisionError):
             F.sweep(range(60))
     elif failure == "short":
-        chain = F._chain
-        F._chain = lambda order: chain(order)[:-1]
+        _fail_after_chaining(F, lambda gains: gains[:-1])
         with pytest.raises(ValueError):
             F.sweep(range(60))
     else:
         F.sweep(range(60))
         assert seen == []
+    if failure:  # a second, charged set_memo(()) brought the statistic back to ∅
+        _assert_at_the_empty_set(F)
+        assert F.counters.memo_rebuilds == rebuilds + 2
     assert not F._chained and not F._ahead
     F.set_memo([1, 2])
     F.update(7)
     assert seen == [7]
     fresh = F.clone_detached()
     assert np.array_equal(F._statistic()["count"], fresh._statistic()["count"])
+
+
+def test_a_penalised_sweep_whose_component_chain_raises_ends_at_the_empty_set():
+    P = _instance("faclocation", 60, 17, True)
+    base = _base(P)
+    _fail_after_chaining(base, lambda gains: 1 / 0)
+    P.set_memo([3, 1, 4])
+    with pytest.raises(ZeroDivisionError):
+        P.sweep(np.random.default_rng(17).permutation(60))
+    _assert_at_the_empty_set(P)
+    assert base._owed is None
+    assert not P._chained and not P._ahead
 
 
 def test_value_oracle_sweeps_gain_by_gain():

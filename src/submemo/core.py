@@ -34,13 +34,22 @@ without checking the id again.  ``Subset`` keeps its flags in a
 ``bytearray`` with ``mask`` a numpy view of the same bytes; ``Subset(n,
 ids)`` checks the ids as one array and replays them one by one only to
 name the first bad id or repeat.
+
+``Subset`` keeps its members twice: a Python list, which gives the order
+and takes every append as ``list.append``, and an intp index of capacity
+n, allocated on the first read, whose first ``_synced`` entries equal the
+list's first ``_synced`` members.  A read (``to_indices``, a value-oracle
+probe) catches the index up with the list.  A removal shifts the synced
+prefix when the index was read since the last removal and otherwise cuts
+it at the removed slot.  ``to_indices`` hands out a copy.  A value-oracle
+probe passes the oracle a view instead: for an add it writes j into the
+free slot after the members, for a removal it filters j out.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
-from itertools import chain
 
 import numpy as np
 
@@ -78,12 +87,21 @@ class Subset:
 
     The member order is meaningful: it is the order in which elements were
     added, and classes whose statistic is order-sensitive (the triangular
-    factor of the log-det class) rely on it.  The flags live in a
-    ``bytearray`` (one byte per id, 1 = member); ``mask`` is a boolean
-    numpy view of the same bytes.
+    factor of the log-det class, facility location's tie rule) rely on it.
+    The flags live in a ``bytearray`` (one byte per id, 1 = member);
+    ``mask`` is a boolean numpy view of the same bytes.
+
+    The members are a Python list, so an append stays ``list.append``,
+    beside an intp index of capacity n that readers slice.  The index is
+    allocated on the first read and catches up with the list only when
+    read: ``_idx[:_synced] == _members[:_synced]`` always holds.  A removal
+    deletes the member from the list.  If the index was read since the
+    last removal, it shifts the synced prefix over the member's slot;
+    otherwise it cuts the synced prefix at that slot, so a memo that no
+    hook reads pays no shift per removal.
     """
 
-    __slots__ = ("n", "_members", "_flags", "_mask")
+    __slots__ = ("n", "_members", "_flags", "_mask", "_idx", "_shift", "_synced", "_read")
 
     def __init__(self, n: int, members=()):
         if n < 1:
@@ -91,6 +109,8 @@ class Subset:
         self.n = int(n)
         self._flags = bytearray(self.n)
         self._mask = np.frombuffer(self._flags, dtype=bool)
+        self._idx = self._shift = None
+        self._synced, self._read = 0, False
         if not isinstance(members, (np.ndarray, range, list, tuple)):
             members = list(members)  # a one-shot iterable is read twice on failure
         try:
@@ -130,11 +150,39 @@ class Subset:
         j = _check_id(j, self.n)
         if not self._flags[j]:
             raise PreconditionError(f"element {j} not in subset")
-        self._members.remove(j)
+        self._drop(j)
+
+    def _drop(self, j: int) -> None:
+        """Remove the member j (checked) from the list, the index and the flags."""
+        members = self._members
+        pos = members.index(j)
+        del members[pos]
+        s = self._synced
+        if pos < s:
+            if self._read:  # a reader keeps up: a memoryview move, half the cost of numpy's
+                self._shift[pos:s - 1] = self._shift[pos + 1:s]
+                self._synced = s - 1
+            else:  # unread since the last removal: the next read catches up from pos
+                self._synced = pos
+        self._read = False
         self._flags[j] = 0
 
+    def _index(self) -> np.ndarray:
+        """The index buffer (capacity n), its first len(self) entries synced."""
+        buf = self._idx
+        if buf is None:
+            buf = self._idx = np.empty(self.n, dtype=np.intp)
+            self._shift = memoryview(buf)
+        s, k = self._synced, len(self._members)
+        if s < k:
+            buf[s:k] = self._members[s:]
+            self._synced = k
+        self._read = True
+        return buf
+
     def to_indices(self) -> np.ndarray:
-        return np.fromiter(self._members, dtype=np.intp, count=len(self._members))
+        """The members in insertion order as a fresh intp array."""
+        return self._index()[:len(self._members)].copy()
 
     def copy(self) -> "Subset":
         c = Subset.__new__(Subset)
@@ -142,6 +190,8 @@ class Subset:
         c._members = list(self._members)
         c._flags = bytearray(self._flags)
         c._mask = np.frombuffer(c._flags, dtype=bool)
+        c._idx = c._shift = None
+        c._synced, c._read = 0, False
         return c
 
     def __reduce__(self):
@@ -374,9 +424,7 @@ class SubmodularFunction(ABC):
             raise PreconditionError(f"downdate: element {j} not memoized")
         self.counters.memo_downdates += 1
         self._downdate(j)
-        memo = self.memo
-        memo._members.remove(j)
-        memo._flags[j] = 0
+        self.memo._drop(j)
 
     def set_memo(self, X) -> None:
         """Point the memo at X and rebuild the statistic from scratch."""
@@ -524,12 +572,15 @@ class ValueOracleFunction(SubmodularFunction):
 
     def _probe(self, kind: str, j: int) -> float:
         """f(memo + j) for kind "add", f(memo - j) for "remove": one oracle
-        call, kept as the pending value."""
-        members = self.memo._members
-        if kind == "add":
-            idx = np.fromiter(chain(members, (j,)), dtype=np.intp, count=len(members) + 1)
+        call on a slice of the memo's index, kept as the pending value."""
+        memo = self.memo
+        buf = memo._index()
+        k = len(memo)
+        if kind == "add":  # j is no member, so the slot after them is free
+            buf[k] = j
+            idx = buf[:k + 1]  # a view, read only by this call
         else:
-            idx = self.memo.to_indices()
+            idx = buf[:k]
             idx = idx[idx != j]
         fnew = self._oracle(idx)
         self._pending = (kind, j, fnew)
@@ -580,9 +631,7 @@ class ValueOracleFunction(SubmodularFunction):
             raise PreconditionError(f"downdate: element {j} not memoized")
         self.counters.memo_downdates += 1
         self._move("remove", j)
-        memo = self.memo
-        memo._members.remove(j)
-        memo._flags[j] = 0
+        self.memo._drop(j)
 
     def set_memo(self, X) -> None:
         sub = as_subset(self.n, X)

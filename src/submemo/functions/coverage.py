@@ -243,7 +243,8 @@ class ProbabilisticSetCoverFunction(SubmodularFunction):
         out[safe] = self._prod[safe] / q[safe]
         unsafe = np.flatnonzero(~safe)
         if unsafe.size:
-            rest = np.asarray([i for i in self.memo.members if i != j], dtype=np.intp)
+            idx = self.memo.to_indices()
+            rest = idx[idx != j]
             if rest.size:
                 out[unsafe] = self.data.miss_cols[rest][:, unsafe].prod(axis=0)
             else:

@@ -72,7 +72,7 @@ class DispersionMinFunction(SubmodularFunction):
         return self._pair_min(idx)
 
     def _min_to_memo(self, j) -> float:
-        return float(self.data.distance[j, self.memo.members].min())
+        return float(self.data.distance[j, self.memo.to_indices()].min())
 
     def _gain_add(self, j):
         m = len(self.memo)
@@ -84,7 +84,8 @@ class DispersionMinFunction(SubmodularFunction):
         return min(self._min, nearest) - self._min
 
     def _gain_remove(self, j):
-        rest = np.asarray([i for i in self.memo.members if i != j], dtype=np.intp)
+        idx = self.memo.to_indices()
+        rest = idx[idx != j]
         return self._value_from_statistic() - self._pair_min(rest)
 
     def _update(self, j):
@@ -95,7 +96,8 @@ class DispersionMinFunction(SubmodularFunction):
         self._min = nearest if m == 1 else min(self._min, nearest)
 
     def _downdate(self, j):
-        rest = np.asarray([i for i in self.memo.members if i != j], dtype=np.intp)
+        idx = self.memo.to_indices()
+        rest = idx[idx != j]
         self._min = self._pair_min(rest)
 
     def _rebuild(self, idx):
@@ -172,18 +174,17 @@ class DispersionMinSumFunction(SubmodularFunction):
         return float(dj.min() + np.minimum(cur, dj).sum() - cur.sum())
 
     def _gain_remove(self, j):
-        m = len(self.memo)
-        rest = [i for i in self.memo.members if i != j]
-        if m <= 2:
+        if len(self.memo) <= 2:
             return self._value_from_statistic()
         value_now = self._value_from_statistic()
-        rest_arr = np.asarray(rest, dtype=np.intp)
+        idx = self.memo.to_indices()
+        rest = idx[idx != j]
         after = 0.0
-        for i in rest:
+        for i in rest.tolist():
             if self._nearest[i] < self.data.distance[i, j]:
                 after += self._nearest[i]
             else:
-                others = rest_arr[rest_arr != i]
+                others = rest[rest != i]
                 after += float(self.data.distance[i, others].min())
         return value_now - after
 
@@ -201,15 +202,15 @@ class DispersionMinSumFunction(SubmodularFunction):
         self._nearest[j] = float(dj.min())
 
     def _downdate(self, j):
-        rest = [i for i in self.memo.members if i != j]
-        if len(rest) < 2:
+        idx = self.memo.to_indices()
+        rest = idx[idx != j]
+        if rest.size < 2:
             self._nearest[rest] = 0.0
             self._nearest[j] = 0.0
             return
-        rest_arr = np.asarray(rest, dtype=np.intp)
-        for i in rest:
+        for i in rest.tolist():
             if self._nearest[i] >= self.data.distance[i, j]:
-                others = rest_arr[rest_arr != i]
+                others = rest[rest != i]
                 self._nearest[i] = float(self.data.distance[i, others].min())
         self._nearest[j] = 0.0
 

@@ -28,8 +28,12 @@ def ragged_positions(indptr: np.ndarray, idx: np.ndarray):
         return np.arange(lo, hi), np.asarray([hi - lo])
     lo = indptr[idx]
     lens = indptr[idx + 1] - lo
-    starts = np.cumsum(lens) - lens
-    return np.arange(lens.sum()) + np.repeat(lo - starts, lens), lens
+    ends = np.cumsum(lens)
+    lo -= ends
+    lo += lens  # row start minus its offset in the output
+    pos = np.repeat(lo, lens)
+    pos += np.arange(pos.size)
+    return pos, lens
 
 
 def ragged_sum(values: np.ndarray, lens: np.ndarray) -> np.ndarray:

@@ -94,6 +94,10 @@ class LogDetFunction(SubmodularFunction):
         y = solve_triangular(self._factor, b, lower=True, check_finite=False)
         return float(kr[j, j] - np.dot(y, y))
 
+    def _position(self, j) -> int:
+        """Row of the member j in the factor: its place in the insertion order."""
+        return int(np.flatnonzero(self.memo.to_indices() == j)[0])
+
     def _gain_add(self, j):
         d = self._schur(j)
         if d <= 0:
@@ -101,7 +105,7 @@ class LogDetFunction(SubmodularFunction):
         return float(np.log(d))
 
     def _gain_remove(self, j):
-        pos = self.memo.members.index(j)
+        pos = self._position(j)
         e = np.zeros(len(self.memo))
         e[pos] = 1.0
         z = solve_triangular(self._factor, e, lower=True, check_finite=False)
@@ -126,7 +130,7 @@ class LogDetFunction(SubmodularFunction):
         self._factor = grown
 
     def _downdate(self, j):
-        pos = self.memo.members.index(j)
+        pos = self._position(j)
         m = self._factor.shape[0]
         trimmed = np.delete(self._factor, pos, axis=0)  # (m-1, m), lower Hessenberg
         for c in range(pos, m - 1):

@@ -1,5 +1,7 @@
 """Core contract: subsets, counters, modular functions, the VO wrapper."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from submemo.core import (
     as_subset,
     wrap_value_oracle,
 )
-from submemo.functions import ModularPenaltyData, make_function
+from submemo.functions import ModularPenaltyData, default_tolerance, make_function
 from conftest import zoo_instance
 
 
@@ -284,3 +286,154 @@ def test_contract_method_surface():
     assert public(ValueOracleFunction, vars(ValueOracleFunction)) == [
         "downdate", "gain_add", "gain_remove", "gain_singleton", "set_memo", "update",
     ]
+
+
+# ----------------------------------------------------------------------
+# the member index against a plain list model
+# ----------------------------------------------------------------------
+
+
+def _assert_subset_is(sub, model):
+    """List, flags and length equal the model; the index, read or not,
+    equals it wherever it is synced."""
+    assert sub.members == model and len(sub) == len(model) and list(sub) == model
+    assert sub.mask.tolist() == [j in model for j in range(sub.n)]
+    if sub._idx is not None:
+        assert sub._idx[:sub._synced].tolist() == model[:sub._synced]
+
+
+def _read(sub, model):
+    """``to_indices`` is the model as intp, and writing into it changes nothing."""
+    got = sub.to_indices()
+    assert got.dtype == np.intp and got.tolist() == model
+    got += 1
+    assert sub.to_indices().tolist() == model and sub.members == model
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_subset_index_follows_a_list_model(data):
+    n = 10
+    ids = st.lists(st.integers(0, n - 1), unique=True)
+    model = data.draw(ids)
+    sub = Subset(n, model)
+    kept = []  # (an earlier copy or the original, its model when it was left)
+    for _ in range(data.draw(st.integers(1, 40))):
+        op = data.draw(st.sampled_from(["add", "remove", "copy", "pickle", "new", "read"]))
+        if op == "add" and len(model) < n:
+            j = data.draw(st.sampled_from([j for j in range(n) if j not in model]))
+            sub.add(j)
+            model.append(j)
+        elif op == "remove" and model:
+            j = data.draw(st.sampled_from(model))
+            sub.remove(j)
+            model.remove(j)
+        elif op == "copy":
+            twin = sub.copy()
+            if data.draw(st.booleans()):
+                sub, twin = twin, sub
+            kept.append((twin, list(model)))
+        elif op == "pickle":
+            sub = pickle.loads(pickle.dumps(sub))
+        elif op == "new":
+            model = data.draw(ids)
+            sub = Subset(n, np.asarray(model, dtype=np.intp) if data.draw(st.booleans()) else model)
+        if op == "read" or data.draw(st.booleans()):
+            _read(sub, model)
+        _assert_subset_is(sub, model)
+    _read(sub, model)
+    for twin, snapshot in kept:
+        _assert_subset_is(twin, snapshot)
+        _read(twin, snapshot)
+
+
+def _value_oracle_part(F):
+    return F if isinstance(F, ValueOracleFunction) else F.components[0][1]
+
+
+def _spy_oracle(F) -> list:
+    """Record a copy of every index the value oracle of F receives."""
+    seen = []
+    inner = _value_oracle_part(F)._inner
+    evaluate = type(inner)._evaluate
+
+    def spy(idx):
+        seen.append(idx.tolist())
+        return evaluate(inner, idx)
+
+    inner._evaluate = spy
+    return seen
+
+
+def _build(kind, n):
+    base, vo = kind.split("/")
+    F = zoo_instance(base, n, seed=4)
+    if vo == "vo":
+        F = wrap_value_oracle(F)
+    elif vo == "vo-penalised":
+        F = make_function(n, ModularPenaltyData(wrap_value_oracle(F), np.linspace(0.0, 1.0, n)))
+    return F
+
+
+@pytest.mark.parametrize("kind", ["faclocation/pm", "logdet/pm", "dispminsum/pm", "faclocation/vo",
+                                  "setcover/vo", "featurebased/vo-penalised"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_memo_index_follows_a_list_model(kind, data):
+    n = 9
+    F, ref = _build(kind, n), _build(kind, n)
+    vo = not kind.endswith("/pm")
+    seen = _spy_oracle(F) if vo else []
+    model, pending = [], None
+
+    def expect(*calls):
+        if vo:
+            assert seen == list(calls)
+        seen.clear()
+
+    for _ in range(data.draw(st.integers(1, 25))):
+        outside = [j for j in range(n) if j not in model]
+        op = data.draw(st.sampled_from(["gain_add", "gain_remove", "update", "downdate", "set_memo",
+                                        "clone_detached", "sweep"]))
+        if op in ("gain_add", "update") and outside:
+            j = data.draw(st.sampled_from(outside))
+            if op == "gain_add":
+                F.gain_add(j)
+                expect(model + [j])
+                pending = ("add", j)
+            else:
+                F.update(j)
+                expect(*([] if pending == ("add", j) else [model + [j]]))
+                model.append(j)
+                pending = None
+        elif op in ("gain_remove", "downdate") and model:
+            j = data.draw(st.sampled_from(model))
+            rest = [i for i in model if i != j]
+            if op == "gain_remove":
+                F.gain_remove(j)
+                expect(rest)
+                pending = ("remove", j)
+            else:
+                F.downdate(j)
+                expect(*([] if pending == ("remove", j) else [rest]))
+                model, pending = rest, None
+        elif op == "set_memo":
+            model = data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, n))]
+            F.set_memo(model)
+            expect(*([model] if model else []))
+            pending = None
+        elif op == "clone_detached":
+            F = F.clone_detached()
+            seen = _spy_oracle(F) if vo else []
+            pending = None
+        elif op == "sweep":
+            model = data.draw(st.permutations(range(n)))
+            F.sweep(model)
+            expect(*[model[:i + 1] for i in range(n)])
+            pending = None
+        _assert_subset_is(F.memo, model)
+        if data.draw(st.booleans()):  # an unread index catches up at the next probe
+            _read(F.memo, model)
+        ref.set_memo(model)
+        want = ref.memo_value()
+        assert abs(F.memo_value() - want) <= default_tolerance(ref) * max(1.0, abs(want))

@@ -118,6 +118,23 @@ def test_ragged_positions_concatenate_the_rows():
         assert lens.tolist() == [indptr[j + 1] - indptr[j]]
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_ragged_positions_match_a_plain_concatenation(seed):
+    rng = np.random.default_rng(seed)
+    n = 40
+    row_lens = rng.integers(0, 6, n)
+    row_lens[rng.choice(n, 10, replace=False)] = 0  # empty rows among full ones
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(row_lens, out=indptr[1:])
+    for idx in ([], [int(rng.integers(n))], rng.choice(n, 2, replace=False).tolist(),
+                rng.choice(n, 25, replace=False).tolist(), rng.integers(0, n, 30).tolist(),
+                [7, 3, 7, 7, 0, 3]):
+        want = [p for j in idx for p in range(indptr[j], indptr[j + 1])]
+        pos, lens = ragged_positions(indptr, np.asarray(idx, dtype=np.intp))
+        assert pos.dtype == np.intp and pos.tolist() == want
+        assert lens.tolist() == [int(row_lens[j]) for j in idx]
+
+
 @pytest.mark.parametrize("change", ["update", "downdate", "set_memo"])
 @pytest.mark.parametrize("kind", BATCHED_KINDS)
 def test_kept_gain_is_never_read_stale(kind, change):

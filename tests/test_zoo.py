@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from submemo.core import InputError, close
@@ -192,6 +192,78 @@ def test_statistic_survives_random_interleaving(kind, rng):
             F.set_memo(random_subset(rng, n))
         report = verify_statistic(F)
         assert report.max_deviation <= tol, (kind, step, report.components)
+
+
+def _underflowing_cover(n: int, seed: int):
+    """Probabilistic cover whose products reach 0 both ways: certain hits
+    (miss 0, no division) and miss probabilities near 1e-200, which two
+    members multiply below the smallest double."""
+    rng = np.random.default_rng(seed)
+    probs = rng.uniform(0.0, 1.0, size=(2 * n, n))
+    probs[rng.random(probs.shape) > 0.3] = 0.0
+    probs[rng.random(probs.shape) < 0.05] = 1.0
+    data = ProbabilisticSetCoverData(probs, rng.uniform(0.5, 1.5, 2 * n))
+    # 1 - 1e-200 rounds to 1.0, so the tiny misses go into the class's own table
+    tiny = rng.random(data.miss_cols.shape) < 0.1
+    data.miss_cols[tiny] = 10.0 ** rng.uniform(-210.0, -190.0, int(tiny.sum()))
+    return make_function(n, data)
+
+
+def _interleave(F, data, check_gains: bool) -> None:
+    """Random update/downdate/set_memo steps; after each, the statistic is
+    within tolerance of a rebuild and (if asked) every gain within
+    tolerance of a fresh clone's."""
+    n, tol = F.n, default_tolerance(F)
+    for step in range(data.draw(st.integers(1, 40))):
+        op = data.draw(st.sampled_from(["update", "update", "downdate", "downdate", "set_memo"]))
+        outside = [j for j in range(n) if j not in F.memo]
+        if op == "update" and outside:
+            F.update(data.draw(st.sampled_from(outside)))
+        elif op == "downdate" and len(F.memo):
+            F.downdate(data.draw(st.sampled_from(F.memo.members)))
+        else:
+            F.set_memo(data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, n))])
+        report = verify_statistic(F)
+        assert report.max_deviation <= tol, (step, report.components)
+        if check_gains:
+            fresh = F.clone_detached()
+            for j in range(n):
+                if j in F.memo:
+                    assert close(F.gain_remove(j), fresh.gain_remove(j), rel=tol), (step, j)
+                else:
+                    assert close(F.gain_add(j), fresh.gain_add(j), rel=tol), (step, j)
+
+
+def _inexact(kind: str, n: int, seed: int):
+    return _underflowing_cover(n, seed) if kind == "probsetcover" else zoo_instance(kind, n, seed=seed)
+
+
+# A downdate of a sparse load leaves a residual of a few ulps where the
+# bucket's exact load is 0 (np.maximum clamps only the negative ones), and
+# sqrt turns a 1e-16 residual into a gain 1e-8 off a fresh clone's.
+_LOAD_RESIDUAL = pytest.mark.xfail(strict=True, reason="sparse-load downdates leave residual loads")
+
+
+@pytest.mark.parametrize("kind", [
+    "logdet", "probsetcover",
+    pytest.param("featurebased", marks=_LOAD_RESIDUAL),
+    pytest.param("clusterconcave", marks=_LOAD_RESIDUAL),
+])
+@given(data=st.data())
+# no shrinking: a shrunk counterexample of an xfailed case costs half a minute
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # hypothesis' failure report imports libcst
+@settings(max_examples=20, deadline=None, derandomize=True, phases=[Phase.generate])
+def test_inexact_downdates_match_a_fresh_clone(kind, data):
+    F = _inexact(kind, data.draw(st.integers(20, 40)), data.draw(st.integers(0, 9)))
+    _interleave(F, data, check_gains=True)
+
+
+@pytest.mark.parametrize("kind", ["featurebased", "clusterconcave"])
+@given(data=st.data())
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_sparse_loads_stay_within_tolerance_of_a_rebuild(kind, data):
+    F = _inexact(kind, data.draw(st.integers(20, 40)), data.draw(st.integers(0, 9)))
+    _interleave(F, data, check_gains=False)
 
 
 def test_verify_statistic_detects_corruption():

@@ -3,7 +3,9 @@
 The statistic is the lower-triangular factor of the ridged kernel restricted
 to the memo set, in memo order.  Growing the set appends one factor row by
 forward substitution (O(|X|^2)); shrinking deletes a row and re-triangularizes
-the trailing block with plane rotations (also O(|X|^2)).
+the trailing block with plane rotations (also O(|X|^2)).  scipy is imported
+by the first solve, so a process that builds no log-det instance never
+loads it.
 """
 
 from __future__ import annotations
@@ -11,11 +13,30 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from ..core import InputError, SubmodularFunction
+from .graphs import _symmetric
 
 LOGDET_REL_TOL = 1e-7
+
+
+def _ridged(k: np.ndarray, ridge: float) -> np.ndarray:
+    """``k + ridge * I`` bit for bit, with one n x n allocation.
+
+    ``k + 0.0`` turns a -0.0 into 0.0 as the off-diagonal zeros of
+    ``ridge * I`` do.
+    """
+    out = k + 0.0
+    out[np.diag_indices_from(out)] += ridge
+    return out
+
+
+def _solve_lower(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``factor @ y = b`` for a lower-triangular ``factor``; scipy loads
+    on the first call."""
+    from scipy.linalg import solve_triangular
+
+    return solve_triangular(factor, b, lower=True, check_finite=False)
 
 
 @dataclass
@@ -36,13 +57,13 @@ class LogDetData:
             raise InputError(f"kernel must be square, got shape {k.shape}")
         if not np.all(np.isfinite(k)):
             raise InputError("kernel contains non-finite entries")
-        if not np.allclose(k, k.T, rtol=1e-9, atol=1e-12):
+        if not _symmetric(k):
             raise InputError("kernel must be symmetric")
         self.kernel = k
         if self.ridge is None:
             for eps in (0.0, 1e-6):
                 try:
-                    np.linalg.cholesky(k + eps * np.eye(k.shape[0]))
+                    np.linalg.cholesky(_ridged(k, eps))
                     self.ridge = eps
                     break
                 except np.linalg.LinAlgError:
@@ -51,13 +72,13 @@ class LogDetData:
                 raise InputError("kernel is not PSD even after the default ridge")
         else:
             self.ridge = float(self.ridge)
-            if self.ridge < 0:
-                raise InputError("ridge must be non-negative")
+            if not (np.isfinite(self.ridge) and self.ridge >= 0):
+                raise InputError("ridge must be finite and non-negative")
             try:
-                np.linalg.cholesky(k + self.ridge * np.eye(k.shape[0]))
+                np.linalg.cholesky(_ridged(k, self.ridge))
             except np.linalg.LinAlgError:
                 raise InputError("kernel plus ridge failed factorization (not PSD)") from None
-        self.ridged = k + self.ridge * np.eye(k.shape[0])
+        self.ridged = _ridged(k, self.ridge)
 
     @property
     def n(self) -> int:
@@ -91,7 +112,7 @@ class LogDetFunction(SubmodularFunction):
         if m == 0:
             return float(kr[j, j])
         b = kr[self.memo.to_indices(), j]
-        y = solve_triangular(self._factor, b, lower=True, check_finite=False)
+        y = _solve_lower(self._factor, b)
         return float(kr[j, j] - np.dot(y, y))
 
     def _position(self, j) -> int:
@@ -108,7 +129,7 @@ class LogDetFunction(SubmodularFunction):
         pos = self._position(j)
         e = np.zeros(len(self.memo))
         e[pos] = 1.0
-        z = solve_triangular(self._factor, e, lower=True, check_finite=False)
+        z = _solve_lower(self._factor, e)
         return float(-np.log(np.dot(z, z)))
 
     def _update(self, j):
@@ -118,7 +139,7 @@ class LogDetFunction(SubmodularFunction):
         if m:
             idx = self.memo.to_indices()
             b = kr[idx, j]
-            y = solve_triangular(self._factor, b, lower=True, check_finite=False)
+            y = _solve_lower(self._factor, b)
             d = kr[j, j] - np.dot(y, y)
             grown[:m, :m] = self._factor
             grown[m, :m] = y

@@ -1,18 +1,20 @@
 """Maximization algorithms: worked examples, equivalences, guarantees."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from submemo.bench import brute_force_max
-from submemo.core import InputError, wrap_value_oracle
+from submemo.core import ABS_TOL, InputError, ModularFunction, wrap_value_oracle
 from submemo.functions import (
     GraphCutData,
     ModularData,
     SetCoverData,
     make_function,
 )
+import submemo.maximize as maximize
 from submemo.maximize import (
     Cardinality,
     Knapsack,
@@ -340,6 +342,88 @@ def test_minorize_maximize_per_round_counters():
     assert F.counters.gain_evals == rounds * n
     assert F.counters.memo_updates == rounds * n
     assert F.counters.oracle_evals == 0
+
+
+def _knapsack(rng, n, share=0.3):
+    costs = rng.uniform(0.5, 3.0, size=n)
+    return Knapsack(tuple(costs), float(share * costs.sum()))
+
+
+@pytest.mark.parametrize("n", [1, 5, 9, 13])
+def test_modular_knapsack_is_exact_up_to_20(rng, n):
+    for trial in range(4):
+        w = rng.normal(size=n)
+        c = _knapsack(rng, n)
+        got = maximize._modular_maximize(ModularFunction(0.0, w), c)
+        feasible = (list(S) for r in range(n + 1) for S in combinations(range(n), r))
+        best = max(float(w[S].sum()) if S else 0.0 for S in feasible if c.cost(S) <= c.budget)
+        value = float(w[got].sum()) if got else 0.0
+        assert c.cost(got) <= c.budget
+        assert value == pytest.approx(best, abs=ABS_TOL)
+
+
+def _ratio_greedy(w, c):
+    chosen, spent = [], 0.0
+    for j in sorted(range(len(w)), key=lambda j: w[j] / c.costs[j], reverse=True):
+        if w[j] > 0 and spent + c.costs[j] <= c.budget:
+            chosen.append(j)
+            spent += c.costs[j]
+    return chosen
+
+
+def test_modular_knapsack_above_20_is_ratio_greedy_or_best_singleton(rng):
+    n = 30
+    # one cheap element of the best ratio blocks the one that is worth the budget
+    w = np.full(n, -1.0)
+    w[:2] = 2.0, 100.0
+    c = Knapsack((1.0, 100.0) + (1.0,) * (n - 2), 100.0)
+    assert maximize._modular_maximize(ModularFunction(0.0, w), c) == [1]
+    for trial in range(20):
+        w = rng.normal(size=n)
+        c = _knapsack(rng, n, share=rng.uniform(0.02, 0.5))
+        got = maximize._modular_maximize(ModularFunction(0.0, w), c)
+        greedy = _ratio_greedy(w, c)
+        singles = [j for j in range(n) if c.costs[j] <= c.budget]
+        top = max(float(w[j]) for j in singles)
+        value = float(w[got].sum()) if got else 0.0
+        assert c.cost(got) <= c.budget + ABS_TOL
+        assert value >= max(float(w[greedy].sum()) if greedy else 0.0, top) - ABS_TOL
+        assert got == sorted(greedy) or (len(got) == 1 and w[got[0]] == top)
+
+
+@pytest.mark.parametrize("n", [10, 25])  # exact and heuristic inner solves
+def test_minorize_maximize_under_a_knapsack(rng, n):
+    for trial in range(6):
+        kind = ("faclocation", "setcover", "satcov")[trial % 3]
+        F = zoo_instance(kind, n, seed=1200 + trial)
+        c = _knapsack(rng, n)
+        res = minorize_maximize(F, c, seed=trial)
+        values = [v for _, v in res.trace]
+        assert c.cost(res.members) <= c.budget + ABS_TOL
+        assert all(values[i] <= values[i + 1] + 1e-9 for i in range(len(values) - 1))
+        assert res.value == pytest.approx(F.evaluate(res.members), rel=1e-9)
+        assert res.value == pytest.approx(values[-1], rel=1e-9)
+
+
+def test_minorize_maximize_stops_when_the_heuristic_does_not_improve(monkeypatch):
+    n = 24
+    F = zoo_instance("faclocation", n, seed=0)
+    costs = np.random.default_rng(0).uniform(0.5, 3.0, size=n)
+    c = Knapsack(tuple(costs), float(0.25 * costs.sum()))
+    solve, calls = maximize._modular_maximize, []
+
+    def spy(h, c):
+        calls.append((h, solve(h, c)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(maximize, "_modular_maximize", spy)
+    res = minorize_maximize(F, c, seed=0)
+    # the last inner solve was refused: its bound is below the incumbent's
+    assert res.stats["iterations"] >= 1
+    assert len(calls) == res.stats["iterations"] + 1
+    h, refused = calls[-1]
+    assert h.value(refused) < h.value(res.members) - ABS_TOL
+    assert res.members == sorted(calls[-2][1])
 
 
 def test_algorithms_agree_between_pm_and_vo_modes():

@@ -8,12 +8,14 @@ through the public methods below, which keeps the counter accounting exact:
 ``gain_add`` / ``gain_remove`` / ``gain_singleton`` answer marginal values
 from the live statistic.
 
-``gains_add(cands)`` reads the add gains of every id in ``cands``: one
-``_gains_add`` hook call hands its answers to ``gain_add`` in ``_ahead``,
-and each gain is still read and charged there, so counters and traced
-calls are those of scalar reads.  ``_ahead`` is empty outside
-``gains_add`` and ``sweep``.  ``ValueOracleFunction`` has no batched hook
-by design: a value-oracle gain stays one oracle call.
+``gains_add(cands)`` reads the add gains of every id in ``cands`` with
+one ``_gains_add`` hook call and returns the hook's array.  It still books
+one public ``gain_add`` per id, which takes its answer from ``_ahead``: the
+counters and the traced ``gain_add`` calls stay those of scalar reads, and
+the benchmark's traced run checks one public call per charged gain.
+``_ahead`` is empty outside ``gains_add`` and ``sweep``.
+``ValueOracleFunction`` has no batched hook by design: a value-oracle gain
+stays one oracle call.
 
 ``sweep(order)`` is the extreme-point sweep: the gain of each element of
 ``order`` on top of the elements before it, charged and traced as
@@ -366,8 +368,9 @@ class SubmodularFunction(ABC):
     def gains_add(self, cands) -> np.ndarray:
         """``gain_add`` of every id in ``cands``, computed in one hook call.
 
-        Ids are checked as ``gain_add`` checks them, and each gain is read
-        and charged through ``gain_add``.
+        Ids are checked as ``gain_add`` checks them.  Each gain is charged
+        through one ``gain_add`` call, and the hook's own array, bitwise
+        those reads, is returned.
         """
         idx = check_ids(cands, self.n)
         held = idx[self.memo.mask[idx]]
@@ -375,13 +378,16 @@ class SubmodularFunction(ABC):
             raise PreconditionError(f"gains_add: element {held[0]} already memoized")
         gains = self._gains_add(idx)
         ids = idx.tolist()
-        try:
-            if gains is not None:
-                self._ahead = dict(zip(ids, gains.tolist()))
-            gain_add = self.gain_add
+        gain_add = self.gain_add
+        if gains is None:
             return np.array([gain_add(j) for j in ids], dtype=float)
+        try:
+            self._ahead = dict(zip(ids, gains.tolist()))
+            for j in ids:
+                gain_add(j)
         finally:
             self._ahead.clear()
+        return gains
 
     def gain_remove(self, j) -> float:
         """f(memo) - f(memo - j) from the live statistic (read-only)."""

@@ -19,14 +19,18 @@ from .ragged import ragged_positions, ragged_runs, ragged_sum
 
 
 class Concave:
-    """Normalized (psi(0) = 0), non-decreasing concave scalar map."""
+    """Normalized (psi(0) = 0), non-decreasing concave scalar map.
+
+    ``fn`` is the numpy function itself; hot loops call it directly and
+    skip ``__call__``'s frame.
+    """
 
     def __init__(self, name: str, fn):
         self.name = name
-        self._fn = fn
+        self.fn = fn
 
     def __call__(self, x):
-        return self._fn(x)
+        return self.fn(x)
 
     def __repr__(self):
         return f"Concave({self.name})"
@@ -87,7 +91,12 @@ class _SparseLoadFunction(SubmodularFunction):
 
     Built from a data object that carries CSR ``indptr`` and ``values`` and a
     concave ``psi``; each subclass passes the bucket ids and bucket count
-    under the names its data uses.
+    under the names its data uses.  The scalar hooks slice the CSR arrays
+    with ``_ptr``, ``indptr`` as a Python list, and sum with
+    ``np.add.reduce``, the reduction ``ndarray.sum`` runs, without its
+    Python frame: an entry holds a few values (8 in the benchmark's
+    feature-based instance), so the Python around a read costs more than
+    its numpy work.
     """
 
     def __init__(self, data, ids: np.ndarray, num_buckets: int):
@@ -95,13 +104,14 @@ class _SparseLoadFunction(SubmodularFunction):
         self.data = data
         self.num_buckets = num_buckets
         self._indptr = data.indptr
+        self._ptr = data.indptr.tolist()
         self._ids = ids
         self._vals = data.values
-        self._psi = data.psi
+        self._psi = data.psi.fn
         self._load = np.zeros(num_buckets)
 
     def _entry(self, j: int):
-        lo, hi = self._indptr[j], self._indptr[j + 1]
+        lo, hi = self._ptr[j], self._ptr[j + 1]
         return self._ids[lo:hi], self._vals[lo:hi]
 
     def _accumulate(self, idx: np.ndarray) -> np.ndarray:
@@ -123,7 +133,8 @@ class _SparseLoadFunction(SubmodularFunction):
     def _gain_add(self, j):
         ids, vals = self._entry(j)
         p = self._load[ids]
-        return float((self._psi(p + vals) - self._psi(p)).sum())
+        psi = self._psi
+        return float(np.add.reduce(psi(p + vals) - psi(p)))
 
     def _gains_add(self, idx):
         pos, lens = ragged_positions(self._indptr, idx)
@@ -143,7 +154,8 @@ class _SparseLoadFunction(SubmodularFunction):
     def _gain_remove(self, j):
         ids, vals = self._entry(j)
         p = self._load[ids]
-        return float((self._psi(p) - self._psi(np.maximum(p - vals, 0.0))).sum())
+        psi = self._psi
+        return float(np.add.reduce(psi(p) - psi(np.maximum(p - vals, 0.0))))
 
     def _update(self, j):
         ids, vals = self._entry(j)

@@ -59,6 +59,7 @@ class SetCoverData:
             raise InputError("universe size must be non-negative")
         self.universe = int(self.universe)
         self.indptr, self.items = _flatten_sets(self.sets, self.universe)
+        self._ptr = self.indptr.tolist()  # item_slice bounds as Python ints
         self.weights = _validated_weights(self.weights, self.universe)
 
     @property
@@ -66,11 +67,17 @@ class SetCoverData:
         return len(self.sets)
 
     def item_slice(self, j: int) -> np.ndarray:
-        return self.items[self.indptr[j] : self.indptr[j + 1]]
+        ptr = self._ptr
+        return self.items[ptr[j]:ptr[j + 1]]
 
 
 class SetCoverFunction(SubmodularFunction):
-    """Coverage counts per universe item; gains read the 0/1 count boundary."""
+    """Coverage counts per universe item; gains read the 0/1 count boundary.
+
+    The scalar hooks sum with ``np.add.reduce``, the reduction
+    ``ndarray.sum`` runs, without its Python frame: a set holds a few
+    items, so the Python around a read costs more than its numpy work.
+    """
 
     name = "set-cover"
 
@@ -89,7 +96,7 @@ class SetCoverFunction(SubmodularFunction):
 
     def _gain_add(self, j):
         it = self.data.item_slice(j)
-        return float(self.data.weights[it[self._count[it] == 0]].sum())
+        return float(np.add.reduce(self.data.weights[it[self._count[it] == 0]]))
 
     def _gains_add(self, idx):
         pos, lens = ragged_positions(self.data.indptr, idx)
@@ -111,7 +118,7 @@ class SetCoverFunction(SubmodularFunction):
 
     def _gain_remove(self, j):
         it = self.data.item_slice(j)
-        return float(self.data.weights[it[self._count[it] == 1]].sum())
+        return float(np.add.reduce(self.data.weights[it[self._count[it] == 1]]))
 
     def _update(self, j):
         self._count[self.data.item_slice(j)] += 1

@@ -213,7 +213,7 @@ class FacilityLocationFunction(SubmodularFunction):
         buf = self._buf
         np.subtract(self.data.cols[j], self._best, out=buf)
         np.maximum(buf, 0.0, out=buf)
-        return float(buf.sum())
+        return float(np.add.reduce(buf))
 
     def _gains_add(self, idx):
         out = np.empty(idx.size)
@@ -294,7 +294,7 @@ class FacilityLocationFunction(SubmodularFunction):
     def _gain_remove(self, j):
         self._build_owed()
         hit = self._arg == j
-        return float((self._best[hit] - self._second[hit]).sum())
+        return float(np.add.reduce(self._best[hit] - self._second[hit]))
 
     def _update(self, j):
         self._build_owed()

@@ -152,7 +152,7 @@ def greedy_naive(F: SubmodularFunction, c: Constraint) -> MaximizationResult:
     return res
 
 
-def lazy_argmax(F: SubmodularFunction, pool, key, skip=None):
+def lazy_argmax(F: SubmodularFunction, pool, key=None, skip=None):
     """Stale-bound priority queue shared by the lazy greedy loops.
 
     Builds the heap at call time from the pool's gains, read in one
@@ -160,31 +160,42 @@ def lazy_argmax(F: SubmodularFunction, pool, key, skip=None):
     ``(j, gain, recomputes)``: j is the best element under the (key(gain,
     j) descending, id ascending) order, its gain is fresh at the current
     memo set, and ``recomputes`` counts the stale gains re-evaluated to
-    find it.  Entries carry the memo size at
-    which their bound was computed; a recomputed entry is yielded at once
-    when it still beats the next head, otherwise it is pushed back.  The
-    caller either updates F with j or drops it before asking for the next
-    element.  ``skip(j)`` discards a popped element before its gain is
+    find it.  With no ``key`` the gain itself is the key.  Entries carry
+    the memo size at which their bound was computed, ``len(F.memo)`` at
+    build time, so a caller may start from a non-empty memo; a recomputed
+    entry is yielded at once when it still beats the next head, otherwise
+    it is pushed back.  The caller either updates F with j or drops it
+    before asking for the next element, and gains are read-only, so the
+    memo size is read once per round: when the iterator starts and after
+    each yield.  ``skip(j)`` discards a popped element before its gain is
     recomputed.
     """
-    heap = [(-key(g, j), j, len(F.memo), g) for j, g in zip(pool, F.gains_add(pool).tolist())]
+    size = len(F.memo)
+    gains = F.gains_add(pool).tolist()
+    if key is None:
+        heap = [(-g, j, size, g) for j, g in zip(pool, gains)]
+    else:
+        heap = [(-key(g, j), j, size, g) for j, g in zip(pool, gains)]
     heapq.heapify(heap)
+    gain_add, heappop, heappush = F.gain_add, heapq.heappop, heapq.heappush
 
     def pops():
+        size = len(F.memo)
         recomputes = 0
         while heap:
-            negkey, j, stamp, g = heapq.heappop(heap)
+            _, j, stamp, g = heappop(heap)
             if skip is not None and skip(j):
                 continue
-            if stamp != len(F.memo):
-                g = F.gain_add(j)
+            if stamp != size:
+                g = gain_add(j)
                 recomputes += 1
-                entry = (-key(g, j), j, len(F.memo), g)
+                entry = (-g if key is None else -key(g, j), j, size, g)
                 if heap and entry >= heap[0]:
-                    heapq.heappush(heap, entry)
+                    heappush(heap, entry)
                     continue
             yield j, g, recomputes
             recomputes = 0
+            size = len(F.memo)
 
     return pops()
 
@@ -211,7 +222,7 @@ def greedy_lazy(F: SubmodularFunction, c: Constraint, pool=None) -> Maximization
             skip=lambda j: c.costs[j] > c.budget - spent + ABS_TOL,
         )
     else:
-        picks = lazy_argmax(F, pool, lambda g, j: g)
+        picks = lazy_argmax(F, pool)
     recomputes = [len(pool)]
     for j, g, round_recomputes in picks:
         if g <= -ABS_TOL:

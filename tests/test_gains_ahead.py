@@ -189,13 +189,56 @@ def test_counters_move_only_on_reads():
         assert not F._ahead
 
 
-def test_value_oracle_keeps_nothing_and_pays_per_gain():
+def _spy_on_gain_add(monkeypatch) -> list:
+    """Record (instance, id) for every public ``gain_add`` call, patched on
+    the classes as the benchmark's tracer patches them."""
+    calls = []
+    for cls in (SubmodularFunction, *_subclasses(SubmodularFunction)):
+        own = cls.__dict__.get("gain_add")
+        if own is not None:
+            def spy(self, j, _own=own):
+                calls.append((self, j))
+                return _own(self, j)
+            monkeypatch.setattr(cls, "gain_add", spy)
+    return calls
+
+
+@pytest.mark.parametrize("penalised", [False, True])
+@pytest.mark.parametrize("kind", ALL_KINDS + ("nested",))
+def test_gains_add_contract(kind, penalised, monkeypatch):
+    F = _instance(kind, 40, 7, penalised)
+    F.set_memo([2, 5, 31])
+    cands = [j for j in range(40) if j not in F.memo] + [9, 9]
+    scalar = F.clone_detached()
+    want = [scalar.gain_add(j).hex() for j in cands]
+    calls = _spy_on_gain_add(monkeypatch)
+    before = F.counters.copy()
+    got = F.gains_add(cands)
+    # bitwise one scalar read per id, each charged and booked through one
+    # public gain_add call
+    assert got.dtype == np.float64 and [g.hex() for g in got.tolist()] == want
+    assert F.counters - before == EvalCounters(gain_evals=len(cands))
+    assert calls == [(F, j) for j in cands]
+    assert not F._ahead
+    # the array is the caller's: a later call hands out another one, and
+    # writing into it changes no later read
+    again = F.gains_add(cands)
+    assert not np.shares_memory(got, again)
+    got[:] = np.nan
+    assert [g.hex() for g in again.tolist()] == want
+    assert [g.hex() for g in F.gains_add(cands).tolist()] == want
+    assert [F.gain_add(j).hex() for j in cands] == want
+
+
+def test_value_oracle_keeps_nothing_and_pays_per_gain(monkeypatch):
     F = zoo_instance("faclocation", 12, seed=4)
     V = wrap_value_oracle(F)
     calls = []
     inner = V._inner._evaluate
     V._inner._evaluate = lambda idx: calls.append(idx) or inner(idx)
+    reads = _spy_on_gain_add(monkeypatch)
     got = V.gains_add(range(12))
+    assert reads == [(V, j) for j in range(12)]
     assert V.counters.oracle_evals == 12 == len(calls) and not V._ahead
     assert V.counters.gain_evals == 0
     assert np.allclose(got, [F.gain_add(j) for j in range(12)], rtol=1e-12)

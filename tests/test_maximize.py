@@ -28,7 +28,7 @@ from submemo.maximize import (
     randomized_greedy,
     sieve_streaming,
 )
-from conftest import MONOTONE_KINDS, zoo_instance
+from conftest import ALL_KINDS, MONOTONE_KINDS, zoo_instance
 
 TWO_NODE_CUT = GraphCutData(np.array([[0.0, 1.0], [1.0, 0.0]]), lam=1.0)
 
@@ -115,6 +115,61 @@ def test_lazy_modular_recompute_pattern(rng):
     assert pattern[0] == 10
     assert pattern[1] == 0
     assert pattern[2:] == [1, 1, 1]
+
+
+def _lazy_exact(res) -> tuple:
+    trace = [(j, float(g).hex()) for j, g in res.trace]
+    return (res.members, trace, float(res.value).hex(), res.stats["recomputes_per_round"],
+            res.counters.as_dict())
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_lazy_greedy_without_a_key_equals_the_keyed_path(kind, monkeypatch):
+    # under a cardinality greedy_lazy passes no key and the gain is the key;
+    # the identity key through the keyed branch must give the same run bitwise
+    runs = {}
+    for seed in (0, 1, 2):
+        F = zoo_instance(kind, 30, seed=seed)
+        for k in (1, 7, 30):
+            runs[(seed, k, "pm")] = lambda F=F, k=k: greedy_lazy(F.clone_detached(), Cardinality(k))
+        runs[(seed, 5, "pool")] = lambda F=F: greedy_lazy(F.clone_detached(), Cardinality(5),
+                                                          pool=range(3, 30, 2))
+        runs[(seed, 7, "vo")] = lambda F=F: greedy_lazy(wrap_value_oracle(F), Cardinality(7))
+    keyless = {name: _lazy_exact(run()) for name, run in runs.items()}
+    lazy_argmax, keyed_calls = maximize.lazy_argmax, []
+
+    def identity(g, j):
+        keyed_calls.append(j)
+        return g
+
+    monkeypatch.setattr(maximize, "lazy_argmax",
+                        lambda F, pool, key=None, skip=None: lazy_argmax(F, pool, key or identity, skip))
+    for name, run in runs.items():
+        assert _lazy_exact(run()) == keyless[name], (kind, name)
+    assert keyed_calls
+
+
+@pytest.mark.parametrize("keyed", [False, True])
+@pytest.mark.parametrize("kind", ["faclocation", "featurebased", "setcover", "modular"])
+def test_lazy_argmax_from_a_non_empty_memo(kind, keyed):
+    # entries are stamped with the memo size at build time, so the first
+    # pick of a heap built on a non-empty memo recomputes nothing
+    F = zoo_instance(kind, 30, seed=4)
+    F.set_memo([3, 11, 20])
+    pool = [j for j in range(30) if j not in F.memo]
+    scalar = F.clone_detached()
+    gains = {j: scalar.gain_add(j) for j in pool}
+    ranked = sorted(pool, key=lambda j: (-gains[j], j))
+    key = (lambda g, j: g) if keyed else None
+    before = F.counters.gain_evals
+    picks = maximize.lazy_argmax(F, pool, key)
+    assert next(picks) == (ranked[0], gains[ranked[0]], 0)
+    assert F.counters.gain_evals - before == len(pool)
+    # dropping the pick leaves the memo as it was: the runner-up's bound is fresh
+    assert next(picks) == (ranked[1], gains[ranked[1]], 0)
+    F.update(ranked[1])
+    _, _, recomputes = next(picks)
+    assert recomputes >= 1
 
 
 def test_knapsack_greedy_respects_budget_and_beats_singletons(rng):

@@ -10,10 +10,10 @@ from the live statistic.
 
 ``gains_add(cands)`` reads the add gains of every id in ``cands`` with
 one ``_gains_add`` hook call and returns the hook's array.  It still books
-one public ``gain_add`` per id, which takes its answer from ``_ahead``: the
+one public ``gain_add`` per id, with the ``_booking`` flag set: while it
+is set, ``gain_add`` charges the gain and skips ``_gain_add``, so the
 counters and the traced ``gain_add`` calls stay those of scalar reads, and
 the benchmark's traced run checks one public call per charged gain.
-``_ahead`` is empty outside ``gains_add`` and ``sweep``.
 ``ValueOracleFunction`` has no batched hook by design: a value-oracle gain
 stays one oracle call.
 
@@ -21,11 +21,14 @@ stays one oracle call.
 ``order`` on top of the elements before it, charged and traced as
 ``set_memo(())`` plus one ``gain_add``/``update`` pair per element; the
 memo ends at V in ``order``.  A ``_chain`` hook computes the whole chain
-and the full-set statistic in one call; its gains go to ``_ahead``, and
-``update`` skips ``_update``.  The pairs stay because the benchmark's
-traced run checks one public call per charged gain and update against the
-counters.  Without the hook each gain is computed on the prefix, for
-``ValueOracleFunction`` one oracle call each: the baseline measured.
+and the full-set statistic in one call.  Its gains go straight into the
+weights, and the pairs are booked with ``_booking`` set, so ``update``
+skips ``_update`` as ``gain_add`` skips ``_gain_add``.  The pairs stay
+because the benchmark's traced run checks one public call per charged
+gain and update against the counters.  Without the hook each gain is
+computed on the prefix, for ``ValueOracleFunction`` one oracle call each:
+the baseline measured.  ``_booking`` is False outside ``gains_add`` and
+``sweep``.
 
 The per-element methods (``gain_add``, ``gain_remove``, ``gain_singleton``,
 ``update``, ``downdate``) accept a plain ``int`` in range without calling
@@ -342,8 +345,7 @@ class SubmodularFunction(ABC):
         self.n = int(n)
         self.memo = Subset(self.n)
         self.counters = EvalCounters()
-        self._ahead: dict[int, float] = {}  # hook gains handed to gain_add
-        self._chained = False  # inside a sweep whose _chain moved the statistic
+        self._booking = False  # gains_add or sweep holds the hook's answers
 
     # ------------------------------------------------------------------
     # public contract
@@ -362,31 +364,31 @@ class SubmodularFunction(ABC):
         if self.memo._flags[j]:
             raise PreconditionError(f"gain_add: element {j} already memoized")
         self.counters.gain_evals += 1
-        g = self._ahead.pop(j, None)
-        return self._gain_add(j) if g is None else g
+        if self._booking:
+            return None
+        return self._gain_add(j)
 
     def gains_add(self, cands) -> np.ndarray:
         """``gain_add`` of every id in ``cands``, computed in one hook call.
 
         Ids are checked as ``gain_add`` checks them.  Each gain is charged
-        through one ``gain_add`` call, and the hook's own array, bitwise
-        those reads, is returned.
+        through one ``gain_add`` call, booked with ``_booking`` set, and
+        the hook's own array, bitwise those reads, is returned.
         """
         idx = check_ids(cands, self.n)
         held = idx[self.memo.mask[idx]]
         if held.size:
             raise PreconditionError(f"gains_add: element {held[0]} already memoized")
         gains = self._gains_add(idx)
-        ids = idx.tolist()
         gain_add = self.gain_add
         if gains is None:
-            return np.array([gain_add(j) for j in ids], dtype=float)
+            return np.array([gain_add(j) for j in idx.tolist()], dtype=float)
+        self._booking = True
         try:
-            self._ahead = dict(zip(ids, gains.tolist()))
-            for j in ids:
+            for j in idx.tolist():
                 gain_add(j)
         finally:
-            self._ahead.clear()
+            self._booking = False
         return gains
 
     def gain_remove(self, j) -> float:
@@ -416,7 +418,7 @@ class SubmodularFunction(ABC):
         if self.memo._flags[j]:
             raise PreconditionError(f"update: element {j} already memoized")
         self.counters.memo_updates += 1
-        if not self._chained:
+        if not self._booking:
             self._update(j)
         memo = self.memo  # j is checked: grow it without Subset.add's checks
         memo._members.append(j)
@@ -445,33 +447,37 @@ class SubmodularFunction(ABC):
 
         Charged as ``set_memo(())`` plus one ``gain_add``/``update`` pair
         per element; the memo ends at V.  A ``_chain`` hook computes the
-        gains and the final statistic in one call, and the pairs then only
-        book them.  If anything raises after the first ``set_memo(())``, a
-        second, charged ``set_memo(())`` brings the memo and the statistic
-        back to ∅ together before the error propagates.
+        gains and the final statistic in one call; its gains are the
+        weights, and the pairs, run with ``_booking`` set, only book them.
+        A chain that returns the wrong number of gains raises ValueError
+        before anything is booked.  If anything raises after the first
+        ``set_memo(())``, a second, charged ``set_memo(())`` brings the memo
+        and the statistic back to ∅ together before the error propagates.
         """
         order = check_permutation(self.n, order)
         self.set_memo(())
         ids = order.tolist()
         gain_add, update = self.gain_add, self.update
-        got = []
-        put = got.append
+        weights = np.empty(self.n)
         try:
             gains = self._chain(order)
-            if gains is not None:
-                self._ahead = dict(zip(ids, gains.tolist(), strict=True))
-                self._chained = True
-            for j in ids:
-                put(gain_add(j))
-                update(j)
+            if gains is None:
+                for j in ids:
+                    weights[j] = gain_add(j)
+                    update(j)
+            else:
+                if gains.shape != order.shape:
+                    raise ValueError(f"_chain gave {gains.size} gains for {order.size} ids")
+                weights[order] = gains
+                self._booking = True
+                for j in ids:
+                    gain_add(j)
+                    update(j)
         except BaseException:
             self.set_memo(())
             raise
         finally:
-            self._chained = False
-            self._ahead.clear()
-        weights = np.empty(self.n)
-        weights[order] = got
+            self._booking = False
         return weights
 
     def memo_value(self) -> float:

@@ -58,7 +58,10 @@ def _to_csr(score_lists, n: int, num_buckets: int, what: str):
     indptr = np.zeros(n + 1, dtype=np.intp)
     id_chunks, val_chunks = [], []
     for j, (ids, vals) in enumerate(score_lists):
-        ids = np.asarray(ids, dtype=np.intp)
+        ids = np.asarray(ids)
+        if ids.size and ids.dtype.kind not in "iu":
+            raise InputError(f"{what}: element {j} has non-integer ids")
+        ids = ids.astype(np.intp, copy=False)
         vals = np.asarray(vals, dtype=float)
         if ids.shape != vals.shape or ids.ndim != 1:
             raise InputError(f"{what}: element {j} has mismatched id/value arrays")
@@ -247,7 +250,10 @@ class ClusteredConcaveModularData:
             raise InputError("need at least one cluster")
         per_element = [[] for _ in range(self.n)]
         for c, (cl, w) in enumerate(zip(self.clusters, self.cluster_weights)):
-            cl = np.asarray(cl, dtype=np.intp)
+            cl = np.asarray(cl)
+            if cl.size and cl.dtype.kind not in "iu":
+                raise InputError(f"cluster {c} lists a non-integer element")
+            cl = cl.astype(np.intp, copy=False)
             w = np.asarray(w, dtype=float)
             if cl.shape != w.shape:
                 raise InputError(f"cluster {c}: ids and weights have different lengths")

@@ -22,10 +22,13 @@ def _flatten_sets(sets, universe: int):
     indptr = np.zeros(len(sets) + 1, dtype=np.intp)
     chunks = []
     for j, s in enumerate(sets):
-        arr = np.asarray(sorted(set(int(u) for u in s)), dtype=np.intp)
-        if len(arr) != len(list(s)):
+        arr = s if isinstance(s, np.ndarray) else np.asarray(list(s))  # one read of an iterator
+        if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+            raise InputError(f"set of element {j} must list integer items")
+        arr = np.sort(arr.astype(np.intp, copy=False))
+        if np.any(arr[1:] == arr[:-1]):
             raise InputError(f"set of element {j} contains duplicate items")
-        if arr.size and (arr.min() < 0 or arr.max() >= universe):
+        if arr.size and (arr[0] < 0 or arr[-1] >= universe):
             raise InputError(f"set of element {j} references items outside the universe")
         chunks.append(arr)
         indptr[j + 1] = indptr[j] + arr.size
@@ -167,6 +170,8 @@ class ClusteredSetCoverData:
         for c, cluster in enumerate(self.clusters):
             seen = set()
             for item in cluster:
+                if not isinstance(item, (int, np.integer)):
+                    raise InputError(f"cluster {c} lists non-integer item {item!r}")
                 item = int(item)
                 if not 0 <= item < u:
                     raise InputError(f"cluster {c} references item {item} outside the universe")

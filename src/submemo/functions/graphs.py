@@ -4,16 +4,17 @@ All three work off an n-by-n non-negative similarity matrix and keep an
 O(n) statistic: per-row top-2 records for facility location, per-row sums
 for the other two.  The matrix is stored column-contiguously (``cols[j]``
 is the similarity of every i to j) because gains and updates touch whole
-columns.  A facility-location downdate costs O(|X| * |affected rows|): it
-reads only the entries of the rows whose best or second member left, and a
-rebuild reads the |X| x n entries in blocks of rows.  An extreme-point
-chain runs the best records' running maximum in blocks of chain
-positions and reads a block's gains off it with one subtract and one row
-sum.  After a chain only the best records are current; the second-best
-and owner records are owed, and the hooks that read them
-(``_gain_remove``, ``_update``, ``_downdate``, ``_statistic``) build them
-first.  The row-sum statistic lives once, in ``_RowSumFunction``, which
-dispersion-sum shares over its distance matrix.
+columns.  Facility location recomputes top-2 records with one builder,
+``_retop``, which reads ``similarity`` rows in blocks and takes the members
+along them: a downdate over the rows whose best or second member left,
+O(|X| * |affected rows|); a rebuild, and the records a chain left owed,
+over every row.  An extreme-point chain runs the best records' running
+maximum in blocks of chain positions and reads a block's gains off it
+with one subtract and one row sum.  After a chain only the best records
+are current; the second-best and owner records are owed, and the hooks
+that read them (``_gain_remove``, ``_update``, ``_downdate``,
+``_statistic``) build them first.  The row-sum statistic lives once, in
+``_RowSumFunction``, which dispersion-sum shares over its distance matrix.
 
 ``cols`` *is* ``similarity`` when the similarity is C-contiguous and
 symmetric bit for bit, so each similarity is held once; otherwise it is a
@@ -28,17 +29,15 @@ import numpy as np
 
 from ..core import InputError, SubmodularFunction
 
-# Rows per block when top-2 records are recomputed.  The gathered block is
-# |members| x 128 floats, 1.5 MB at 1500 members: it stays in a 2 MB L2
-# cache through its transpose and both argmax passes.  256-row blocks
-# rebuilt a 1500-member set 1.7x slower on such a host.
-_RETOP_BLOCK = 128
-# Member rows per block of a value-oracle call: the running maximum over
-# 64 x n blocks stays in L2.  At n = 1500 and 450 members (2 MB L2) it took
-# 650 us, against 800 us with 128-row blocks and 1060 us for one gather.
-_EVAL_BLOCK = 64
-# Candidate rows per block of a batched gain: 64 x n floats, 768 KB at
-# n = 1500, so the block stays in L2 through the subtract, clip and sum.
+# Rows per block of every blocked read of the similarity: a batched gain's
+# candidate columns, a value-oracle call's member columns and a top-2
+# rebuild's similarity rows.  A 64 x n block, 768 KB at n = 1500, stays in
+# a 2 MB L2 cache through the arithmetic on it.  On a 2-vCPU x86-64 host at
+# n = 1500 (best of 7): a 450-member value-oracle call took 650 us, against
+# 800 us with 128-row blocks and 1060 us for one gather.  A full-set top-2
+# rebuild with sorted members took 5.1-5.9 ms, against 4.9-6.5 ms with
+# 128-row blocks, 6.7-7.1 ms with 256 and 10.2-13.0 ms reading 128-row
+# column slices of ``cols``.
 _GAIN_BLOCK = 64
 # Chain positions per block of an extreme-point chain.  The running maximum
 # (B + 1 rows, the first carrying the best records in) and its differences
@@ -170,17 +169,18 @@ class FacilityLocationFunction(SubmodularFunction):
     Adding k is a vectorized O(n) shift of the top-2 records.  Removing k
     recomputes the records only for the rows where k held the best or second
     value, over the remaining memo set: O(|X| * |affected rows|), reading just
-    those entries.  A rebuild recomputes every row the same way, a block of
-    consecutive rows at a time, so its temporary stays |X| x block.
+    those rows.  A rebuild recomputes every row the same way, a block of
+    consecutive rows at a time, so its temporary stays block x |X|.
 
     ``_chain`` runs the best records' running maximum in blocks of
     ``_CHAIN_BLOCK`` chain positions: one ``np.maximum`` per element, one
     subtract and one row sum per block.  It leaves only ``_best`` current
     and keeps the chain order as records owed.  ``_gain_remove``,
     ``_update``, ``_downdate`` and ``_statistic`` build them first
-    (``_build_owed``); ``_rebuild`` drops them.  The add gains and the
-    value read ``_best`` alone, so Lovász descent and min-norm-point, whose
-    next sweep starts with a rebuild, never build them.
+    (``_build_owed``, ``_retop`` over the chain order); ``_rebuild`` drops
+    them.  The add gains and the value read ``_best`` alone, so Lovász
+    descent and min-norm-point, whose next sweep starts with a rebuild,
+    never build them.
     """
 
     name = "facility-location"
@@ -204,9 +204,9 @@ class FacilityLocationFunction(SubmodularFunction):
         if idx.size == 0:
             return 0.0
         cols = self.data.cols
-        best = cols[idx[:_EVAL_BLOCK]].max(axis=0)
-        for lo in range(_EVAL_BLOCK, idx.size, _EVAL_BLOCK):
-            np.maximum(best, cols[idx[lo:lo + _EVAL_BLOCK]].max(axis=0), out=best)
+        best = cols[idx[:_GAIN_BLOCK]].max(axis=0)
+        for lo in range(_GAIN_BLOCK, idx.size, _GAIN_BLOCK):
+            np.maximum(best, cols[idx[lo:lo + _GAIN_BLOCK]].max(axis=0), out=best)
         return float(best.sum())
 
     def _gain_add(self, j):
@@ -241,7 +241,7 @@ class FacilityLocationFunction(SubmodularFunction):
         row is ``_best`` at V (a max is exact), copied out of the block,
         which ``_gains_add`` reuses.  ``+ 0.0`` makes its zeros +0.0 as the
         loop leaves them, whichever zero ``np.maximum`` returns on a tie.
-        ``_second``, ``_arg`` and ``_arg2`` are built by ``_chain_records``
+        ``_second``, ``_arg`` and ``_arg2`` are built by ``_build_owed``
         only when a hook reads them; a sweep followed by another sweep or a
         ``set_memo`` never builds them.
         """
@@ -264,32 +264,17 @@ class FacilityLocationFunction(SubmodularFunction):
         return out
 
     def _build_owed(self):
-        """Build the records a chain left owed, if any."""
+        """Build the records a chain left owed, if any, as its ``_update``
+        calls leave them: ``_retop`` over the chain order gives ties to the
+        earliest member, and a record no member beats (0) stays unowned (-1)
+        and +0.0, whatever the sign of the zeros read."""
         if self._owed is not None:
             order, self._owed = self._owed, None
-            self._chain_records(order)
-
-    def _chain_records(self, order):
-        """Top-2 records over the whole chain, as its ``_update`` calls leave them.
-
-        Rows are read from ``similarity`` ``_GAIN_BLOCK`` at a time with the
-        members in chain order, so ties go to the earliest member; a record
-        no member beats (0) stays unowned (-1) and, as the loop leaves it,
-        +0.0 whatever the sign of the zeros read.  At n = 1500 this took 7-9 ms
-        against 17 ms for ``_retop``.  The block lives for one call: a
-        block kept per instance stayed resident and raised peak RSS.
-        """
-        n = self.n
-        block = np.empty((_GAIN_BLOCK, n))
-        for lo in range(0, n, _GAIN_BLOCK):
-            sub = block[:min(_GAIN_BLOCK, n - lo)]
-            rows = slice(lo, lo + sub.shape[0])
-            np.take(self.data.similarity[rows], order, axis=1, out=sub, mode="clip")
-            self._top2(rows, sub, order)
-        self._best += 0.0
-        self._second += 0.0
-        self._arg[self._best == 0.0] = -1
-        self._arg2[self._second == 0.0] = -1
+            self._retop(np.arange(self.n), order)
+            self._best += 0.0
+            self._second += 0.0
+            self._arg[self._best == 0.0] = -1
+            self._arg2[self._second == 0.0] = -1
 
     def _gain_remove(self, j):
         self._build_owed()
@@ -319,14 +304,14 @@ class FacilityLocationFunction(SubmodularFunction):
     def _retop(self, rows: np.ndarray, members: np.ndarray) -> None:
         """Recompute the top-2 records of ``rows`` (sorted, distinct) over ``members``.
 
-        Reads only the |members| x |rows| entries it needs,
-        ``_RETOP_BLOCK`` rows at a time, into a block ``sub[r, t]`` = s(row
-        r, member t), so both argmax passes run along contiguous memory.  A
-        run of consecutive rows is one column slice of each member's
-        ``cols`` row, transposed once; other rows are read as whole
-        ``similarity`` rows and gathered along them (a downdate's 2 rows at
-        1400 members: 6 against 16 us for the strided ``cols`` gather).
-        Ties go to the earliest member, as with ``argmax``.
+        Reads ``similarity`` rows ``_GAIN_BLOCK`` at a time, a run of
+        consecutive rows as one slice and other rows gathered, and takes the
+        members along them into a block ``sub[r, t]`` = s(row r, member t),
+        so both argmax passes run along contiguous memory (a downdate's 2
+        rows at 1400 members: 6 against 16 us for a strided ``cols``
+        gather).  Ties go to the earliest member, as with ``argmax``.  The
+        block lives for one call: a block kept per instance stayed resident
+        and raised peak RSS.
         """
         if members.size == 0:
             self._best[rows] = 0.0
@@ -334,14 +319,14 @@ class FacilityLocationFunction(SubmodularFunction):
             self._arg[rows] = -1
             self._arg2[rows] = -1
             return
-        cols = self.data.cols
-        for lo in range(0, rows.size, _RETOP_BLOCK):
-            blk = rows[lo:lo + _RETOP_BLOCK]
+        sim = self.data.similarity
+        block = np.empty((min(_GAIN_BLOCK, rows.size), members.size))
+        for lo in range(0, rows.size, _GAIN_BLOCK):
+            blk = rows[lo:lo + _GAIN_BLOCK]
             first, last = int(blk[0]), int(blk[-1])
-            if last - first + 1 == blk.size:
-                sub = np.ascontiguousarray(cols[members, first:last + 1].T)
-            else:
-                sub = np.take(self.data.similarity[blk], members, axis=1)
+            read = sim[first:last + 1] if last - first + 1 == blk.size else sim[blk]
+            sub = block[:blk.size]
+            np.take(read, members, axis=1, out=sub, mode="clip")
             self._top2(blk, sub, members)
 
     def _top2(self, rows, sub: np.ndarray, members: np.ndarray) -> None:

@@ -89,7 +89,7 @@ def test_a_mixture_batches_only_when_every_component_does():
     assert F._gains_add(np.arange(10, 20)) is None
     got = F.gains_add(range(10, 20))
     assert got.tolist() == [F.clone_detached().gain_add(j) for j in range(10, 20)]
-    assert not F._ahead
+    assert not F._booking
 
 
 def test_ragged_sum_is_each_segments_own_sum():
@@ -142,7 +142,7 @@ def test_kept_gain_is_never_read_stale(kind, change):
     F.set_memo([1, 2, 3])
     outside = np.flatnonzero(~F.memo.mask)
     before = F.gains_add(outside)
-    assert not F._ahead  # nothing outlives the call
+    assert not F._booking  # nothing outlives the call
     if change == "update":
         F.update(int(outside[0]))
     elif change == "downdate":
@@ -186,7 +186,7 @@ def test_counters_move_only_on_reads():
         got = F.gains_add(cands)
         assert [g.hex() for g in got.tolist()] == [scalar.gain_add(j).hex() for j in cands]
         assert F.counters - before == EvalCounters(gain_evals=len(cands))
-        assert not F._ahead
+        assert not F._booking
 
 
 def _spy_on_gain_add(monkeypatch) -> list:
@@ -219,7 +219,7 @@ def test_gains_add_contract(kind, penalised, monkeypatch):
     assert got.dtype == np.float64 and [g.hex() for g in got.tolist()] == want
     assert F.counters - before == EvalCounters(gain_evals=len(cands))
     assert calls == [(F, j) for j in cands]
-    assert not F._ahead
+    assert not F._booking
     # the array is the caller's: a later call hands out another one, and
     # writing into it changes no later read
     again = F.gains_add(cands)
@@ -239,7 +239,7 @@ def test_value_oracle_keeps_nothing_and_pays_per_gain(monkeypatch):
     reads = _spy_on_gain_add(monkeypatch)
     got = V.gains_add(range(12))
     assert reads == [(V, j) for j in range(12)]
-    assert V.counters.oracle_evals == 12 == len(calls) and not V._ahead
+    assert V.counters.oracle_evals == 12 == len(calls) and not V._booking
     assert V.counters.gain_evals == 0
     assert np.allclose(got, [F.gain_add(j) for j in range(12)], rtol=1e-12)
 
@@ -248,13 +248,17 @@ def test_nothing_is_handed_on_after_a_call():
     # the chained sweep and a plain gains_add are checked where they are tested
     L = zoo_instance("logdet", 12, seed=6)
     L.sweep(range(12))  # no _chain hook: one gain at a time
-    assert not L._ahead and not L._chained
+    assert not L._booking
     F = zoo_instance("featurebased", 30, seed=6)
     reads = []
     F.gain_add = lambda j: reads.append(j) or (1 / 0 if len(reads) == 2 else 0.0)
     with pytest.raises(ZeroDivisionError):  # a read that raises half way
         F.gains_add(range(5))
-    assert reads == [0, 1] and not F._ahead
+    assert reads == [0, 1] and not F._booking
+    del F.gain_add  # the next public read computes its gain again
+    hook, hooked = F._gain_add, []
+    F._gain_add = lambda j: hooked.append(j) or hook(j)
+    assert F.gain_add(7) == F.clone_detached().gain_add(7) and hooked == [7]
 
 
 def _knapsack(n: int, seed: int) -> Knapsack:

@@ -1,7 +1,9 @@
 """Every ``InputError`` that the square-matrix constructors raise, with its
 exact message; and the near-symmetric input they accept.  Every ``InputError``
-raised in ``functions/concave.py`` and ``functions/coverage.py``, one
-malformed input per ``raise``, with its exact message."""
+raised in ``functions/concave.py``, ``functions/coverage.py``,
+``functions/graphs.py``, ``functions/dispersion.py`` and
+``functions/compose.py``, one malformed input per ``raise``, with its exact
+message."""
 
 import ast
 from pathlib import Path
@@ -19,6 +21,11 @@ from submemo.functions import (
     FeatureBasedData,
     GraphCutData,
     LogDetData,
+    MixtureData,
+    MixtureFunction,
+    ModularData,
+    ModularPenaltyData,
+    ModularSetFunction,
     ProbabilisticSetCoverData,
     SaturatedCoverageData,
     SetCoverData,
@@ -121,11 +128,15 @@ def test_log_det_ridged_kernel_is_kernel_plus_ridge_identity(first, ridge):
 
 
 FUNCTIONS = Path(__file__).resolve().parents[1] / "src" / "submemo" / "functions"
-TABLE_FILES = ("concave.py", "coverage.py")
+TABLE_FILES = ("concave.py", "coverage.py", "graphs.py", "dispersion.py", "compose.py")
 
 
 def _clustered(clusters, weights, n=2):
     return ClusteredConcaveModularData(clusters, weights, n)
+
+
+def _modular(n):
+    return ModularSetFunction(ModularData(np.ones(n)))
 
 
 def _deep(scores=((1.0, 0.0, 2.0), (0.0, 1.0, 1.0)), mix=((1.0, 1.0),), outer=(1.0,)):
@@ -139,6 +150,8 @@ DATA_CASES = {
                                    "power exponent must lie in (0, 1), got 1.5"),
     "concave-unknown": (lambda: make_concave("cube"),
                         "unknown concave shape 'cube' (use sqrt, log1p, pow:<p>)"),
+    "features-non-integer-id": (lambda: FeatureBasedData([([0.6], [1.0])], num_features=2),
+                                "feature scores: element 0 has non-integer ids"),
     "features-mismatched": (lambda: FeatureBasedData([([0, 1], [1.0])], num_features=2),
                             "feature scores: element 0 has mismatched id/value arrays"),
     "features-id-out-of-range": (lambda: FeatureBasedData([([0], [1.0]), ([2], [1.0])], num_features=2),
@@ -153,6 +166,8 @@ DATA_CASES = {
                           "sparse feature scores need num_features"),
     "clusters-misaligned": (lambda: _clustered([[0]], []), "clusters and cluster_weights must align"),
     "clusters-none": (lambda: _clustered([], []), "need at least one cluster"),
+    "cluster-non-integer-element": (lambda: _clustered([[0.5]], [[1.0]]),
+                                    "cluster 0 lists a non-integer element"),
     "cluster-lengths": (lambda: _clustered([[0, 1]], [[1.0]]),
                         "cluster 0: ids and weights have different lengths"),
     "cluster-out-of-range": (lambda: _clustered([[0], [0, 2]], [[1.0], [1.0, 1.0]]),
@@ -170,6 +185,8 @@ DATA_CASES = {
     "deep-inf-mix": (lambda: _deep(mix=((1.0, np.inf),)), "deep function mix must be finite and non-negative"),
     "deep-negative-outer": (lambda: _deep(outer=(-1.0,)),
                             "deep function outer must be finite and non-negative"),
+    "cover-non-integer-item": (lambda: SetCoverData([[0.7, 1.9]], 3),
+                               "set of element 0 must list integer items"),
     "cover-duplicate-item": (lambda: SetCoverData([[0], [1, 0, 1]], 2),
                              "set of element 1 contains duplicate items"),
     "cover-item-out-of-range": (lambda: SetCoverData([[2]], 2),
@@ -181,6 +198,8 @@ DATA_CASES = {
     "cover-negative-universe": (lambda: SetCoverData([[0]], -1), "universe size must be non-negative"),
     "clustered-cover-no-cluster": (lambda: ClusteredSetCoverData([[0]], 2, clusters=[]),
                                    "clustered set cover needs at least one cluster"),
+    "clustered-cover-non-integer-item": (lambda: ClusteredSetCoverData([[0]], 2, clusters=[[0.5]]),
+                                         "cluster 0 lists non-integer item 0.5"),
     "clustered-cover-out-of-range": (lambda: ClusteredSetCoverData([[0]], 2, clusters=[[0], [2]]),
                                      "cluster 1 references item 2 outside the universe"),
     "clustered-cover-item-twice": (lambda: ClusteredSetCoverData([[0]], 2, clusters=[[1, 1]]),
@@ -191,12 +210,34 @@ DATA_CASES = {
                                 "coverage probabilities must lie in [0, 1]"),
     "probabilistic-weight-count": (lambda: ProbabilisticSetCoverData(np.ones((2, 1)), weights=[1.0]),
                                    "need one weight per universe item (2), got (1,)"),
+    "saturated-alpha-fraction": (lambda: SaturatedCoverageData(BASE, alpha_fraction=0.0),
+                                 "alpha_fraction must be positive"),
+    "saturated-alpha-count": (lambda: SaturatedCoverageData(BASE, alpha=[1.0, 1.0]),
+                              "alpha must have one threshold per row"),
+    "saturated-alpha-negative": (lambda: SaturatedCoverageData(BASE, alpha=[1.0, -1.0, 1.0]),
+                                 "alpha thresholds must be finite and non-negative"),
+    "graph-cut-lambda": (lambda: GraphCutData(BASE, lam=-0.5), "graph cut lambda must be finite and >= 0"),
+    "dispersion-diagonal": (lambda: DispersionData(BASE + np.eye(3)),
+                            "distance matrix must have a zero diagonal"),
+    "dispersion-kind": (lambda: DispersionData(BASE, kind="max"),
+                        "dispersion kind must be one of ('min', 'sum', 'min-sum')"),
+    "modular-not-1d": (lambda: ModularData(np.ones((2, 2))), "modular weights must be a non-empty 1-d array"),
+    "modular-inf": (lambda: ModularData([1.0, np.inf]), "modular weights must be finite"),
+    "mixture-data-empty": (lambda: MixtureData([]), "mixture needs at least one component"),
+    "mixture-data-negative-weight": (lambda: MixtureData([(-1.0, ModularData(np.ones(2)))]),
+                                     "mixture weights must be finite and non-negative"),
+    "mixture-empty": (lambda: MixtureFunction([]), "mixture needs at least one component"),
+    "mixture-ground-sets": (lambda: MixtureFunction([(1.0, _modular(2)), (1.0, _modular(3))]),
+                            "mixture components must share the ground set"),
+    "mixture-nan-weight": (lambda: MixtureFunction([(np.nan, _modular(2))]),
+                           "mixture weights must be finite and non-negative"),
+    "penalty-not-1d": (lambda: ModularPenaltyData(ModularData(np.ones(2)), np.ones((2, 2))),
+                       "penalty weights must be a finite 1-d array"),
 }
 
 
-def _raise_site(info) -> tuple[str, int]:
-    """(file name, line) of the innermost frame, where the error was raised."""
-    tb = info.tb
+def _raise_site(tb) -> tuple[str, int]:
+    """(file name, line) of the innermost frame of ``tb``, where the error was raised."""
     while tb.tb_next is not None:
         tb = tb.tb_next
     return Path(tb.tb_frame.f_code.co_filename).name, tb.tb_lineno
@@ -209,7 +250,7 @@ def test_data_constructor_errors(case):
         build()
     assert type(info.value) is InputError
     assert str(info.value) == message
-    assert _raise_site(info)[0] in TABLE_FILES
+    assert _raise_site(info.tb)[0] in TABLE_FILES
 
 
 def input_error_raises(tree: ast.AST) -> list[int]:
@@ -232,12 +273,23 @@ def test_input_error_raises_are_found():
     assert input_error_raises(ast.parse(source)) == [3, 4]
 
 
+def test_a_set_given_as_an_iterator_is_read_once():
+    data = SetCoverData([iter([1, 0]), iter([])], 2)
+    assert data.items.tolist() == [0, 1] and data.indptr.tolist() == [0, 2, 2]
+
+
 def test_every_raise_in_the_table_files_has_a_case():
     sites = set()
     for build, _ in DATA_CASES.values():
         with pytest.raises(InputError) as info:
             build()
-        sites.add(_raise_site(info))
+        sites.add(_raise_site(info.tb))
+    for cls, (_, symmetric) in SQUARE.items():  # these raise from graphs.py's _validated_square
+        for matrix, _, symmetric_only in SQUARE_CASES.values():
+            if symmetric or not symmetric_only:
+                with pytest.raises(InputError) as info:
+                    cls(matrix)
+                sites.add(_raise_site(info.tb))
     for name in TABLE_FILES:
         want = input_error_raises(ast.parse((FUNCTIONS / name).read_text()))
         assert want

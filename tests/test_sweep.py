@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from submemo import SubmodularFunction, wrap_value_oracle
+from submemo import EvalCounters, SubmodularFunction, wrap_value_oracle
 from submemo.bounds import _descending_order, extreme_point
 from submemo.functions import (
     FacilityLocationData,
@@ -240,26 +240,26 @@ def _assert_at_the_empty_set(F):
     assert verify_statistic(F).max_deviation == 0.0
 
 
-@pytest.mark.parametrize("failure", [None, "raises", "short"])
+@pytest.mark.parametrize("failure", [None, "raises", "short", "one"])
 def test_update_after_a_sweep_moves_the_statistic(failure):
     F = zoo_instance("setcover", 60, seed=6)
     seen = _spy_updates(F)
-    rebuilds = F.counters.memo_rebuilds
+    before = F.counters.copy()
     if failure == "raises":
         _fail_after_chaining(F, lambda gains: 1 / 0)
         with pytest.raises(ZeroDivisionError):
             F.sweep(range(60))
-    elif failure == "short":
-        _fail_after_chaining(F, lambda gains: gains[:-1])
+    elif failure:  # n - 1 gains, or one gain that would broadcast over the weights
+        _fail_after_chaining(F, lambda gains: gains[:-1] if failure == "short" else gains[:1])
         with pytest.raises(ValueError):
             F.sweep(range(60))
     else:
         F.sweep(range(60))
         assert seen == []
-    if failure:  # a second, charged set_memo(()) brought the statistic back to ∅
+    if failure:  # nothing booked; a second, charged set_memo(()) brought the statistic back to ∅
         _assert_at_the_empty_set(F)
-        assert F.counters.memo_rebuilds == rebuilds + 2
-    assert not F._chained and not F._ahead
+        assert F.counters - before == EvalCounters(memo_rebuilds=2)
+    assert not F._booking
     F.set_memo([1, 2])
     F.update(7)
     assert seen == [7]
@@ -276,7 +276,7 @@ def test_a_penalised_sweep_whose_component_chain_raises_ends_at_the_empty_set():
         P.sweep(np.random.default_rng(17).permutation(60))
     _assert_at_the_empty_set(P)
     assert base._owed is None
-    assert not P._chained and not P._ahead
+    assert not P._booking
 
 
 def test_value_oracle_sweeps_gain_by_gain():
@@ -344,14 +344,16 @@ def test_owed_records_read_as_the_loop_leaves_them(kind, penalised, how):
 
 
 def _count_record_builds(monkeypatch) -> list:
+    """Record the chain length of every ``_build_owed`` call that owes records."""
     calls = []
-    original = FacilityLocationFunction._chain_records
+    original = FacilityLocationFunction._build_owed
 
-    def counted(self, order):
-        calls.append(order.size)
-        return original(self, order)
+    def counted(self):
+        if self._owed is not None:
+            calls.append(self._owed.size)
+        return original(self)
 
-    monkeypatch.setattr(FacilityLocationFunction, "_chain_records", counted)
+    monkeypatch.setattr(FacilityLocationFunction, "_build_owed", counted)
     return calls
 
 

@@ -27,7 +27,7 @@ from submemo.functions import (
     make_function,
     verify_statistic,
 )
-from submemo.functions.graphs import _RETOP_BLOCK
+from submemo.functions.graphs import _GAIN_BLOCK
 from conftest import ALL_KINDS, MONOTONE_KINDS, SUBMODULAR_KINDS, random_subset, zoo_instance
 
 S3 = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
@@ -420,7 +420,7 @@ _FACLOC_STEPS = st.lists(
 @settings(max_examples=40, deadline=None)
 def test_facility_location_records_match_unblocked_reference(seed, steps):
     # rows span more than two re-top blocks; values on a 0.1 grid tie often
-    n = 2 * _RETOP_BLOCK + 45
+    n = 2 * _GAIN_BLOCK + 45
     rng = np.random.default_rng(seed)
     F = make_function(n, FacilityLocationData(np.round(rng.random((n, n)), 1)))
     ref = _Top2Reference(F.data.cols)
@@ -451,6 +451,40 @@ def test_facility_location_records_match_unblocked_reference(seed, steps):
             F.set_memo(X)
             ref.rebuild(X)
         assert ref.matches(F), (op, x)
+
+
+def _retop_rows(kind: str, n: int, rng) -> np.ndarray:
+    if kind == "one":
+        return np.asarray([n // 2])
+    if kind == "run":
+        return np.arange(7, 7 + _GAIN_BLOCK // 2)
+    # a consecutive first block, read as a slice, then a scattered one, gathered
+    rest = np.sort(rng.choice(np.arange(_GAIN_BLOCK + 9, n), size=_GAIN_BLOCK // 2, replace=False))
+    return np.concatenate([np.arange(9, _GAIN_BLOCK + 9), rest])
+
+
+@pytest.mark.parametrize("layout", ["symmetric", "asymmetric-F"])
+@pytest.mark.parametrize("order", ["sorted", "insertion"])
+@pytest.mark.parametrize("rows", ["one", "run", "two-blocks"])
+def test_retop_matches_the_unblocked_reference_bitwise(rows, order, layout):
+    # the asymmetric similarity is F-ordered, so cols is its transpose's view
+    # and a builder that read cols rows in place of similarity rows would differ
+    n = 2 * _GAIN_BLOCK + 45
+    rng = np.random.default_rng(31)
+    s = np.round(rng.random((n, n)), 1)
+    s = np.maximum(s, s.T) if layout == "symmetric" else np.asfortranarray(s)
+    F = make_function(n, FacilityLocationData(s))
+    assert (F.data.cols is F.data.similarity) == (layout == "symmetric")
+    members = rng.choice(n, size=40, replace=False)
+    if order == "sorted":
+        members = np.sort(members)
+    rows = _retop_rows(rows, n, rng)
+    ref = _Top2Reference(F.data.cols)
+    F._retop(rows, members)
+    ref.retop(rows, members)
+    for got, want in zip((F._best, F._second, F._arg, F._arg2),
+                         (ref.best, ref.second, ref.arg, ref.arg2)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_logdet_gain_is_schur_complement(rng):

@@ -9,11 +9,13 @@ through the public methods below, which keeps the counter accounting exact:
 from the live statistic.
 
 ``gains_add(cands)`` reads the add gains of every id in ``cands`` with
-one ``_gains_add`` hook call and returns the hook's array.  It still books
-one public ``gain_add`` per id, with the ``_booking`` flag set: while it
-is set, ``gain_add`` charges the gain and skips ``_gain_add``, so the
-counters and the traced ``gain_add`` calls stay those of scalar reads, and
-the benchmark's traced run checks one public call per charged gain.
+one ``_gains_add`` hook call and returns the hook's array.  A hook may keep
+gains between calls, provided they stay bitwise the scalar reads and the
+array it returns is the caller's.  ``gains_add`` still books one public
+``gain_add`` per id, with the ``_booking`` flag set: while it is set,
+``gain_add`` charges the gain and skips ``_gain_add``, so the counters and
+the traced ``gain_add`` calls stay those of scalar reads, and the
+benchmark's traced run checks one public call per charged gain.
 ``ValueOracleFunction`` has no batched hook by design: a value-oracle gain
 stays one oracle call.
 

@@ -13,8 +13,11 @@ maximum in blocks of chain positions and reads a block's gains off it
 with one subtract and one row sum.  After a chain only the best records
 are current; the second-best and owner records are owed, and the hooks
 that read them (``_gain_remove``, ``_update``, ``_downdate``,
-``_statistic``) build them first.  The row-sum statistic lives once, in
-``_RowSumFunction``, which dispersion-sum shares over its distance matrix.
+``_statistic``) build them first.  Batched add gains are kept between
+calls and recomputed only for the candidates that a move of the best
+records since the last call can reach, found by reading the moved rows of
+``similarity``.  The row-sum statistic lives once, in ``_RowSumFunction``,
+which dispersion-sum shares over its distance matrix.
 
 ``cols`` *is* ``similarity`` when the similarity is C-contiguous and
 symmetric bit for bit, so each similarity is held once; otherwise it is a
@@ -30,8 +33,9 @@ import numpy as np
 from ..core import InputError, SubmodularFunction
 
 # Rows per block of every blocked read of the similarity: a batched gain's
-# candidate columns, a value-oracle call's member columns and a top-2
-# rebuild's similarity rows.  A 64 x n block, 768 KB at n = 1500, stays in
+# candidate columns, the similarity rows whose best moved under kept batched
+# gains, a value-oracle call's member columns and a top-2 rebuild's
+# similarity rows.  A 64 x n block, 768 KB at n = 1500, stays in
 # a 2 MB L2 cache through the arithmetic on it.  On a 2-vCPU x86-64 host at
 # n = 1500 (best of 7): a 450-member value-oracle call took 650 us, against
 # 800 us with 128-row blocks and 1060 us for one gather.  A full-set top-2
@@ -181,6 +185,14 @@ class FacilityLocationFunction(SubmodularFunction):
     them.  The add gains and the value read ``_best`` alone, so Lovász
     descent and min-norm-point, whose next sweep starts with a rebuild,
     never build them.
+
+    ``_gains_add`` keeps its gains in ``_kept`` = (gains, valid,
+    best_at_read) and recomputes, with ``_gains_fresh``, only the
+    candidates whose gain a move of ``_best`` since the last call can have
+    changed, so naive and randomized greedy pay per round for the rows the
+    last pick moved rather than for every candidate.  ``_rebuild`` and
+    ``_chain`` drop the kept gains: they move almost every row, and reading
+    the rows would cost more than recomputing.
     """
 
     name = "facility-location"
@@ -195,10 +207,11 @@ class FacilityLocationFunction(SubmodularFunction):
         self._arg2 = np.full(n, -1, dtype=np.intp)
         self._owed = None  # chain order whose records past _best are not built yet
         self._buf = np.empty(n)
-        # kept for _gains_add and _chain, not reallocated per call: a fresh
+        # kept for the batched gains and _chain, not reallocated per call: a fresh
         # 768 KB block per batch raised peak RSS by 17 MB over a 40 s
         # greedy-pm benchmark run (seed 1)
         self._block = np.empty((_GAIN_BLOCK, n))
+        self._kept = None  # (gains, valid, best_at_read) of _gains_add
 
     def _evaluate(self, idx):
         if idx.size == 0:
@@ -216,6 +229,39 @@ class FacilityLocationFunction(SubmodularFunction):
         return float(np.add.reduce(buf))
 
     def _gains_add(self, idx):
+        """Add gains of ``idx``, kept between calls and recomputed only where
+        a move of ``_best`` since the last call can have changed them.
+
+        A gain is the pairwise sum over rows i of max(s_ij - best_i, 0).
+        Where s_ij < best_i both before and after a row's move, the
+        difference is negative and the term is +0.0 both times, so a gain
+        stays bitwise unless some moved row has s_ij >= min(old, new).  A row
+        counts as moved when its bits differ from the snapshot taken at the
+        last call, so the rule leans neither on which zero ``np.maximum``
+        returns on a tie nor on a zero's sign.  Moved rows are read
+        ``_GAIN_BLOCK`` at a time into ``_block``.  The returned array is
+        the caller's.
+        """
+        if self._kept is None:
+            self._kept = (np.empty(self.n), np.zeros(self.n, dtype=bool), self._best.copy())
+        gains, valid, seen = self._kept
+        moved = np.flatnonzero(self._best.view(np.uint64) != seen.view(np.uint64))
+        if moved.size:
+            low = np.minimum(seen[moved], self._best[moved])[:, None]
+            for lo in range(0, moved.size, _GAIN_BLOCK):
+                rows = moved[lo:lo + _GAIN_BLOCK]
+                sub = self._block[:rows.size]
+                np.take(self.data.similarity, rows, axis=0, out=sub, mode="clip")
+                valid &= ~(sub >= low[lo:lo + rows.size]).any(axis=0)
+            np.copyto(seen, self._best)
+        stale = idx[~valid[idx]]
+        if stale.size:
+            gains[stale] = self._gains_fresh(stale)
+            valid[stale] = True
+        return gains[idx]
+
+    def _gains_fresh(self, idx):
+        """Add gains of ``idx`` off ``_best``, ``_GAIN_BLOCK`` candidate columns at a time."""
         out = np.empty(idx.size)
         for lo in range(0, idx.size, _GAIN_BLOCK):
             rows = idx[lo:lo + _GAIN_BLOCK]
@@ -239,7 +285,7 @@ class FacilityLocationFunction(SubmodularFunction):
         col beats best and a zero elsewhere, a zero's sign does not reach a
         sum, and a contiguous row's sum is the 1-d pairwise sum.  The last
         row is ``_best`` at V (a max is exact), copied out of the block,
-        which ``_gains_add`` reuses.  ``+ 0.0`` makes its zeros +0.0 as the
+        which the batched gains reuse.  ``+ 0.0`` makes its zeros +0.0 as the
         loop leaves them, whichever zero ``np.maximum`` returns on a tie.
         ``_second``, ``_arg`` and ``_arg2`` are built by ``_build_owed``
         only when a hook reads them; a sweep followed by another sweep or a
@@ -260,6 +306,7 @@ class FacilityLocationFunction(SubmodularFunction):
             diff[:m].sum(axis=1, out=out[lo:lo + m])
             np.copyto(rows[0], rows[m])
         self._best = rows[0] + 0.0
+        self._kept = None
         self._owed = order.copy()  # the caller may reuse its order array
         return out
 
@@ -351,6 +398,7 @@ class FacilityLocationFunction(SubmodularFunction):
     def _rebuild(self, idx):
         n = self.n
         self._owed = None
+        self._kept = None
         self._best = np.zeros(n)
         self._second = np.zeros(n)
         self._arg = np.full(n, -1, dtype=np.intp)

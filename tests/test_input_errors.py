@@ -1,9 +1,9 @@
 """Every ``InputError`` that the square-matrix constructors raise, with its
 exact message; and the near-symmetric input they accept.  Every ``InputError``
 raised in ``functions/concave.py``, ``functions/coverage.py``,
-``functions/graphs.py``, ``functions/dispersion.py`` and
-``functions/compose.py``, one malformed input per ``raise``, with its exact
-message."""
+``functions/graphs.py``, ``functions/dispersion.py``,
+``functions/compose.py`` and ``bench/dataio.py``, one malformed input or
+file per ``raise``, with its exact message."""
 
 import ast
 from pathlib import Path
@@ -11,6 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from submemo.bench.dataio import (
+    load_dense_matrix,
+    load_set_system,
+    load_sparse_triplets,
+    save_dense_matrix,
+    save_set_system,
+)
 from submemo.core import InputError
 from submemo.functions import (
     ClusteredConcaveModularData,
@@ -127,8 +134,9 @@ def test_log_det_ridged_kernel_is_kernel_plus_ridge_identity(first, ridge):
     assert d.ridged.tobytes() == (k + d.ridge * np.eye(4)).tobytes()
 
 
-FUNCTIONS = Path(__file__).resolve().parents[1] / "src" / "submemo" / "functions"
-TABLE_FILES = ("concave.py", "coverage.py", "graphs.py", "dispersion.py", "compose.py")
+SUBMEMO = Path(__file__).resolve().parents[1] / "src" / "submemo"
+TABLE_FILES = ("functions/concave.py", "functions/coverage.py", "functions/graphs.py",
+               "functions/dispersion.py", "functions/compose.py", "bench/dataio.py")
 
 
 def _clustered(clusters, weights, n=2):
@@ -236,11 +244,59 @@ DATA_CASES = {
 }
 
 
+def _loading(loader, text: str):
+    """A case that writes ``text`` to ``input`` under a scratch directory and loads it."""
+    def run(tmp_path):
+        path = tmp_path / "input"
+        path.write_text(text, encoding="utf-8")
+        return loader(path)
+    return run
+
+
+# case -> (call on a scratch directory, exact message with {path} for the file read)
+FILE_CASES = {
+    "dense-no-header": (_loading(load_dense_matrix, "1,2\n3,4\n"),
+                        "{path}: expected a 'n=<count>' header row"),
+    "dense-bad-header": (_loading(load_dense_matrix, "n=two\n"), "{path}: bad header 'n=two'"),
+    "dense-row-count": (_loading(load_dense_matrix, "n=2\n1,2\n"),
+                        "{path}: header says 2 rows, file has 1"),
+    "dense-row-cells": (_loading(load_dense_matrix, "n=2\n1,2\n3\n"),
+                        "{path}: row 1 has 1 cells, expected 2"),
+    "dense-non-numeric": (_loading(load_dense_matrix, "n=2\n1,2\n3,x\n"),
+                          "{path}: non-numeric cell in row 1"),
+    "dense-non-finite": (_loading(load_dense_matrix, "n=2\n1,nan\n3,4\n"),
+                         "{path}: non-finite value in row 0"),
+    "dense-save-not-square": (lambda tmp_path: save_dense_matrix(tmp_path / "input", np.zeros((2, 3))),
+                              "dense format stores square matrices only"),
+    "triplet-no-header": (_loading(load_sparse_triplets, "n=2\n"),
+                          "{path}: expected a 'triplet n=<n> buckets=<m>' header"),
+    "triplet-bad-header": (_loading(load_sparse_triplets, "triplet n=2\n"),
+                           "{path}: bad triplet header 'triplet n=2'"),
+    "triplet-cells": (_loading(load_sparse_triplets, "triplet n=2 buckets=1\n0,1\n"),
+                      "{path}: triplet line 0 needs 3 cells"),
+    "triplet-not-numeric": (_loading(load_sparse_triplets, "triplet n=2 buckets=1\n0,1,x\n"),
+                            "{path}: bad triplet on line 0"),
+    "triplet-out-of-range": (_loading(load_sparse_triplets, "triplet n=2 buckets=1\n0,1,1.0\n1,0,1.0\n"),
+                             "{path}: triplet out of range on line 1"),
+    "sets-invalid-json": (_loading(load_set_system, "[1,"),
+                          "{path}: invalid JSON (Expecting value: line 1 column 4 (char 3))"),
+    "sets-not-object": (_loading(load_set_system, "[1]"), "{path}: set system must be a JSON object"),
+    "sets-missing-key": (_loading(load_set_system, '{"n": 1, "sets": [[0]]}'),
+                         "{path}: set system is missing 'universe'"),
+    "sets-count": (_loading(load_set_system, '{"n": 2, "universe": 1, "sets": [[0]]}'),
+                   "{path}: 'n' is 2 but 1 sets are listed"),
+    "sets-save-unknown": (lambda tmp_path: save_set_system(tmp_path / "input", ModularData(np.ones(2))),
+                          "cannot serialize ModularData as a set system"),
+}
+
+
 def _raise_site(tb) -> tuple[str, int]:
-    """(file name, line) of the innermost frame of ``tb``, where the error was raised."""
+    """(file under ``submemo/``, line) of the innermost frame of ``tb``, where
+    the error was raised."""
     while tb.tb_next is not None:
         tb = tb.tb_next
-    return Path(tb.tb_frame.f_code.co_filename).name, tb.tb_lineno
+    path = Path(tb.tb_frame.f_code.co_filename)
+    return f"{path.parent.name}/{path.name}", tb.tb_lineno
 
 
 @pytest.mark.parametrize("case", sorted(DATA_CASES))
@@ -251,6 +307,16 @@ def test_data_constructor_errors(case):
     assert type(info.value) is InputError
     assert str(info.value) == message
     assert _raise_site(info.tb)[0] in TABLE_FILES
+
+
+@pytest.mark.parametrize("case", sorted(FILE_CASES))
+def test_file_format_errors(case, tmp_path):
+    call, message = FILE_CASES[case]
+    with pytest.raises(InputError) as info:
+        call(tmp_path)
+    assert type(info.value) is InputError
+    assert str(info.value) == message.format(path=tmp_path / "input")
+    assert _raise_site(info.tb)[0] == "bench/dataio.py"
 
 
 def input_error_raises(tree: ast.AST) -> list[int]:
@@ -278,11 +344,15 @@ def test_a_set_given_as_an_iterator_is_read_once():
     assert data.items.tolist() == [0, 1] and data.indptr.tolist() == [0, 2, 2]
 
 
-def test_every_raise_in_the_table_files_has_a_case():
+def test_every_raise_in_the_table_files_has_a_case(tmp_path):
     sites = set()
     for build, _ in DATA_CASES.values():
         with pytest.raises(InputError) as info:
             build()
+        sites.add(_raise_site(info.tb))
+    for call, _ in FILE_CASES.values():
+        with pytest.raises(InputError) as info:
+            call(tmp_path)
         sites.add(_raise_site(info.tb))
     for cls, (_, symmetric) in SQUARE.items():  # these raise from graphs.py's _validated_square
         for matrix, _, symmetric_only in SQUARE_CASES.values():
@@ -291,6 +361,6 @@ def test_every_raise_in_the_table_files_has_a_case():
                     cls(matrix)
                 sites.add(_raise_site(info.tb))
     for name in TABLE_FILES:
-        want = input_error_raises(ast.parse((FUNCTIONS / name).read_text()))
+        want = input_error_raises(ast.parse((SUBMEMO / name).read_text()))
         assert want
         assert sorted(line for file, line in sites if file == name) == want, name

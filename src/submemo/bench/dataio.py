@@ -96,6 +96,13 @@ def save_sparse_triplets(path, n: int, buckets: int, triplets) -> None:
             fh.write(f"{int(b)},{int(e)},{repr(float(v))}\n")
 
 
+def _count(path, payload: dict, key: str) -> int:
+    try:
+        return int(payload[key])
+    except (TypeError, ValueError):
+        raise InputError(f"{path}: {key!r} must be an integer, got {payload[key]!r}") from None
+
+
 def load_set_system(path):
     """Read a JSON set system; returns the matching coverage data object.
 
@@ -114,11 +121,13 @@ def load_set_system(path):
     for key in ("n", "universe", "sets"):
         if key not in payload:
             raise InputError(f"{path}: set system is missing {key!r}")
-    n = int(payload["n"])
+    n = _count(path, payload, "n")
     sets = payload["sets"]
+    if not isinstance(sets, list):
+        raise InputError(f"{path}: 'sets' must be a list, got {type(sets).__name__}")
     if len(sets) != n:
         raise InputError(f"{path}: 'n' is {n} but {len(sets)} sets are listed")
-    universe = int(payload["universe"])
+    universe = _count(path, payload, "universe")
     weights = payload.get("weights")
     if "clusters" in payload:
         return ClusteredSetCoverData(

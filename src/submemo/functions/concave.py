@@ -5,7 +5,12 @@ with matching feature ids), so a gain touches only the features element j
 loads.  Feature-based and clustered concave-over-modular functions keep the
 same statistic (per-bucket loads) and share every hook through
 ``_SparseLoadFunction``; they differ only in how their data fills the CSR
-arrays.  Concave shapes come from a closed, serializable registry.
+arrays.  Both fill them through ``ragged.csr_from_rows``/``csr_checked``:
+a per-row loop keeps only each row's type and shape test, and the range,
+duplicate and sign checks run once on the concatenated entries.  An
+element's entries keep their input order (clustered data: ascending
+cluster), which the hooks' sums rely on bit for bit.  Concave shapes come
+from a closed, serializable registry.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core import InputError, SubmodularFunction
-from .ragged import ragged_positions, ragged_runs, ragged_sum
+from .ragged import csr_checked, csr_from_rows, ragged_positions, ragged_runs, ragged_sum
 
 
 class Concave:
@@ -53,40 +58,44 @@ def make_concave(name: str) -> Concave:
     raise InputError(f"unknown concave shape {name!r} (use sqrt, log1p, pow:<p>)")
 
 
-def _to_csr(score_lists, n: int, num_buckets: int, what: str):
-    """Normalize per-element (bucket_ids, values) pairs into flat CSR arrays."""
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    id_chunks, val_chunks = [], []
+def _feature_rows(score_lists):
+    """Each element's ``(feature_ids, values)`` after its type and shape test."""
     for j, (ids, vals) in enumerate(score_lists):
         ids = np.asarray(ids)
         if ids.size and ids.dtype.kind not in "iu":
-            raise InputError(f"{what}: element {j} has non-integer ids")
-        ids = ids.astype(np.intp, copy=False)
+            raise InputError(f"feature scores: element {j} has non-integer ids")
         vals = np.asarray(vals, dtype=float)
         if ids.shape != vals.shape or ids.ndim != 1:
-            raise InputError(f"{what}: element {j} has mismatched id/value arrays")
-        if ids.size and (ids.min() < 0 or ids.max() >= num_buckets):
-            raise InputError(f"{what}: element {j} references an id out of range")
-        if len(np.unique(ids)) != ids.size:
-            raise InputError(f"{what}: element {j} lists an id twice")
-        if np.any(vals < 0) or not np.all(np.isfinite(vals)):
-            raise InputError(f"{what}: scores must be finite and non-negative")
-        id_chunks.append(ids)
-        val_chunks.append(vals)
-        indptr[j + 1] = indptr[j] + ids.size
-    ids = np.concatenate(id_chunks) if id_chunks else np.zeros(0, dtype=np.intp)
-    vals = np.concatenate(val_chunks) if val_chunks else np.zeros(0)
-    return indptr, ids, vals
+            raise InputError(f"feature scores: element {j} has mismatched id/value arrays")
+        yield ids, vals
 
 
-def _dense_to_lists(matrix: np.ndarray):
-    """Columns of a (buckets x elements) matrix as sparse per-element pairs."""
-    out = []
-    for j in range(matrix.shape[1]):
-        col = matrix[:, j]
-        nz = np.flatnonzero(col)
-        out.append((nz, col[nz]))
-    return out
+def _feature_fault(j: int, check: str):
+    if check == "range":
+        raise InputError(f"feature scores: element {j} references an id out of range")
+    if check == "twice":
+        raise InputError(f"feature scores: element {j} lists an id twice")
+    raise InputError("feature scores: scores must be finite and non-negative")
+
+
+def _cluster_rows(clusters, cluster_weights):
+    """Each cluster's ``(element_ids, weights)`` after its type and shape test."""
+    for c, (cl, w) in enumerate(zip(clusters, cluster_weights)):
+        cl = np.asarray(cl)
+        if cl.ndim != 1 or (cl.size and cl.dtype.kind not in "iu"):
+            raise InputError(f"cluster {c} lists a non-integer element")
+        w = np.asarray(w, dtype=float)
+        if cl.shape != w.shape:
+            raise InputError(f"cluster {c}: ids and weights have different lengths")
+        yield cl, w
+
+
+def _cluster_fault(c: int, check: str):
+    if check == "range":
+        raise InputError(f"cluster {c} references an element out of range")
+    if check == "twice":
+        raise InputError(f"cluster {c} lists an element twice")
+    raise InputError("cluster weights must be finite and non-negative")
 
 
 class _SparseLoadFunction(SubmodularFunction):
@@ -187,7 +196,8 @@ class FeatureBasedData:
 
     ``scores`` is either a dense (features x elements) matrix or a list of
     per-element ``(feature_ids, values)`` pairs (then ``num_features`` is
-    required).
+    required).  A dense matrix keeps each element's nonzeros in ascending
+    feature order.
     """
 
     scores: object
@@ -204,16 +214,25 @@ class FeatureBasedData:
             m = np.asarray(self.scores, dtype=float)
             if np.any(m < 0) or not np.all(np.isfinite(m)):
                 raise InputError("feature scores must be finite and non-negative")
-            self.num_features = m.shape[0]
-            lists = _dense_to_lists(m)
+            if m.ndim != 2:
+                raise InputError(
+                    f"dense feature scores must be 2-d (features x elements), got shape {m.shape}"
+                )
+            self.num_features, self.n_elements = m.shape
+            # the transpose's nonzeros run element by element, features ascending
+            elements, features = np.nonzero(m.T)
+            self.indptr, self.feature_ids, self.values = csr_checked(
+                np.bincount(elements, minlength=self.n_elements), features,
+                m[features, elements], self.num_features, _feature_fault,
+            )
         else:
             if self.num_features is None:
                 raise InputError("sparse feature scores need num_features")
             lists = list(self.scores)
-        self.n_elements = len(lists)
-        self.indptr, self.feature_ids, self.values = _to_csr(
-            lists, self.n_elements, self.num_features, "feature scores"
-        )
+            self.n_elements = len(lists)
+            self.indptr, self.feature_ids, self.values = csr_from_rows(
+                _feature_rows(lists), self.num_features, _feature_fault
+            )
         self.psi = make_concave(self.concave)
 
     @property
@@ -248,30 +267,16 @@ class ClusteredConcaveModularData:
             raise InputError("clusters and cluster_weights must align")
         if not self.clusters:
             raise InputError("need at least one cluster")
-        per_element = [[] for _ in range(self.n)]
-        for c, (cl, w) in enumerate(zip(self.clusters, self.cluster_weights)):
-            cl = np.asarray(cl)
-            if cl.size and cl.dtype.kind not in "iu":
-                raise InputError(f"cluster {c} lists a non-integer element")
-            cl = cl.astype(np.intp, copy=False)
-            w = np.asarray(w, dtype=float)
-            if cl.shape != w.shape:
-                raise InputError(f"cluster {c}: ids and weights have different lengths")
-            if cl.size and (cl.min() < 0 or cl.max() >= self.n):
-                raise InputError(f"cluster {c} references an element out of range")
-            if len(np.unique(cl)) != cl.size:
-                raise InputError(f"cluster {c} lists an element twice")
-            if np.any(w < 0) or not np.all(np.isfinite(w)):
-                raise InputError("cluster weights must be finite and non-negative")
-            for e, we in zip(cl, w):
-                per_element[e].append((c, we))
-        lists = [
-            (np.asarray([c for c, _ in entry], dtype=np.intp), np.asarray([w for _, w in entry]))
-            for entry in per_element
-        ]
-        self.indptr, self.cluster_ids, self.values = _to_csr(
-            lists, self.n, len(self.clusters), "cluster weights"
+        starts, members, weights = csr_from_rows(
+            _cluster_rows(self.clusters, self.cluster_weights), self.n, _cluster_fault
         )
+        # CSR over elements: a stable sort by element keeps each element's
+        # clusters ascending
+        by_element = np.argsort(members, kind="stable")
+        self.indptr = np.zeros(self.n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(members, minlength=self.n), out=self.indptr[1:])
+        self.cluster_ids = np.repeat(np.arange(self.k, dtype=np.intp), np.diff(starts))[by_element]
+        self.values = weights[by_element]
         self.psi = make_concave(self.concave)
 
     @property

@@ -1,11 +1,14 @@
 """Coverage classes: set cover and probabilistic set cover.
 
 Set systems are stored flat (CSR over elements): ``items[indptr[j]:indptr[j+1]]``
-are the universe ids covered by element j.  The statistic is a per-item
-coverage count (or product of miss-probabilities for the probabilistic
-variant), which makes gains O(|S_j|).  Clustered set cover has no class of
-its own: its data object folds the cluster multiplicities into the item
-weights of a plain set cover.
+are the universe ids covered by element j, in ascending order.
+``ragged.csr_from_rows`` builds them: a per-set loop keeps only each set's
+type and shape test, one strict-increase test over all items finds the
+sets to sort, and the duplicate and range checks run on the whole array.
+The statistic is a per-item coverage count (or product of
+miss-probabilities for the probabilistic variant), which makes gains
+O(|S_j|).  Clustered set cover has no class of its own: its data object
+folds the cluster multiplicities into the item weights of a plain set cover.
 """
 
 from __future__ import annotations
@@ -15,25 +18,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core import InputError, SubmodularFunction
-from .ragged import ragged_positions, ragged_sum
+from .ragged import csr_from_rows, ragged_positions, ragged_sum
 
 
-def _flatten_sets(sets, universe: int):
-    indptr = np.zeros(len(sets) + 1, dtype=np.intp)
-    chunks = []
+def _set_rows(sets):
+    """Each set's items after its type and shape test."""
     for j, s in enumerate(sets):
         arr = s if isinstance(s, np.ndarray) else np.asarray(list(s))  # one read of an iterator
         if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
             raise InputError(f"set of element {j} must list integer items")
-        arr = np.sort(arr.astype(np.intp, copy=False))
-        if np.any(arr[1:] == arr[:-1]):
-            raise InputError(f"set of element {j} contains duplicate items")
-        if arr.size and (arr[0] < 0 or arr[-1] >= universe):
-            raise InputError(f"set of element {j} references items outside the universe")
-        chunks.append(arr)
-        indptr[j + 1] = indptr[j] + arr.size
-    items = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.intp)
-    return indptr, items
+        yield arr, None
+
+
+def _set_fault(j: int, check: str):
+    if check == "twice":
+        raise InputError(f"set of element {j} contains duplicate items")
+    raise InputError(f"set of element {j} references items outside the universe")
 
 
 def _validated_weights(weights, universe: int) -> np.ndarray:
@@ -61,7 +61,9 @@ class SetCoverData:
         if self.universe < 0:
             raise InputError("universe size must be non-negative")
         self.universe = int(self.universe)
-        self.indptr, self.items = _flatten_sets(self.sets, self.universe)
+        self.indptr, self.items, _ = csr_from_rows(
+            _set_rows(self.sets), self.universe, _set_fault, sort_rows=True
+        )
         self._ptr = self.indptr.tolist()  # item_slice bounds as Python ints
         self.weights = _validated_weights(self.weights, self.universe)
 

@@ -1,4 +1,9 @@
-"""Ragged rows of CSR data: gathering the rows of some elements, summing them.
+"""Ragged rows of CSR data: building them, gathering the rows of some
+elements, summing them.
+
+``csr_from_rows`` and ``csr_checked`` build and validate the CSR arrays
+of the sparse data classes on whole arrays; see ``csr_checked`` for the
+entry order they keep.
 
 ``ragged_positions`` gathers the entries of many elements at once, for
 the batched gain hooks and for the value oracles.  Each consumer then
@@ -72,3 +77,122 @@ def ragged_runs(values: np.ndarray, lens: np.ndarray):
             before[at] = run[:, :-1]
             totals[rows] = run[:, -1]
     return before, totals
+
+
+def csr_from_rows(rows, bound, fault, sort_rows: bool = False):
+    """``(indptr, ids, values)`` of the rows that ``rows`` yields, checked by ``csr_checked``.
+
+    ``rows`` yields one ``(ids, values)`` pair of arrays per row, after the
+    row's own type and shape test; values are None for id-only rows.  An
+    error raised while reading a row is held until the rows before it have
+    passed ``csr_checked``, then raised: the first faulting row reports.
+    """
+    id_rows, value_rows = [], []
+    late = None
+    try:
+        for ids, values in rows:
+            id_rows.append(ids)
+            value_rows.append(values)
+    except Exception as err:  # raised again below, unless an earlier row faults
+        late = err
+    lens = np.fromiter((ids.size for ids in id_rows), dtype=np.intp, count=len(id_rows))
+    ids = np.concatenate(id_rows, dtype=np.intp, casting="unsafe") if id_rows else np.zeros(0, np.intp)
+    values = None
+    if not sort_rows:
+        values = np.concatenate(value_rows) if value_rows else np.zeros(0)
+    out = csr_checked(lens, ids, values, bound, fault, sort_rows)
+    if late is not None:
+        raise late
+    return out
+
+
+def csr_checked(lens, ids, values, bound, fault, sort_rows: bool = False):
+    """CSR arrays ``(indptr, ids, values)`` from concatenated rows, checked on whole arrays.
+
+    Row r holds the next ``lens[r]`` entries of the intp ``ids`` and the
+    float ``values`` (None for id-only rows).  The checks, each in a few
+    whole-array numpy calls:
+
+    - ``"range"``: every id lies in ``[0, bound)``;
+    - ``"twice"``: no row lists an id twice;
+    - ``"values"``: every value is finite and non-negative.
+
+    The first faulting row r calls ``fault(r, check)`` with its first
+    failing check, in the order above; ``fault`` raises.  With
+    ``sort_rows`` (sets) the ids of each row are sorted, and a duplicate is
+    checked before the range.
+
+    The order of the entries is a contract that the hooks rely on bit for
+    bit, so only ``sort_rows`` changes it:
+
+    - Values keep each row's input order.  A scalar gain sums a row's
+      terms with ``np.add.reduce``, whose pairwise sum depends on their
+      order, and ``bincount`` loads add each bucket's entries in the order
+      they are stored.
+    - Sets come out sorted, since a set-cover gain sums its items'
+      weights in item order.  Only rows that are not strictly increasing
+      are sorted.
+    """
+    n = lens.size
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(lens, out=indptr[1:])
+    first = {}
+
+    def row_of(pos) -> int:
+        return int(np.searchsorted(indptr, pos, side="right")) - 1
+
+    if ids.size and (ids.min() < 0 or ids.max() >= bound):
+        first["range"] = row_of(np.argmax((ids < 0) | (ids >= bound)))
+    if sort_rows:
+        order = ("twice", "range")
+        rising = ids[1:] > ids[:-1]
+        starts = indptr[1:-1]
+        rising[starts[(starts > 0) & (starts < ids.size)] - 1] = True  # across rows
+        if not rising.all():
+            row = np.repeat(np.arange(n), lens)
+            unsorted = np.zeros(n, dtype=bool)
+            unsorted[row[1:][~rising]] = True
+            at = np.flatnonzero(unsorted[row])
+            ids[at], twice = _sorted_in_rows(row[at], ids[at])
+            if twice is not None:
+                first["twice"] = twice
+    else:
+        order = ("range", "twice", "values")
+        if ids.size:
+            _, twice = _sorted_in_rows(np.repeat(np.arange(n), lens), ids)
+            if twice is not None:
+                first["twice"] = twice
+        if values.size and not (values.min() >= 0 and values.max() < np.inf):
+            first["values"] = row_of(np.argmax(~np.isfinite(values) | (values < 0)))
+    if first:
+        r = min(first.values())
+        fault(r, next(check for check in order if first.get(check) == r))
+    return indptr, ids, values
+
+
+def _sorted_in_rows(row, ids):
+    """(``ids`` sorted within each row, the first row that lists an id twice or None).
+
+    ``row`` holds each entry's row, ascending.  One ``np.sort`` of the keys
+    ``row * span + id - lo`` sorts every row at once (a ``lexsort`` of the
+    pairs took several times as long); equal neighbouring keys are an id
+    listed twice.  Where the keys would overflow intp, ids are replaced by
+    their ranks first.
+    """
+    lo = int(ids.min())
+    span = int(ids.max()) - lo + 1
+    ranked = None
+    if span * (int(row[-1]) + 1) > np.iinfo(np.intp).max:
+        ranked, ids = np.unique(ids, return_inverse=True)
+        lo, span = 0, ranked.size
+    base = row * span
+    key = ids - lo
+    key += base
+    key.sort()
+    twice = np.flatnonzero(key[1:] == key[:-1])
+    key -= base  # sorting within rows leaves every entry's row in place
+    if ranked is None:
+        key += lo
+    else:
+        key = ranked[key]
+    return key, (int(row[twice[0]]) if twice.size else None)

@@ -112,3 +112,73 @@ def test_scalar_gain_hooks_stay_thin(path):
         methods = {m.name: m for m in node.body if isinstance(m, ast.FunctionDef)}
         for hook in hooks:
             assert slow_scalar_reads(methods[hook]) == [], f"{cls}.{hook}"
+
+
+# The CSR builders of the sparse data classes check and copy whole arrays.
+# Their per-row loops keep only a row's type and shape test: a numpy sort,
+# unique or reduction in a loop brings back the per-element pass they replace.
+CSR_BUILDERS = {
+    "ragged.py": ("csr_from_rows", "csr_checked"),
+    "concave.py": ("_feature_rows", "_cluster_rows", "FeatureBasedData.__post_init__",
+                   "ClusteredConcaveModularData.__post_init__"),
+    "coverage.py": ("_set_rows", "SetCoverData.__post_init__"),
+}
+WHOLE_ARRAY_CALLS = {
+    "sort", "argsort", "lexsort", "unique", "min", "max", "amin", "amax", "sum", "prod",
+    "mean", "any", "all", "reduce", "count_nonzero", "nonzero", "flatnonzero",
+}
+
+
+def per_row_array_passes(tree: ast.AST) -> list[int]:
+    """Lines in the body of a ``for`` loop or a comprehension that call a
+    function or method named in ``WHOLE_ARRAY_CALLS`` (builtins such as
+    ``min(a, b)`` are plain names and pass)."""
+    lines = set()
+    for loop in ast.walk(tree):
+        if isinstance(loop, ast.For):
+            body = loop.body + loop.orelse
+        elif isinstance(loop, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+            body = [loop.elt] + [cond for gen in loop.generators for cond in gen.ifs]
+        elif isinstance(loop, ast.DictComp):
+            body = [loop.key, loop.value] + [cond for gen in loop.generators for cond in gen.ifs]
+        else:
+            continue
+        for node in (n for part in body for n in ast.walk(part)):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in WHOLE_ARRAY_CALLS):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_per_row_array_passes_are_found():
+    source = (
+        "def f(rows, y):\n"
+        "    for r in np.sort(y):\n"
+        "        a = np.asarray(r)\n"
+        "        b = np.sort(a)\n"
+        "        c = a.min() if min(1, 2) else 0\n"
+        "        d = np.add.reduce(a)\n"
+        "    e = [np.unique(r) for r in rows if r.size]\n"
+        "    g = (r for r in rows if np.any(r))\n"
+        "    h = np.sort(y).max()\n"
+        "    for r in rows:\n"
+        "        pass\n"
+        "    else:\n"
+        "        k = y.sum()\n"
+    )
+    assert per_row_array_passes(ast.parse(source)) == [4, 5, 6, 7, 8, 13]
+
+
+def _function(tree: ast.Module, dotted: str) -> ast.FunctionDef:
+    scope = tree
+    for name in dotted.split("."):
+        scope = next(node for node in scope.body
+                     if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == name)
+    return scope
+
+
+@pytest.mark.parametrize("path", sorted(CSR_BUILDERS), ids=str)
+def test_csr_builders_make_no_per_row_array_pass(path):
+    tree = ast.parse((SRC / "functions" / path).read_text())
+    for name in CSR_BUILDERS[path]:
+        assert per_row_array_passes(_function(tree, name)) == [], name

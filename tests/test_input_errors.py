@@ -170,6 +170,8 @@ DATA_CASES = {
                                  "feature scores: scores must be finite and non-negative"),
     "features-negative-dense": (lambda: FeatureBasedData(np.array([[1.0, -1.0]])),
                                 "feature scores must be finite and non-negative"),
+    "features-dense-not-2d": (lambda: FeatureBasedData(np.ones(3)),
+                              "dense feature scores must be 2-d (features x elements), got shape (3,)"),
     "features-no-count": (lambda: FeatureBasedData([([0], [1.0])]),
                           "sparse feature scores need num_features"),
     "clusters-misaligned": (lambda: _clustered([[0]], []), "clusters and cluster_weights must align"),
@@ -285,6 +287,12 @@ FILE_CASES = {
                          "{path}: set system is missing 'universe'"),
     "sets-count": (_loading(load_set_system, '{"n": 2, "universe": 1, "sets": [[0]]}'),
                    "{path}: 'n' is 2 but 1 sets are listed"),
+    "sets-n-not-integer": (_loading(load_set_system, '{"n": "abc", "universe": 1, "sets": [[0]]}'),
+                           "{path}: 'n' must be an integer, got 'abc'"),
+    "sets-universe-not-integer": (_loading(load_set_system, '{"n": 1, "universe": "x", "sets": [[0]]}'),
+                                  "{path}: 'universe' must be an integer, got 'x'"),
+    "sets-not-a-list": (_loading(load_set_system, '{"n": 1, "universe": 1, "sets": 5}'),
+                        "{path}: 'sets' must be a list, got int"),
     "sets-save-unknown": (lambda tmp_path: save_set_system(tmp_path / "input", ModularData(np.ones(2))),
                           "cannot serialize ModularData as a set system"),
 }

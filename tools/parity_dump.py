@@ -11,7 +11,11 @@ selections, lazy recomputes, major cycles, minimizer sets and sizes, and
 every value, trace gain, duality gap and supergradient weight as
 ``float.hex``.  With ``--trace`` the cells run under the benchmark's tracer,
 and each record also holds the tracer's call counts per operation and its
-oracle element and byte counts.  OUT is sorted JSON, so two trees agree
+oracle element and byte counts.  Per seed and workload it also digests
+every data object the benchmark builds: each array attribute's sha256,
+dtype and shape, each scalar attribute, and whether ``cols is similarity``
+where the object has both, so that equal dumps also mean equal
+construction.  OUT is sorted JSON, so two trees agree
 when their dumps do:
 
     python3 tools/parity_dump.py parent-checkout parent.json --seeds 0 1 2 3
@@ -58,6 +62,25 @@ def _plain(x):
     raise TypeError(f"cannot dump {type(x).__name__}")
 
 
+def _digest(data) -> dict:
+    """sha256, dtype and shape of each array attribute of ``data``, its scalar
+    attributes, and whether ``cols is similarity``."""
+    import hashlib
+
+    import numpy as np
+
+    out = {}
+    for name, value in sorted(vars(data).items()):
+        if isinstance(value, np.ndarray):
+            out[name] = {"sha256": hashlib.sha256(value.tobytes()).hexdigest(),
+                         "dtype": value.dtype.str, "shape": list(value.shape)}
+        elif value is None or isinstance(value, (bool, int, float, str)):
+            out[name] = _plain(value)
+    if hasattr(data, "cols") and hasattr(data, "similarity"):
+        out["cols_is_similarity"] = data.cols is data.similarity
+    return out
+
+
 def _record(cell, res) -> dict:
     from submemo.core import ModularFunction
     from submemo.maximize import MaximizationResult
@@ -90,6 +113,8 @@ def dump(seeds, trace: bool) -> dict:
         for workload in WORKLOADS:
             raw = instances.raw_inputs(seed, size.n, size.mnp_n if workload == "sweep-pm" else None)
             inst = instances.build(raw, workload == "greedy-vo")
+            for name, data in inst.data.items():
+                out[f"seed{seed}/{workload}/data/{name}"] = _digest(data)
             cells = workloads.make_cells(workload, inst, seed)
             tracer = None
             if trace:
@@ -136,7 +161,7 @@ def main(argv=None) -> int:
         sys.exit(f"parity_dump: imported submemo from {submemo.__file__}, not {src}")
     result = dump(args.seeds, args.trace)
     args.out.write_text(json.dumps(result, sort_keys=True, indent=1) + "\n")
-    print(f"parity_dump: {len(result)} cells from {root} to {args.out}")
+    print(f"parity_dump: {len(result)} records (cells and data digests) from {root} to {args.out}")
     return 0
 
 

@@ -103,6 +103,16 @@ def _count(path, payload: dict, key: str) -> int:
         raise InputError(f"{path}: {key!r} must be an integer, got {payload[key]!r}") from None
 
 
+def _floats(path, payload: dict, key: str):
+    """``payload[key]`` as a float array, None when the key is absent."""
+    if payload.get(key) is None:
+        return None
+    try:
+        return np.asarray(payload[key], dtype=float)
+    except (TypeError, ValueError):
+        raise InputError(f"{path}: {key!r} must hold numbers only") from None
+
+
 def load_set_system(path):
     """Read a JSON set system; returns the matching coverage data object.
 
@@ -116,8 +126,8 @@ def load_set_system(path):
     if not isinstance(payload, dict):
         raise InputError(f"{path}: set system must be a JSON object")
     if "probs" in payload:
-        weights = payload.get("weights")
-        return ProbabilisticSetCoverData(np.asarray(payload["probs"], dtype=float), weights)
+        weights = _floats(path, payload, "weights")
+        return ProbabilisticSetCoverData(_floats(path, payload, "probs"), weights)
     for key in ("n", "universe", "sets"):
         if key not in payload:
             raise InputError(f"{path}: set system is missing {key!r}")
@@ -128,7 +138,7 @@ def load_set_system(path):
     if len(sets) != n:
         raise InputError(f"{path}: 'n' is {n} but {len(sets)} sets are listed")
     universe = _count(path, payload, "universe")
-    weights = payload.get("weights")
+    weights = _floats(path, payload, "weights")
     if "clusters" in payload:
         return ClusteredSetCoverData(
             sets=sets, universe=universe, clusters=payload["clusters"], weights=weights

@@ -339,19 +339,16 @@ class DeepTwoLayerFunction(SubmodularFunction):
         super().__init__(data.n)
         self.data = data
         self._load = np.zeros(data.scores.shape[0])
-        self._head_version = -1
-        self._version = 0
-        self._head_value = 0.0
+        self._value = None  # the head of the load, cached until the next move
 
     def _head(self, load: np.ndarray) -> float:
         d = self.data
         return float(np.dot(d.outer, d.psi1(d.mix @ d.psi2(load))))
 
     def _current_value(self) -> float:
-        if self._head_version != self._version:
-            self._head_value = self._head(self._load)
-            self._head_version = self._version
-        return self._head_value
+        if self._value is None:
+            self._value = self._head(self._load)
+        return self._value
 
     def _evaluate(self, idx):
         if idx.size == 0:
@@ -367,17 +364,15 @@ class DeepTwoLayerFunction(SubmodularFunction):
 
     def _update(self, j):
         self._load += self.data.scores[:, j]
-        self._version += 1
+        self._value = None
 
     def _downdate(self, j):
         self._load = np.maximum(self._load - self.data.scores[:, j], 0.0)
-        self._version += 1
+        self._value = None
 
     def _rebuild(self, idx):
-        self._load = (
-            self.data.scores[:, idx].sum(axis=1) if idx.size else np.zeros(self.data.scores.shape[0])
-        )
-        self._version += 1
+        self._load = self.data.scores[:, idx].sum(axis=1)
+        self._value = None
 
     def _value_from_statistic(self):
         return 0.0 if len(self.memo) == 0 else self._current_value()

@@ -276,9 +276,7 @@ class ProbabilisticSetCoverFunction(SubmodularFunction):
         self._prod = self._prod_without(j)
 
     def _rebuild(self, idx):
-        self._prod = (
-            self.data.miss_cols[idx].prod(axis=0) if idx.size else np.ones(self.data.universe)
-        )
+        self._prod = self.data.miss_cols[idx].prod(axis=0)
 
     def _value_from_statistic(self):
         return float((self.data.weights * (1.0 - self._prod)).sum())

@@ -4,6 +4,13 @@ Three variants share the data: the scalar minimum pairwise distance
 ("min", not submodular), the sum of all ordered pair distances ("sum",
 supermodular), and the sum of nearest-in-set distances ("min-sum",
 submodular).  Every variant is 0 on sets of fewer than two elements.
+
+Each move of "min" and "min-sum" is computed once, by one helper that
+both its gain hook and its transition hook call: ``_min_with`` /
+``_min_without`` give the pair minimum once j joins / leaves, and
+``_nearest_with`` / ``_nearest_without`` give the members' nearest
+distances once j joins / leaves.  A gain is the helper's answer minus
+the current value; a transition stores it.
 """
 
 from __future__ import annotations
@@ -48,7 +55,8 @@ def make_dispersion(data: DispersionData) -> SubmodularFunction:
 
 
 class DispersionMinFunction(SubmodularFunction):
-    """f(X) = min over in-set pairs of d; statistic is that single scalar.
+    """f(X) = min over in-set pairs of d; statistic is that single scalar,
+    0.0 below two members.
 
     The scalar cannot be downdated from itself, so removals rescan the
     remaining pairs: the one statistic whose downdate costs more than its
@@ -71,40 +79,36 @@ class DispersionMinFunction(SubmodularFunction):
     def _evaluate(self, idx):
         return self._pair_min(idx)
 
-    def _min_to_memo(self, j) -> float:
-        return float(self.data.distance[j, self.memo.to_indices()].min())
-
-    def _gain_add(self, j):
+    def _min_with(self, j) -> float:
+        """The pair minimum once j joins the memo (0.0 below two members)."""
         m = len(self.memo)
         if m == 0:
             return 0.0
-        nearest = self._min_to_memo(j)
-        if m == 1:
-            return nearest
-        return min(self._min, nearest) - self._min
+        nearest = float(self.data.distance[j, self.memo.to_indices()].min())
+        return nearest if m == 1 else min(self._min, nearest)
+
+    def _min_without(self, j) -> float:
+        """The pair minimum once j leaves the memo: a rescan of the rest."""
+        idx = self.memo.to_indices()
+        return self._pair_min(idx[idx != j])
+
+    def _gain_add(self, j):
+        return self._min_with(j) - self._min
 
     def _gain_remove(self, j):
-        idx = self.memo.to_indices()
-        rest = idx[idx != j]
-        return self._value_from_statistic() - self._pair_min(rest)
+        return self._min - self._min_without(j)
 
     def _update(self, j):
-        m = len(self.memo)
-        if m == 0:
-            return
-        nearest = self._min_to_memo(j)
-        self._min = nearest if m == 1 else min(self._min, nearest)
+        self._min = self._min_with(j)
 
     def _downdate(self, j):
-        idx = self.memo.to_indices()
-        rest = idx[idx != j]
-        self._min = self._pair_min(rest)
+        self._min = self._min_without(j)
 
     def _rebuild(self, idx):
         self._min = self._pair_min(idx)
 
     def _value_from_statistic(self):
-        return self._min if len(self.memo) >= 2 else 0.0
+        return self._min
 
     def _statistic(self):
         return {"min": np.asarray([self._min])}
@@ -162,56 +166,46 @@ class DispersionMinSumFunction(SubmodularFunction):
             return 0.0
         return float(self._nearest_of(idx).sum())
 
-    def _gain_add(self, j):
-        m = len(self.memo)
-        if m == 0:
-            return 0.0
+    def _nearest_with(self, j):
+        """(members, their nearest distances once j joins, j's nearest)."""
         idx = self.memo.to_indices()
         dj = self.data.distance[j, idx]
-        if m == 1:
-            return float(2.0 * dj[0])
-        cur = self._nearest[idx]
-        return float(dj.min() + np.minimum(cur, dj).sum() - cur.sum())
+        if idx.size == 0:
+            return idx, dj, 0.0
+        if idx.size == 1:  # the lone member's nearest becomes j
+            return idx, dj, dj[0]
+        return idx, np.minimum(self._nearest[idx], dj), dj.min()
 
-    def _gain_remove(self, j):
-        if len(self.memo) <= 2:
-            return self._value_from_statistic()
-        value_now = self._value_from_statistic()
-        idx = self.memo.to_indices()
-        rest = idx[idx != j]
-        after = 0.0
-        for i in rest.tolist():
-            if self._nearest[i] < self.data.distance[i, j]:
-                after += self._nearest[i]
-            else:
-                others = rest[rest != i]
-                after += float(self.data.distance[i, others].min())
-        return value_now - after
-
-    def _update(self, j):
-        m = len(self.memo)
-        if m == 0:
-            return
-        idx = self.memo.to_indices()
-        dj = self.data.distance[j, idx]
-        if m == 1:
-            self._nearest[idx[0]] = dj[0]
-            self._nearest[j] = dj[0]
-            return
-        self._nearest[idx] = np.minimum(self._nearest[idx], dj)
-        self._nearest[j] = float(dj.min())
-
-    def _downdate(self, j):
+    def _nearest_without(self, j):
+        """(members other than j, their nearest distances once j leaves);
+        only the members whose nearest neighbour was j are rescanned."""
         idx = self.memo.to_indices()
         rest = idx[idx != j]
         if rest.size < 2:
-            self._nearest[rest] = 0.0
-            self._nearest[j] = 0.0
-            return
-        for i in rest.tolist():
-            if self._nearest[i] >= self.data.distance[i, j]:
-                others = rest[rest != i]
-                self._nearest[i] = float(self.data.distance[i, others].min())
+            return rest, np.zeros(rest.size)
+        d = self.data.distance
+        out = self._nearest[rest]
+        for pos in np.flatnonzero(out >= d[rest, j]).tolist():
+            i = rest[pos]
+            out[pos] = d[i, rest[rest != i]].min()
+        return rest, out
+
+    def _gain_add(self, j):
+        idx, after, own = self._nearest_with(j)
+        return float(own + after.sum() - self._nearest[idx].sum())
+
+    def _gain_remove(self, j):
+        _, out = self._nearest_without(j)
+        return self._value_from_statistic() - sum(out.tolist())
+
+    def _update(self, j):
+        idx, after, own = self._nearest_with(j)
+        self._nearest[idx] = after
+        self._nearest[j] = own
+
+    def _downdate(self, j):
+        rest, out = self._nearest_without(j)
+        self._nearest[rest] = out
         self._nearest[j] = 0.0
 
     def _rebuild(self, idx):

@@ -3,7 +3,12 @@
 The statistic is the lower-triangular factor of the ridged kernel restricted
 to the memo set, in memo order.  Growing the set appends one factor row by
 forward substitution (O(|X|^2)); shrinking deletes a row and re-triangularizes
-the trailing block with plane rotations (also O(|X|^2)).  scipy is imported
+the trailing block with plane rotations (also O(|X|^2)).
+
+Each move is computed once.  ``_cholesky`` factors a principal submatrix
+from scratch for ``_evaluate`` and ``_rebuild``; ``_extend`` gives the row
+and Schur complement that j appends, for ``_gain_add`` and ``_update``.
+Each holds the class's only raise of its error.  scipy is imported
 by the first solve, so a process that builds no log-det instance never
 loads it.
 """
@@ -37,6 +42,11 @@ def _solve_lower(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
     from scipy.linalg import solve_triangular
 
     return solve_triangular(factor, b, lower=True, check_finite=False)
+
+
+def _log_det(factor: np.ndarray) -> float:
+    """log det of ``factor @ factor.T``; 0.0 for the empty factor."""
+    return float(2.0 * np.log(np.diag(factor)).sum())
 
 
 @dataclass
@@ -95,35 +105,35 @@ class LogDetFunction(SubmodularFunction):
         self.data = data
         self._factor = np.zeros((0, 0))
 
-    def _evaluate(self, idx):
-        if idx.size == 0:
-            return 0.0
-        sub = self.data.ridged[np.ix_(idx, idx)]
+    def _cholesky(self, idx: np.ndarray) -> np.ndarray:
+        """Factor of the ridged kernel restricted to ``idx``, in that order."""
         try:
-            chol = np.linalg.cholesky(sub)
+            return np.linalg.cholesky(self.data.ridged[np.ix_(idx, idx)])
         except np.linalg.LinAlgError:
             raise InputError("principal submatrix failed factorization (not PD)") from None
-        return float(2.0 * np.log(np.diag(chol)).sum())
 
-    def _schur(self, j: int) -> float:
-        """Schur complement of the memo block in memo + j."""
+    def _extend(self, j: int):
+        """(y, d): the factor row that j appends, and its squared diagonal,
+        the Schur complement of the memo block in memo + j."""
         kr = self.data.ridged
-        m = len(self.memo)
-        if m == 0:
-            return float(kr[j, j])
-        b = kr[self.memo.to_indices(), j]
-        y = _solve_lower(self._factor, b)
-        return float(kr[j, j] - np.dot(y, y))
+        if len(self.memo):
+            y = _solve_lower(self._factor, kr[self.memo.to_indices(), j])
+            d = kr[j, j] - np.dot(y, y)
+        else:
+            y, d = np.zeros(0), kr[j, j]
+        if d <= 0:
+            raise InputError("kernel not positive definite along this extension")
+        return y, d
+
+    def _evaluate(self, idx):
+        return _log_det(self._cholesky(idx))
 
     def _position(self, j) -> int:
         """Row of the member j in the factor: its place in the insertion order."""
         return int(np.flatnonzero(self.memo.to_indices() == j)[0])
 
     def _gain_add(self, j):
-        d = self._schur(j)
-        if d <= 0:
-            raise InputError("kernel not positive definite along this extension")
-        return float(np.log(d))
+        return float(np.log(self._extend(j)[1]))
 
     def _gain_remove(self, j):
         pos = self._position(j)
@@ -133,20 +143,11 @@ class LogDetFunction(SubmodularFunction):
         return float(-np.log(np.dot(z, z)))
 
     def _update(self, j):
-        kr = self.data.ridged
-        m = len(self.memo)
+        y, d = self._extend(j)
+        m = y.size
         grown = np.zeros((m + 1, m + 1))
-        if m:
-            idx = self.memo.to_indices()
-            b = kr[idx, j]
-            y = _solve_lower(self._factor, b)
-            d = kr[j, j] - np.dot(y, y)
-            grown[:m, :m] = self._factor
-            grown[m, :m] = y
-        else:
-            d = kr[j, j]
-        if d <= 0:
-            raise InputError("kernel not positive definite along this extension")
+        grown[:m, :m] = self._factor
+        grown[m, :m] = y
         grown[m, m] = np.sqrt(d)
         self._factor = grown
 
@@ -170,19 +171,10 @@ class LogDetFunction(SubmodularFunction):
             self._factor[:, neg] *= -1.0
 
     def _rebuild(self, idx):
-        if idx.size == 0:
-            self._factor = np.zeros((0, 0))
-            return
-        sub = self.data.ridged[np.ix_(idx, idx)]
-        try:
-            self._factor = np.linalg.cholesky(sub)
-        except np.linalg.LinAlgError:
-            raise InputError("principal submatrix failed factorization (not PD)") from None
+        self._factor = self._cholesky(idx)
 
     def _value_from_statistic(self):
-        if self._factor.shape[0] == 0:
-            return 0.0
-        return float(2.0 * np.log(np.diag(self._factor)).sum())
+        return _log_det(self._factor)
 
     def _statistic(self):
         return {"factor": self._factor.reshape(-1)}

@@ -258,8 +258,6 @@ def greedy_stochastic(
     trace = []
     for _ in range(min(k, pool.size)):
         remaining = pool[~F.memo.mask[pool]]
-        if not remaining.size:
-            break
         take = min(sample_size, remaining.size)
         sample = np.sort(rng.choice(remaining.size, size=take, replace=False))
         best_j, best_g = None, -math.inf

@@ -100,6 +100,20 @@ def test_set_system_round_trip(tmp_path):
     assert F.evaluate([0, 1]) == 3.0
 
 
+@pytest.mark.parametrize("kind", ["probsetcover", "clustersetcover"])
+def test_probabilistic_and_clustered_set_systems_round_trip(kind, tmp_path):
+    data = gen_synthetic(kind, 9, seed=3)
+    path = tmp_path / "sys.json"
+    save_set_system(path, data)
+    back = load_set_system(path)
+    assert type(back) is type(data)
+    F, G = make_function(9, data), make_function(9, back)
+    rng = np.random.default_rng(3)
+    for _ in range(8):
+        X = sorted(rng.choice(9, size=int(rng.integers(10)), replace=False).tolist())
+        assert G.evaluate(X) == F.evaluate(X), X
+
+
 def test_set_system_class_selection(tmp_path):
     probs = tmp_path / "p.json"
     probs.write_text(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import submemo.constrained
 from submemo.bench import brute_force_min
 from submemo.bounds import subgradient_at, supergradient_grow
 from submemo.constrained import (
@@ -11,7 +12,7 @@ from submemo.constrained import (
     scsk_solve,
     submodular_set_cover,
 )
-from submemo.core import InputError, wrap_value_oracle
+from submemo.core import InputError, NonConvergenceError, wrap_value_oracle
 from submemo.functions import (
     GraphCutData,
     ModularData,
@@ -168,6 +169,36 @@ def test_ds_zero_g_matches_norm_point(rng):
     res = ds_minimize(f.clone_detached(), zero, "sub-sup")
     mnp = min_norm_point(f.clone_detached())
     assert res.objective == pytest.approx(mnp.value, abs=1e-8)
+
+
+def test_ds_sub_sup_uses_the_iterate_of_an_unconverged_inner_solve(monkeypatch):
+    # one major cycle per inner norm-point solve, so each raises NonConvergenceError
+    inner = []
+    real = submemo.constrained.min_norm_point
+
+    def one_cycle(F, tol=None):
+        try:
+            return real(F, tol=tol, max_major=1)
+        except NonConvergenceError as err:
+            inner.append((F, err.result))
+            raise
+
+    monkeypatch.setattr(submemo.constrained, "min_norm_point", one_cycle)
+    f, g = zoo_instance("setcover", 10, seed=4), zoo_instance("faclocation", 10, seed=54)
+    res = ds_minimize(f, g, "sub-sup")
+    assert inner and res.iterations >= 1
+    f0, g0 = zoo_instance("setcover", 10, seed=4), zoo_instance("faclocation", 10, seed=54)
+    first = inner[0][1]
+    tried = [first.minimizer_min.members, first.minimizer_max.members]
+    assert res.trace[1] == pytest.approx(min(f0.evaluate(S) - g0.evaluate(S) for S in tried), abs=1e-12)
+    iterates = [sorted(m) for _, r in inner for m in (r.minimizer_min.members, r.minimizer_max.members)]
+    assert sorted(res.selected.members) in iterates
+    # the unconverged solves' own counters are those of their iterates, and they are all summed
+    assert all(F.counters == r.counters for F, r in inner)
+    total = f.counters + g.counters
+    for _, r in inner:
+        total = total + r.counters
+    assert res.counters == total
 
 
 def test_ds_zero_f_matches_local_search(rng):

@@ -2,8 +2,9 @@
 exact message; and the near-symmetric input they accept.  Every ``InputError``
 raised in ``functions/concave.py``, ``functions/coverage.py``,
 ``functions/graphs.py``, ``functions/dispersion.py``,
-``functions/compose.py`` and ``bench/dataio.py``, one malformed input or
-file per ``raise``, with its exact message."""
+``functions/spectral.py``, ``functions/compose.py`` and
+``bench/dataio.py``, one malformed input or file per ``raise``, with its
+exact message."""
 
 import ast
 from pathlib import Path
@@ -36,6 +37,7 @@ from submemo.functions import (
     ProbabilisticSetCoverData,
     SaturatedCoverageData,
     SetCoverData,
+    make_function,
 )
 from submemo.functions.concave import make_concave
 
@@ -136,7 +138,24 @@ def test_log_det_ridged_kernel_is_kernel_plus_ridge_identity(first, ridge):
 
 SUBMEMO = Path(__file__).resolve().parents[1] / "src" / "submemo"
 TABLE_FILES = ("functions/concave.py", "functions/coverage.py", "functions/graphs.py",
-               "functions/dispersion.py", "functions/compose.py", "bench/dataio.py")
+               "functions/dispersion.py", "functions/spectral.py", "functions/compose.py",
+               "bench/dataio.py")
+
+# v v^T for v = (0.54, 0.48), whose entries are these decimals: singular in
+# exact arithmetic, so only rounding decides each pivot's sign.  Factored in
+# the order (0, 1) the last pivot is a few 1e-17 above zero, so LogDetData
+# accepts the kernel at ridge 0; in the order (1, 0) it is at or below zero.
+RANK_ONE = np.array([[0.2916, 0.2592], [0.2592, 0.2304]])
+
+
+def _rank_one_log_det():
+    return make_function(2, LogDetData(RANK_ONE))
+
+
+def _rank_one_extension():
+    F = _rank_one_log_det()
+    F.update(1)
+    return F.gain_add(0)
 
 
 def _clustered(clusters, weights, n=2):
@@ -231,6 +250,12 @@ DATA_CASES = {
                             "distance matrix must have a zero diagonal"),
     "dispersion-kind": (lambda: DispersionData(BASE, kind="max"),
                         "dispersion kind must be one of ('min', 'sum', 'min-sum')"),
+    "logdet-evaluate-out-of-order": (lambda: _rank_one_log_det().evaluate([1, 0]),
+                                     "principal submatrix failed factorization (not PD)"),
+    "logdet-set-memo-out-of-order": (lambda: _rank_one_log_det().set_memo([1, 0]),
+                                     "principal submatrix failed factorization (not PD)"),
+    "logdet-extension-out-of-order": (_rank_one_extension,
+                                      "kernel not positive definite along this extension"),
     "modular-not-1d": (lambda: ModularData(np.ones((2, 2))), "modular weights must be a non-empty 1-d array"),
     "modular-inf": (lambda: ModularData([1.0, np.inf]), "modular weights must be finite"),
     "mixture-data-empty": (lambda: MixtureData([]), "mixture needs at least one component"),
@@ -293,6 +318,11 @@ FILE_CASES = {
                                   "{path}: 'universe' must be an integer, got 'x'"),
     "sets-not-a-list": (_loading(load_set_system, '{"n": 1, "universe": 1, "sets": 5}'),
                         "{path}: 'sets' must be a list, got int"),
+    "sets-probs-not-numbers": (_loading(load_set_system, '{"probs": [["a"]]}'),
+                               "{path}: 'probs' must hold numbers only"),
+    "sets-weights-not-numbers": (
+        _loading(load_set_system, '{"n": 1, "universe": 1, "sets": [[0]], "weights": "x"}'),
+        "{path}: 'weights' must hold numbers only"),
     "sets-save-unknown": (lambda tmp_path: save_set_system(tmp_path / "input", ModularData(np.ones(2))),
                           "cannot serialize ModularData as a set system"),
 }
@@ -352,8 +382,21 @@ def test_a_set_given_as_an_iterator_is_read_once():
     assert data.items.tolist() == [0, 1] and data.indptr.tolist() == [0, 2, 2]
 
 
+def test_the_rank_one_kernel_needs_no_ridge_in_its_own_order():
+    d = LogDetData(RANK_ONE)
+    assert d.ridge == 0.0
+    F = make_function(2, d)
+    F.update(0)
+    F.update(1)
+    assert np.isfinite(F.memo_value())
+
+
 def test_every_raise_in_the_table_files_has_a_case(tmp_path):
     sites = set()
+    for kernel, ridge, _ in LOGDET_CASES.values():
+        with pytest.raises(InputError) as info:
+            LogDetData(kernel, ridge=ridge)
+        sites.add(_raise_site(info.tb))
     for build, _ in DATA_CASES.values():
         with pytest.raises(InputError) as info:
             build()

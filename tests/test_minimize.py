@@ -14,6 +14,7 @@ from submemo.functions import (
 from submemo.minimize import (
     AtLeast,
     ExplicitFamily,
+    _affine_minimizer,
     lovasz_descent,
     min_norm_point,
     mmin_constrained,
@@ -67,6 +68,27 @@ def test_mnp_wolfe_invariants(rng):
     assert all(norms[i + 1] <= norms[i] + 1e-9 for i in range(len(norms) - 1))
     assert all(abs(s - 1.0) <= 1e-6 for s in res.stats["coeff_sums"])
     assert res.minimizer_min.mask[res.minimizer_max.mask == 0].sum() == 0  # min <= max
+
+
+@pytest.mark.parametrize("rows, nearest", [
+    ([[1.0, 2.0], [1.0, 2.0]], [1.0, 2.0]),  # two equal rows: the hull is one point
+    ([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]], [0.5, 0.5]),  # the third row lies on the others' line
+], ids=["equal-rows", "midpoint"])
+def test_affine_minimizer_of_dependent_rows_takes_the_least_squares_fallback(rows, nearest, monkeypatch):
+    # the bordered normal equations are singular, so solve raises and lstsq answers
+    points = np.asarray(rows)
+    fallbacks = []
+    lstsq = np.linalg.lstsq
+
+    def spy(*args, **kwargs):
+        fallbacks.append(args)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    coeffs, y = _affine_minimizer(points)
+    assert len(fallbacks) == 1
+    assert coeffs.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(y, coeffs @ points) and np.allclose(y, nearest)
 
 
 def test_mnp_minimizers_are_lattice_ends(rng):

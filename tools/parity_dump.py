@@ -1,4 +1,5 @@
-"""Dump the exact outputs of every benchmark cell, for a byte-for-byte parity check.
+"""Dump the exact outputs of every benchmark cell and of a zoo of small instances,
+for a byte-for-byte parity check.
 
     python3 tools/parity_dump.py ROOT OUT --seeds 0 1 2 3 [--trace]
 
@@ -15,8 +16,18 @@ oracle element and byte counts.  Per seed and workload it also digests
 every data object the benchmark builds: each array attribute's sha256,
 dtype and shape, each scalar attribute, and whether ``cols is similarity``
 where the object has both, so that equal dumps also mean equal
-construction.  OUT is sorted JSON, so two trees agree
-when their dumps do:
+construction.
+
+A ``zoo`` section follows, untraced in both modes.  For every kind in
+``SYNTHETIC_KINDS``, at n = 3, 8 and 20 and each seed, it records a seeded
+script of 3n adds and removes (each step's gain, ``memo_value``, a sha256
+of every ``_statistic()`` array and any ``InputError`` message), then a
+from-scratch evaluation and a rebuild at a random set and at the empty
+set, and the final counters; the PM and value-oracle runs of lazy and
+naive greedy (k = max(1, n // 3)), local search and bidirectional greedy;
+and min-norm-point and 20 Lovasz descent iterations on the function minus
+a modular penalty of 0.3 per element.  OUT is sorted JSON, so two trees
+agree when their dumps do:
 
     python3 tools/parity_dump.py parent-checkout parent.json --seeds 0 1 2 3
     python3 tools/parity_dump.py . change.json --seeds 0 1 2 3
@@ -41,6 +52,9 @@ import sys
 from pathlib import Path
 
 WORKLOADS = ("greedy-pm", "greedy-vo", "sweep-pm")
+ZOO_SIZES = (3, 8, 20)
+ZOO_PENALTY = 0.3  # per-element modular penalty of the minimization runs
+ZOO_LOVASZ_ITERATIONS = 20
 
 
 def _plain(x):
@@ -62,18 +76,23 @@ def _plain(x):
     raise TypeError(f"cannot dump {type(x).__name__}")
 
 
-def _digest(data) -> dict:
-    """sha256, dtype and shape of each array attribute of ``data``, its scalar
-    attributes, and whether ``cols is similarity``."""
+def _array_digest(value) -> dict:
+    """sha256 of an array's bytes, its dtype and its shape."""
     import hashlib
 
+    return {"sha256": hashlib.sha256(value.tobytes()).hexdigest(),
+            "dtype": value.dtype.str, "shape": list(value.shape)}
+
+
+def _digest(data) -> dict:
+    """``_array_digest`` of each array attribute of ``data``, its scalar
+    attributes, and whether ``cols is similarity``."""
     import numpy as np
 
     out = {}
     for name, value in sorted(vars(data).items()):
         if isinstance(value, np.ndarray):
-            out[name] = {"sha256": hashlib.sha256(value.tobytes()).hexdigest(),
-                         "dtype": value.dtype.str, "shape": list(value.shape)}
+            out[name] = _array_digest(value)
         elif value is None or isinstance(value, (bool, int, float, str)):
             out[name] = _plain(value)
     if hasattr(data, "cols") and hasattr(data, "similarity"):
@@ -100,6 +119,114 @@ def _record(cell, res) -> dict:
     else:
         raise TypeError(f"cell {cell.label} returned {type(res).__name__}")
     return rec
+
+
+def _stat_digest(F) -> dict:
+    """``_array_digest`` of each array of ``F``'s statistic."""
+    return {name: _array_digest(value) for name, value in sorted(F._statistic().items())}
+
+
+def _attempt(call) -> dict:
+    """``{"out": call()}``, or ``{"error": message}`` if it raises InputError."""
+    from submemo.core import InputError
+
+    try:
+        return {"out": call()}
+    except InputError as err:
+        return {"error": f"{type(err).__name__}: {err}"}
+
+
+def _zoo_moves(F, rng) -> list:
+    """A seeded script of 3n adds and removes on ``F``, then a from-scratch
+    evaluation, a rebuild at a random set and one at the empty set; each
+    step records the gain, the value, the statistic digest and any error."""
+    steps = []
+    for _ in range(3 * F.n):
+        j = int(rng.integers(F.n))
+        if j in F.memo:
+            step = {"remove": j, "gain": _attempt(lambda: F.gain_remove(j)),
+                    "move": _attempt(lambda: F.downdate(j))}
+        else:
+            step = {"add": j, "gain": _attempt(lambda: F.gain_add(j)),
+                    "move": _attempt(lambda: F.update(j))}
+        step.update(value=_attempt(F.memo_value), statistic=_stat_digest(F))
+        steps.append(step)
+    members = sorted(int(j) for j in rng.choice(F.n, size=int(rng.integers(F.n + 1)), replace=False))
+    for target in (members, []):
+        steps.append({"evaluate": target, "value": _attempt(lambda: F.evaluate(target))})
+        steps.append({"set_memo": target, "move": _attempt(lambda: F.set_memo(target)),
+                      "value": _attempt(F.memo_value), "statistic": _stat_digest(F)})
+    return steps
+
+
+def _zoo_record(kind: str, n: int, seed: int) -> dict:
+    """Move script, PM and VO maximization runs, and min-norm-point and
+    Lovasz descent on the penalised function, for one zoo instance."""
+    import numpy as np
+
+    from submemo.bench import gen_synthetic
+    from submemo.core import NonConvergenceError, wrap_value_oracle
+    from submemo.functions import ModularPenaltyData, make_function
+    from submemo.maximize import (
+        Cardinality,
+        bidirectional_greedy,
+        greedy_lazy,
+        greedy_naive,
+        local_search_usm,
+    )
+    from submemo.minimize import lovasz_descent, min_norm_point
+
+    data = gen_synthetic(kind, n, seed)
+    F = make_function(n, data)
+    rec = {"moves": _zoo_moves(F, np.random.default_rng(seed)), "counters": F.counters.as_dict()}
+    k = max(1, n // 3)
+    algorithms = {
+        "lazy-greedy": lambda G: greedy_lazy(G, Cardinality(k)),
+        "naive-greedy": lambda G: greedy_naive(G, Cardinality(k)),
+        "local-search": local_search_usm,
+        "bidirectional-greedy": bidirectional_greedy,
+    }
+    for name, run in algorithms.items():
+        for mode in ("pm", "vo"):
+            G = make_function(n, data)
+            if mode == "vo":
+                G = wrap_value_oracle(G)
+
+            def solve():
+                res = run(G)
+                return {"selection": res.members, "value": res.value, "trace": res.trace,
+                        "counters": res.counters.as_dict(), "stats": res.stats}
+
+            rec[f"{name}/{mode}"] = _attempt(solve)
+    penalised = ModularPenaltyData(data, np.full(n, ZOO_PENALTY))
+    minimizers = {
+        "min-norm-point": min_norm_point,
+        "lovasz": lambda G: lovasz_descent(G, iterations=ZOO_LOVASZ_ITERATIONS),
+    }
+    for name, run in minimizers.items():
+        G = make_function(n, penalised)
+
+        def solve():
+            try:
+                res, note = run(G), None
+            except NonConvergenceError as err:
+                res, note = err.result, str(err)
+            return {"minimizer_min": res.minimizer_min.members,
+                    "minimizer_max": res.minimizer_max.members, "value": res.value,
+                    "iterations": res.iterations, "duality_gap": res.duality_gap,
+                    "counters": res.counters.as_dict(), "stats": res.stats,
+                    "nonconvergence": note}
+
+        rec[name] = _attempt(solve)
+    return rec
+
+
+def zoo(seeds) -> dict:
+    """``_zoo_record`` of every synthetic kind at every zoo size and seed."""
+    from submemo.bench.synthetic import SYNTHETIC_KINDS
+
+    return {f"zoo/{kind}/n{n}/seed{seed}": _plain(_zoo_record(kind, n, seed))
+            for kind in SYNTHETIC_KINDS for n in ZOO_SIZES for seed in seeds}
 
 
 def dump(seeds, trace: bool) -> dict:
@@ -160,8 +287,10 @@ def main(argv=None) -> int:
     if Path(submemo.__file__).resolve().parent != src / "submemo":
         sys.exit(f"parity_dump: imported submemo from {submemo.__file__}, not {src}")
     result = dump(args.seeds, args.trace)
+    result.update(zoo(args.seeds))
     args.out.write_text(json.dumps(result, sort_keys=True, indent=1) + "\n")
-    print(f"parity_dump: {len(result)} records (cells and data digests) from {root} to {args.out}")
+    print(f"parity_dump: {len(result)} records (cells, data digests and zoo instances) "
+          f"from {root} to {args.out}")
     return 0
 
 

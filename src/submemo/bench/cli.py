@@ -100,16 +100,6 @@ def _int_param(params: dict, key: str, default: int) -> int:
 
 def load_function_spec(text: str):
     """Resolve a --function argument to (name, data object)."""
-    name, _n, data = _load_spec(text)
-    return name, data
-
-
-def _load_spec(text: str):
-    """(name, ground set size, data object) of a --function argument.
-
-    A synthetic spec gives n itself; some data objects (a mixture's) have
-    no ``n`` of their own.
-    """
     if text.startswith("synthetic:"):
         body = text[len("synthetic:") :]
         parts = body.split(",")
@@ -117,13 +107,11 @@ def _load_spec(text: str):
         params = _parse_params(parts[1:])
         n = _int_param(params, "n", 100)
         seed = _int_param(params, "seed", 0)
-        return f"{kind}-n{n}", n, gen_synthetic(kind, n, seed, params)
+        return f"{kind}-n{n}", gen_synthetic(kind, n, seed, params)
     if ":" in text and not Path(text).exists():
         prefix, path = text.split(":", 1)
-        data = _load_file(path, prefix)
-        return prefix, data.n, data
-    data = _load_file(text, None)
-    return Path(text).stem, data.n, data
+        return prefix, _load_file(path, prefix)
+    return Path(text).stem, _load_file(text, None)
 
 
 def _load_file(path: str, klass: str | None):
@@ -157,8 +145,8 @@ def _load_file(path: str, klass: str | None):
 
 def _build(spec: str):
     """Resolve a --function argument to (name, function instance)."""
-    name, n, data = _load_spec(spec)
-    return name, make_function(n, data)
+    name, data = load_function_spec(spec)
+    return name, make_function(data.n, data)
 
 
 def _emit(args, payload: dict, n: int) -> None:

@@ -37,9 +37,8 @@ def subgradient_at(F: SubmodularFunction, Y, tie_order=None) -> ModularFunction:
     if tie_order is None:
         tie_order = range(F.n)
     tie_order = check_permutation(F.n, tie_order)
-    first = [j for j in tie_order if j in sub]
-    rest = [j for j in tie_order if j not in sub]
-    return extreme_point(F, np.asarray(first + rest, dtype=np.intp))
+    inside = sub.mask[tie_order]
+    return extreme_point(F, np.concatenate((tie_order[inside], tie_order[~inside])))
 
 
 def supergradient_grow(F: SubmodularFunction, X) -> ModularFunction:

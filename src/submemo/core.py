@@ -327,9 +327,6 @@ class ModularFunction:
     def dot(self, x: np.ndarray) -> float:
         return float(np.dot(self.weights, x))
 
-    def __call__(self, X) -> float:
-        return self.value(X)
-
 
 class SubmodularFunction(ABC):
     """Abstract memoized set function over ``{0..n-1}``.
@@ -338,8 +335,6 @@ class SubmodularFunction(ABC):
     precondition checks, memo-set bookkeeping and counter accounting.
     All classes are normalized so f(empty) = 0.
     """
-
-    name = "abstract"
 
     def __init__(self, n: int):
         if n < 1:
@@ -558,9 +553,15 @@ class SubmodularFunction(ABC):
     def _statistic(self) -> dict:
         """Name -> float array snapshot views used by verify/rebuild checks."""
 
-    @abstractmethod
     def _spawn(self) -> "SubmodularFunction":
-        """Fresh empty instance sharing this instance's immutable data."""
+        """Fresh empty instance sharing this instance's immutable data.
+
+        The default builds ``type(self)(self.data)``, which serves every
+        class whose constructor takes only its data object.  A class whose
+        constructor takes more than its data (a list of components, an
+        inner function) overrides it.
+        """
+        return type(self)(self.data)
 
 
 class ValueOracleFunction(SubmodularFunction):
@@ -578,7 +579,6 @@ class ValueOracleFunction(SubmodularFunction):
         self._inner = inner
         self._cached = 0.0
         self._pending = None  # (kind, j, resulting f value)
-        self.name = f"value-oracle({inner.name})"
 
     def _oracle(self, idx: np.ndarray) -> float:
         self.counters.oracle_evals += 1

@@ -17,7 +17,6 @@ from .compose import (
 from .concave import (
     ClusteredConcaveModularData,
     ClusteredConcaveModularFunction,
-    Concave,
     DeepTwoLayerData,
     DeepTwoLayerFunction,
     FeatureBasedData,
@@ -61,6 +60,7 @@ _SIMPLE_BUILDERS = {
     LogDetData: LogDetFunction,
     DeepTwoLayerData: DeepTwoLayerFunction,
     ModularData: ModularSetFunction,
+    DispersionData: make_dispersion,
 }
 
 
@@ -76,8 +76,6 @@ def make_function(n: int, spec) -> SubmodularFunction:
     builder = _SIMPLE_BUILDERS.get(type(spec))
     if builder is not None:
         inst = builder(spec)
-    elif isinstance(spec, DispersionData):
-        inst = make_dispersion(spec)
     elif isinstance(spec, MixtureData):
         inst = MixtureFunction([(w, make_function(n, sub)) for w, sub in spec.components])
     elif isinstance(spec, ModularPenaltyData):
@@ -138,7 +136,6 @@ def default_tolerance(F: SubmodularFunction) -> float:
 
 
 __all__ = [
-    "Concave",
     "make_concave",
     "make_function",
     "verify_statistic",

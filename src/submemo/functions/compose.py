@@ -42,8 +42,6 @@ class ModularSetFunction(SubmodularFunction):
     in member order, so there is no running sum to drift or to update.
     """
 
-    name = "modular"
-
     def __init__(self, data: ModularData):
         super().__init__(data.n)
         self.data = data
@@ -78,9 +76,6 @@ class ModularSetFunction(SubmodularFunction):
     def _statistic(self):
         return {}
 
-    def _spawn(self):
-        return ModularSetFunction(self.data)
-
 
 @dataclass
 class MixtureData:
@@ -94,6 +89,10 @@ class MixtureData:
         for w, _spec in self.components:
             if not np.isfinite(w) or w < 0:
                 raise InputError("mixture weights must be finite and non-negative")
+
+    @property
+    def n(self) -> int:
+        return self.components[0][1].n
 
 
 class MixtureFunction(SubmodularFunction):
@@ -114,8 +113,6 @@ class MixtureFunction(SubmodularFunction):
     component without one first rebuilds the components that already
     chained, so a None leaves the statistic untouched, as the contract asks.
     """
-
-    name = "mixture"
 
     def __init__(self, components: list):
         """``components``: list of (weight, SubmodularFunction instance)."""
@@ -212,3 +209,7 @@ class ModularPenaltyData:
         if p.ndim != 1 or not np.all(np.isfinite(p)):
             raise InputError("penalty weights must be a finite 1-d array")
         self.penalty = p
+
+    @property
+    def n(self) -> int:
+        return self.base.n

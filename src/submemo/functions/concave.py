@@ -10,7 +10,9 @@ a per-row loop keeps only each row's type and shape test, and the range,
 duplicate and sign checks run once on the concatenated entries.  An
 element's entries keep their input order (clustered data: ascending
 cluster), which the hooks' sums rely on bit for bit.  Concave shapes come
-from a closed, serializable registry.
+from a closed, serializable registry: ``make_concave`` returns a plain numpy
+function psi (psi(0) = 0, non-decreasing, concave) that the hooks call
+directly; the data keeps the shape's name in its ``concave`` fields.
 """
 
 from __future__ import annotations
@@ -23,30 +25,12 @@ from ..core import InputError, SubmodularFunction
 from .ragged import csr_checked, csr_from_rows, ragged_positions, ragged_runs, ragged_sum
 
 
-class Concave:
-    """Normalized (psi(0) = 0), non-decreasing concave scalar map.
-
-    ``fn`` is the numpy function itself; hot loops call it directly and
-    skip ``__call__``'s frame.
-    """
-
-    def __init__(self, name: str, fn):
-        self.name = name
-        self.fn = fn
-
-    def __call__(self, x):
-        return self.fn(x)
-
-    def __repr__(self):
-        return f"Concave({self.name})"
-
-
-def make_concave(name: str) -> Concave:
+def make_concave(name: str):
     """Registry lookup: 'sqrt', 'log1p', or 'pow:<p>' with p in (0, 1)."""
     if name == "sqrt":
-        return Concave(name, np.sqrt)
+        return np.sqrt
     if name == "log1p":
-        return Concave(name, np.log1p)
+        return np.log1p
     if name.startswith("pow:"):
         try:
             p = float(name.split(":", 1)[1])
@@ -54,7 +38,7 @@ def make_concave(name: str) -> Concave:
             raise InputError(f"bad concave spec {name!r}") from None
         if not 0.0 < p < 1.0:
             raise InputError(f"power exponent must lie in (0, 1), got {p}")
-        return Concave(name, lambda x, _p=p: np.power(x, _p))
+        return lambda x, _p=p: np.power(x, _p)
     raise InputError(f"unknown concave shape {name!r} (use sqrt, log1p, pow:<p>)")
 
 
@@ -119,7 +103,7 @@ class _SparseLoadFunction(SubmodularFunction):
         self._ptr = data.indptr.tolist()
         self._ids = ids
         self._vals = data.values
-        self._psi = data.psi.fn
+        self._psi = data.psi
         self._load = np.zeros(num_buckets)
 
     def _entry(self, j: int):
@@ -186,9 +170,6 @@ class _SparseLoadFunction(SubmodularFunction):
     def _statistic(self):
         return {"load": self._load}
 
-    def _spawn(self):
-        return type(self)(self.data)
-
 
 @dataclass
 class FeatureBasedData:
@@ -243,8 +224,6 @@ class FeatureBasedData:
 class FeatureBasedFunction(_SparseLoadFunction):
     """f(X) = sum_e psi(m_e(X)) over feature loads m_e."""
 
-    name = "feature-based"
-
     def __init__(self, data: FeatureBasedData):
         super().__init__(data, data.feature_ids, data.num_features)
 
@@ -286,8 +265,6 @@ class ClusteredConcaveModularData:
 
 class ClusteredConcaveModularFunction(_SparseLoadFunction):
     """f(X) = sum_c psi(m_c(X & C_c)); updating e touches only its clusters."""
-
-    name = "clustered-concave-modular"
 
     def __init__(self, data: ClusteredConcaveModularData):
         super().__init__(data, data.cluster_ids, data.k)
@@ -333,8 +310,6 @@ class DeepTwoLayerData:
 class DeepTwoLayerFunction(SubmodularFunction):
     """Statistic: inner-unit loads m_b(X); gains re-run the O(F1*F2) head."""
 
-    name = "deep-two-layer"
-
     def __init__(self, data: DeepTwoLayerData):
         super().__init__(data.n)
         self.data = data
@@ -379,6 +354,3 @@ class DeepTwoLayerFunction(SubmodularFunction):
 
     def _statistic(self):
         return {"load": self._load}
-
-    def _spawn(self):
-        return DeepTwoLayerFunction(self.data)

@@ -84,8 +84,6 @@ class SetCoverFunction(SubmodularFunction):
     items, so the Python around a read costs more than its numpy work.
     """
 
-    name = "set-cover"
-
     def __init__(self, data: SetCoverData):
         super().__init__(data.n)
         self.data = data
@@ -140,9 +138,6 @@ class SetCoverFunction(SubmodularFunction):
 
     def _statistic(self):
         return {"count": self._count.astype(float)}
-
-    def _spawn(self):
-        return SetCoverFunction(self.data)
 
 
 @dataclass
@@ -232,8 +227,6 @@ class ProbabilisticSetCoverFunction(SubmodularFunction):
     the remaining members.
     """
 
-    name = "probabilistic-set-cover"
-
     def __init__(self, data: ProbabilisticSetCoverData):
         super().__init__(data.n)
         self.data = data
@@ -283,6 +276,3 @@ class ProbabilisticSetCoverFunction(SubmodularFunction):
 
     def _statistic(self):
         return {"product": self._prod}
-
-    def _spawn(self):
-        return ProbabilisticSetCoverFunction(self.data)

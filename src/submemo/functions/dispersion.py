@@ -63,8 +63,6 @@ class DispersionMinFunction(SubmodularFunction):
     update.
     """
 
-    name = "dispersion-min"
-
     def __init__(self, data: DispersionData):
         super().__init__(data.n)
         self.data = data
@@ -113,14 +111,9 @@ class DispersionMinFunction(SubmodularFunction):
     def _statistic(self):
         return {"min": np.asarray([self._min])}
 
-    def _spawn(self):
-        return DispersionMinFunction(self.data)
-
 
 class DispersionSumFunction(_RowSumFunction):
     """f(X) = sum over ordered in-set pairs; statistic = in-set row sums."""
-
-    name = "dispersion-sum"
 
     def __init__(self, data: DispersionData):
         super().__init__(data, data.distance)  # rowsum[l] = sum_{k in memo} d_kl, all l
@@ -148,8 +141,6 @@ class DispersionMinSumFunction(SubmodularFunction):
     set and for singletons).  Removing j rescans only the members whose
     nearest neighbour was j.
     """
-
-    name = "dispersion-min-sum"
 
     def __init__(self, data: DispersionData):
         super().__init__(data.n)
@@ -219,6 +210,3 @@ class DispersionMinSumFunction(SubmodularFunction):
 
     def _statistic(self):
         return {"nearest": self._nearest}
-
-    def _spawn(self):
-        return DispersionMinSumFunction(self.data)

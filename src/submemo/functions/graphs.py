@@ -142,9 +142,6 @@ class _RowSumFunction(SubmodularFunction):
     def _statistic(self):
         return {"rowsum": self._rowsum}
 
-    def _spawn(self):
-        return type(self)(self.data)
-
 
 @dataclass
 class FacilityLocationData:
@@ -194,8 +191,6 @@ class FacilityLocationFunction(SubmodularFunction):
     ``_chain`` drop the kept gains: they move almost every row, and reading
     the rows would cost more than recomputing.
     """
-
-    name = "facility-location"
 
     def __init__(self, data: FacilityLocationData):
         super().__init__(data.n)
@@ -413,9 +408,6 @@ class FacilityLocationFunction(SubmodularFunction):
         self._build_owed()
         return {"best": self._best, "second": self._second}
 
-    def _spawn(self):
-        return FacilityLocationFunction(self.data)
-
 
 @dataclass
 class SaturatedCoverageData:
@@ -450,8 +442,6 @@ class SaturatedCoverageData:
 
 class SaturatedCoverageFunction(_RowSumFunction):
     """f(X) = sum_i min(sum_{j in X} s_ij, alpha_i); statistic = the row sums."""
-
-    name = "saturated-coverage"
 
     def __init__(self, data: SaturatedCoverageData):
         super().__init__(data, data.cols)
@@ -507,8 +497,6 @@ class GraphCutFunction(_RowSumFunction):
     Statistic: row sums p[i] = sum_{j in X} s_ij, giving O(1) gains after
     the O(n^2) column sums are fixed at construction.
     """
-
-    name = "graph-cut"
 
     def __init__(self, data: GraphCutData):
         super().__init__(data, data.cols)

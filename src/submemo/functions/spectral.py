@@ -23,6 +23,10 @@ from ..core import InputError, SubmodularFunction
 from .graphs import _symmetric
 
 LOGDET_REL_TOL = 1e-7
+# ridge 0 is kept only when every squared pivot of the raw kernel's factor is
+# at least this share of its largest diagonal entry; a rank-deficient kernel
+# that factors by rounding alone has pivots many orders below it
+_PIVOT_REL_TOL = 1e-10
 
 
 def _ridged(k: np.ndarray, ridge: float) -> np.ndarray:
@@ -54,7 +58,9 @@ class LogDetData:
     """PSD kernel with an optional diagonal ridge.
 
     ``ridge=None`` tries the raw kernel first and falls back to 1e-6 when the
-    kernel is rank deficient; an explicit ridge is used as given.
+    kernel is rank deficient, that is when its Cholesky factorization fails
+    or a squared pivot falls below ``_PIVOT_REL_TOL`` times the largest
+    diagonal entry; an explicit ridge is used as given.
     """
 
     kernel: np.ndarray
@@ -71,13 +77,15 @@ class LogDetData:
             raise InputError("kernel must be symmetric")
         self.kernel = k
         if self.ridge is None:
+            floor = _PIVOT_REL_TOL * k.diagonal().max(initial=0.0)
             for eps in (0.0, 1e-6):
                 try:
-                    np.linalg.cholesky(_ridged(k, eps))
-                    self.ridge = eps
-                    break
+                    pivots = np.diag(np.linalg.cholesky(_ridged(k, eps)))
                 except np.linalg.LinAlgError:
                     continue
+                if eps or np.all(pivots * pivots >= floor):
+                    self.ridge = eps
+                    break
             else:
                 raise InputError("kernel is not PSD even after the default ridge")
         else:
@@ -97,8 +105,6 @@ class LogDetData:
 
 class LogDetFunction(SubmodularFunction):
     """f(X) = log det((S + ridge*I)_X) = 2 * sum(log diag of the factor)."""
-
-    name = "log-det"
 
     def __init__(self, data: LogDetData):
         super().__init__(data.n)
@@ -178,6 +184,3 @@ class LogDetFunction(SubmodularFunction):
 
     def _statistic(self):
         return {"factor": self._factor.reshape(-1)}
-
-    def _spawn(self):
-        return LogDetFunction(self.data)

@@ -182,3 +182,61 @@ def test_csr_builders_make_no_per_row_array_pass(path):
     tree = ast.parse((SRC / "functions" / path).read_text())
     for name in CSR_BUILDERS[path]:
         assert per_row_array_passes(_function(tree, name)) == [], name
+
+
+# Building a fresh copy is the same for every class whose constructor takes
+# only its data (``SubmodularFunction._spawn``), and ``__repr__`` names the
+# class: only the classes built from more than their data spawn their own
+# way, and no function class carries a ``name``.
+SPAWNERS = ("MixtureFunction", "SubmodularFunction", "ValueOracleFunction")
+
+
+def zoo_classes(trees) -> list[ast.ClassDef]:
+    """``SubmodularFunction`` and every class deriving from it, by base name."""
+    classes = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    zoo = {"SubmodularFunction"}
+    grown = True
+    while grown:
+        grown = False
+        for node in classes:
+            bases = {b.attr if isinstance(b, ast.Attribute) else getattr(b, "id", None) for b in node.bases}
+            if node.name not in zoo and bases & zoo:
+                zoo.add(node.name)
+                grown = True
+    return [node for node in classes if node.name in zoo]
+
+
+def defines(cls: ast.ClassDef, attr: str) -> bool:
+    """True when the class body defines ``attr`` as a method or assigns it."""
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef) and node.name == attr:
+            return True
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) else [])
+        if any(isinstance(t, ast.Name) and t.id == attr for t in targets):
+            return True
+    return False
+
+
+def test_construction_offenders_are_found():
+    source = (
+        "class SubmodularFunction(ABC):\n"
+        "    name = 'abstract'\n"
+        "class A(core.SubmodularFunction):\n"
+        "    def _spawn(self): ...\n"
+        "class B(A):\n"
+        "    name: str = 'b'\n"
+        "class C:\n"
+        "    name = 'c'\n"
+        "    def _spawn(self): ...\n"
+    )
+    zoo = zoo_classes([ast.parse(source)])
+    assert [c.name for c in zoo] == ["SubmodularFunction", "A", "B"]
+    assert [c.name for c in zoo if defines(c, "_spawn")] == ["A"]
+    assert [c.name for c in zoo if defines(c, "name")] == ["SubmodularFunction", "B"]
+
+
+def test_function_classes_spawn_one_way_and_carry_no_name():
+    zoo = zoo_classes([ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))])
+    assert sorted(c.name for c in zoo if defines(c, "_spawn")) == list(SPAWNERS)
+    assert [c.name for c in zoo if defines(c, "name")] == []

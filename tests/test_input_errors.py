@@ -143,13 +143,13 @@ TABLE_FILES = ("functions/concave.py", "functions/coverage.py", "functions/graph
 
 # v v^T for v = (0.54, 0.48), whose entries are these decimals: singular in
 # exact arithmetic, so only rounding decides each pivot's sign.  Factored in
-# the order (0, 1) the last pivot is a few 1e-17 above zero, so LogDetData
-# accepts the kernel at ridge 0; in the order (1, 0) it is at or below zero.
+# the order (0, 1) the last pivot is a few 1e-17 above zero, so an explicit
+# ridge 0 is accepted; in the order (1, 0) it is at or below zero.
 RANK_ONE = np.array([[0.2916, 0.2592], [0.2592, 0.2304]])
 
 
 def _rank_one_log_det():
-    return make_function(2, LogDetData(RANK_ONE))
+    return make_function(2, LogDetData(RANK_ONE, ridge=0.0))
 
 
 def _rank_one_extension():
@@ -382,9 +382,16 @@ def test_a_set_given_as_an_iterator_is_read_once():
     assert data.items.tolist() == [0, 1] and data.indptr.tolist() == [0, 2, 2]
 
 
-def test_the_rank_one_kernel_needs_no_ridge_in_its_own_order():
+def test_the_rank_one_kernel_gets_the_default_ridge_and_works_in_either_order():
     d = LogDetData(RANK_ONE)
-    assert d.ridge == 0.0
+    assert d.ridge == 1e-6
+    assert np.isfinite(make_function(2, d).evaluate([1, 0]))
+    F = make_function(2, d)
+    F.set_memo([1, 0])
+    assert np.isfinite(F.memo_value())
+    F = make_function(2, d)
+    F.update(1)
+    assert np.isfinite(F.gain_add(0))
     F = make_function(2, d)
     F.update(0)
     F.update(1)

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from submemo.core import InputError, close
+from submemo.bench.cli import load_function_spec
+from submemo.bench.synthetic import SYNTHETIC_KINDS, gen_synthetic
+from submemo.core import EvalCounters, InputError, ValueOracleFunction, close, wrap_value_oracle
 from submemo.functions import (
     ClusteredConcaveModularData,
     ClusteredSetCoverData,
@@ -17,6 +19,7 @@ from submemo.functions import (
     GraphCutData,
     LogDetData,
     MixtureData,
+    MixtureFunction,
     ModularData,
     ModularPenaltyData,
     ProbabilisticSetCoverData,
@@ -27,6 +30,7 @@ from submemo.functions import (
     make_function,
     verify_statistic,
 )
+from submemo.functions import _SIMPLE_BUILDERS
 from submemo.functions.graphs import _GAIN_BLOCK
 from conftest import ALL_KINDS, MONOTONE_KINDS, SUBMODULAR_KINDS, random_subset, zoo_instance
 
@@ -673,3 +677,62 @@ def test_facility_location_blocked_oracle_is_the_whole_gather(seed):
         idx = rng.permutation(n)[:size].astype(np.intp)
         want = float(F.data.cols[idx].max(axis=0).sum()) if size else 0.0
         assert F._evaluate(idx).hex() == want.hex(), size
+
+
+# ---------------------------------------------------------------------------
+# construction contract: every spec carries n, _spawn is a fresh build
+# ---------------------------------------------------------------------------
+
+
+def _built(form: str, spec):
+    if form == "penalised":
+        spec = ModularPenaltyData(spec, np.linspace(0.0, 1.0, spec.n))
+    F = make_function(spec.n, spec)
+    return wrap_value_oracle(F) if form == "value-oracle" else F
+
+
+def _data_of(F) -> list:
+    """The data objects an instance is built from, its components' and its
+    inner function's included."""
+    if isinstance(F, ValueOracleFunction):
+        return _data_of(F._inner)
+    if isinstance(F, MixtureFunction):
+        return [d for _, child in F.components for d in _data_of(child)]
+    return [F.data]
+
+
+@pytest.mark.parametrize("form", ["plain", "penalised", "value-oracle"])
+@pytest.mark.parametrize("kind", SYNTHETIC_KINDS)
+def test_spawn_is_a_fresh_build_over_the_same_data(kind, form):
+    spec = gen_synthetic(kind, 9, seed=3)
+    F = _built(form, spec)
+    F.set_memo([0, 4, 7])
+    F.gain_add(2)
+    F.update(2)
+    c = F._spawn()
+    assert type(c) is type(F)
+    mine, theirs = _data_of(c), _data_of(F)
+    assert len(mine) == len(theirs) and all(a is b for a, b in zip(mine, theirs))
+    assert len(c.memo) == 0 and c.counters == EvalCounters()
+    got, want = c._statistic(), _built(form, spec)._statistic()
+    assert list(got) == list(want)
+    for key, ref in want.items():
+        arr = np.asarray(got[key])
+        assert arr.dtype == ref.dtype and arr.shape == ref.shape, key
+        assert arr.tobytes() == np.asarray(ref).tobytes(), key
+
+
+def test_every_spec_carries_its_ground_set_size():
+    n = 9
+    specs = [gen_synthetic(kind, n, seed=3) for kind in SYNTHETIC_KINDS]
+    assert set(_SIMPLE_BUILDERS) <= {type(spec) for spec in specs}
+    inner = MixtureData([(1.0, specs[0]), (0.5, specs[-1])])
+    specs += [
+        MixtureData([(2.0, inner), (1.0, specs[1])]),
+        ModularPenaltyData(inner, np.ones(n)),
+        ModularPenaltyData(make_function(n, specs[0]), np.ones(n)),
+    ]
+    for spec in specs:
+        assert spec.n == n, type(spec).__name__
+        assert make_function(spec.n, spec).n == n
+    assert load_function_spec("synthetic:mixture,n=14")[1].n == 14

@@ -233,8 +233,18 @@ def _check_id(j, n: int) -> int:
 
 
 def check_permutation(n: int, order) -> np.ndarray:
-    order = np.asarray(order, dtype=np.intp)
-    if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
+    """``order`` as an intp array, refused unless it lists every id in
+    ``[0, n)`` once.  Ids must have an integer dtype, as in ``check_ids``: a
+    float or string order is refused, not truncated."""
+    order = np.asarray(order)
+    if order.size and order.dtype.kind not in "iu":
+        raise InputError(f"order must list integer element ids, got dtype {order.dtype}")
+    order = order.astype(np.intp, copy=False)  # a uint64 id past intp wraps negative
+    if order.shape != (n,) or (n and (order.min() < 0 or order.max() >= n)):
+        raise InputError("order must be a permutation of all element ids")
+    seen = np.zeros(n, dtype=bool)
+    seen[order] = True  # n ids in range, so all seen means none repeats
+    if not seen.all():
         raise InputError("order must be a permutation of all element ids")
     return order
 

@@ -1,5 +1,5 @@
 """Ragged rows of CSR data: building them, gathering the rows of some
-elements, summing them.
+elements, summing them, grouping their entries.
 
 ``csr_from_rows`` and ``csr_checked`` build and validate the CSR arrays
 of the sparse data classes on whole arrays; see ``csr_checked`` for the
@@ -14,10 +14,15 @@ bitwise:
   with numpy's pairwise sum, and ``ragged_sum`` sums each segment the
   same way.  A ``bincount`` or ``reduceat`` form adds left to right
   instead and drifts from the scalar gain by a few ulps.
-- Loads and counts use ``np.bincount`` or ``ragged_runs``.  They grow by
-  one ``load[ids] += vals`` per member, which adds each bucket's entries
-  left to right from 0.0.  ``bincount`` does the same in input order, and
-  ``ragged_runs`` keeps the running sum before every entry.
+- Loads and counts grow by one ``load[ids] += vals`` per member, which
+  adds each bucket's entries left to right from 0.0.  ``np.bincount``
+  does the same in input order.  Where the running load before every
+  entry is wanted too (a sparse-load chain), entries are grouped by
+  bucket with ``stable_order``, which keeps each bucket's entries in
+  input order, and added one occurrence level at a time.
+
+``stable_order`` is ``np.argsort(kind="stable")`` for bounded
+non-negative integer keys in linear time.
 """
 
 from __future__ import annotations
@@ -56,27 +61,23 @@ def ragged_sum(values: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return out
 
 
-def ragged_runs(values: np.ndarray, lens: np.ndarray):
-    """(running sum before each entry, total) of each consecutive segment.
+def stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` of integer keys in ``[0, bound)``.
 
-    Each segment is added left to right starting from 0.0, exactly as one
-    ``+=`` per entry would: segments of one length are stacked into a 2-d
-    block behind a zero column and run through a sequential ``cumsum``
-    along its rows.  An empty segment totals 0.0.
+    numpy runs a radix sort only on keys of 16 bits or fewer, and a
+    timsort on wider ones: on 12000 intp keys below 3000, 0.8 ms against
+    60 us for the same keys as uint16.  So this is a least-significant-digit
+    radix sort over 16-bit digits, each a stable uint16 argsort of the
+    keys in the order the digits below left them; keys below 2**16 take
+    one pass.
     """
-    before = np.empty(values.size)
-    totals = np.zeros(lens.size)
-    starts = np.cumsum(lens) - lens
-    for length in np.unique(lens).tolist():
-        if length:
-            rows = np.flatnonzero(lens == length)
-            at = starts[rows, None] + np.arange(length)
-            run = np.zeros((rows.size, length + 1))
-            run[:, 1:] = values[at]
-            np.cumsum(run, axis=1, out=run)
-            before[at] = run[:, :-1]
-            totals[rows] = run[:, -1]
-    return before, totals
+    order = np.argsort(keys.astype(np.uint16), kind="stable")  # the low digit
+    shift = 16
+    while (bound - 1) >> shift > 0:
+        digit = (keys[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order
 
 
 def csr_from_rows(rows, bound, fault, sort_rows: bool = False):

@@ -8,7 +8,9 @@ import pickle
 import numpy as np
 import pytest
 
+from submemo.bounds import extreme_point, subgradient_at
 from submemo.core import InputError, PreconditionError, Subset, _check_id, wrap_value_oracle
+from submemo.maximize import bidirectional_greedy
 
 from conftest import zoo_instance
 
@@ -159,6 +161,53 @@ SUBSET_INPUTS = {
     "ragged": lambda: [[1], [1, 2]],
     "nested": lambda: [[1, 2], [3, 4]],
 }
+
+
+def _double_greedy(F, order):
+    res = bidirectional_greedy(F, order=order)
+    return res.members, res.value
+
+
+# calls that take a whole visiting order, each returning something comparable
+ORDER_CALLS = {
+    "sweep": lambda F, order: F.sweep(order).tolist(),
+    "extreme_point": lambda F, order: extreme_point(F, order).weights.tolist(),
+    "subgradient_at-tie-order": lambda F, order: subgradient_at(F, MEMO, tie_order=order).weights.tolist(),
+    "bidirectional_greedy": _double_greedy,
+}
+# order -> exact message; the first two would truncate to the permutation N-1, ..., 0
+NOT_A_PERMUTATION = "order must be a permutation of all element ids"
+BAD_ORDERS = {
+    "fractions": ([j + 0.5 for j in reversed(range(N))], "order must list integer element ids, got dtype float64"),
+    "whole-floats": (np.arange(N, dtype=float), "order must list integer element ids, got dtype float64"),
+    "strings": ([str(j) for j in range(N)], "order must list integer element ids, got dtype <U2"),
+    "repeat": ([0] * N, NOT_A_PERMUTATION),
+    "short": (list(range(N - 1)), NOT_A_PERMUTATION),
+    "out-of-range": (list(range(1, N + 1)), NOT_A_PERMUTATION),
+    "wrapped-uint64": (np.array([2**64 - 1] + list(range(1, N)), dtype=np.uint64), NOT_A_PERMUTATION),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("mode", ["pm", "vo"])
+@pytest.mark.parametrize("call", sorted(ORDER_CALLS))
+@pytest.mark.parametrize("order", sorted(BAD_ORDERS))
+def test_a_bad_order_raises_and_changes_nothing(kind, mode, call, order):
+    bad, message = BAD_ORDERS[order]
+    F = _instance(mode, kind)
+    before = _snapshot(F)
+    with pytest.raises(InputError) as info:
+        ORDER_CALLS[call](F, bad)
+    assert str(info.value) == message
+    _assert_same(_snapshot(F), before)
+
+
+@pytest.mark.parametrize("call", sorted(ORDER_CALLS))
+def test_integer_orders_of_any_width_are_accepted(call):
+    want = ORDER_CALLS[call](_instance("pm", "setcover"), list(range(N))[::-1])
+    for dtype in (np.int32, np.uint8, np.uint64):
+        assert ORDER_CALLS[call](_instance("pm", "setcover"), np.arange(N)[::-1].astype(dtype)) == want
+
 
 
 @pytest.mark.parametrize("case", sorted(SUBSET_INPUTS))

@@ -184,6 +184,40 @@ def test_csr_builders_make_no_per_row_array_pass(path):
         assert per_row_array_passes(_function(tree, name)) == [], name
 
 
+# Extreme-point chains group entries in linear time (``ragged.stable_order``,
+# a 16-bit radix argsort): numpy sorts wider integer keys with a timsort,
+# which took most of a sparse-load chain's time.
+COMPARISON_SORTS = {"sort", "argsort", "lexsort"}
+
+
+def sort_calls(tree: ast.AST) -> list[int]:
+    """Lines that call a function or method named ``sort``, ``argsort`` or ``lexsort``."""
+    return sorted({node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                   and (node.func.attr if isinstance(node.func, ast.Attribute)
+                        else getattr(node.func, "id", None)) in COMPARISON_SORTS})
+
+
+def test_sort_calls_are_found():
+    source = (
+        "def _chain(self, order):\n"
+        "    a = np.argsort(ids, kind='stable')\n"
+        "    b = stable_order(ids, self.num_buckets)\n"
+        "    ids.sort()\n"
+        "    c = sorted(order) + [np.lexsort((a, b))]\n"
+        "    d = argsort(a)\n"
+    )
+    assert sort_calls(ast.parse(source)) == [2, 4, 5, 6]
+
+
+def test_chain_hooks_make_no_comparison_sort():
+    hooks = [(path.name, cls.name, node) for path in FUNCTIONS for cls in ast.parse(path.read_text()).body
+             if isinstance(cls, ast.ClassDef) for node in cls.body
+             if isinstance(node, ast.FunctionDef) and node.name == "_chain"]
+    assert len(hooks) >= 4
+    for path, cls, node in hooks:
+        assert sort_calls(node) == [], f"{path}: {cls}._chain"
+
+
 # Building a fresh copy is the same for every class whose constructor takes
 # only its data (``SubmodularFunction._spawn``), and ``__repr__`` names the
 # class: only the classes built from more than their data spawn their own

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from submemo import EvalCounters, SubmodularFunction, wrap_value_oracle
 from submemo.bounds import _descending_order, extreme_point
 from submemo.functions import (
+    ClusteredConcaveModularData,
     FacilityLocationData,
     FacilityLocationFunction,
+    FeatureBasedData,
     MixtureFunction,
     ModularPenaltyData,
     default_tolerance,
@@ -18,6 +20,7 @@ from submemo.functions import (
     verify_statistic,
 )
 from submemo.functions.graphs import _CHAIN_BLOCK
+from submemo.functions.ragged import stable_order
 from submemo.minimize import lovasz_descent
 
 from conftest import zoo_instance
@@ -188,6 +191,72 @@ def test_facility_location_chain_at_block_edges(kind, penalised, n, order_kind):
         F.downdate(j)
     want = F.clone_detached().gains_add(ids)
     assert [g.hex() for g in F.gains_add(ids).tolist()] == [g.hex() for g in want.tolist()]
+
+
+# --- sparse-load chains: a radix order and one pass per occurrence level ----
+
+
+@pytest.mark.parametrize("bound", [1, 2**16 - 1, 2**16, 2**16 + 1, 2**33])
+@pytest.mark.parametrize("keys", ["empty", "equal", "random"])
+def test_stable_order_is_a_stable_argsort(bound, keys):
+    rng = np.random.default_rng(bound % 1000)
+    if keys == "empty":
+        k = np.zeros(0, dtype=np.intp)
+    elif keys == "equal":
+        k = np.full(300, bound - 1, dtype=np.intp)
+    else:  # ties at both ends, in the middle and on each side of the first digit's edge
+        edges = [e for e in (0, bound // 2, bound - 1, 2**16 - 1, 2**16) if e < bound]
+        k = np.concatenate((rng.integers(0, bound, 2000), rng.choice(edges, 500))).astype(np.intp)
+        rng.shuffle(k)
+    got = stable_order(k, bound)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, np.argsort(k, kind="stable"))
+
+
+def _sparse_load(cls: str, case: str, n: int, seed: int):
+    """A feature-based or clustered instance with each element's buckets as
+    rows; ``case`` puts one bucket in every element, puts the buckets past
+    2**16, or leaves element 0 with no entries."""
+    rng = np.random.default_rng(seed)
+    buckets = 70_000 if case == "wide" else 3 * n
+    rows = [rng.choice(buckets, size=int(rng.integers(1, 6)), replace=False) for _ in range(n)]
+    if case == "everywhere":
+        rows = [np.union1d(r, [7]) for r in rows]
+    if case == "empty":
+        rows[0] = rows[0][:0]
+    weights = [rng.uniform(0.0, 2.0, r.size) for r in rows]
+    if cls == "featurebased":
+        data = FeatureBasedData(list(zip(rows, weights)), num_features=buckets)
+    else:  # the same incidence read by bucket: cluster b lists the elements that load it
+        members = [[] for _ in range(buckets)]
+        member_weights = [[] for _ in range(buckets)]
+        for j, (r, w) in enumerate(zip(rows, weights)):
+            for b, x in zip(r.tolist(), w.tolist()):
+                members[b].append(j)
+                member_weights[b].append(x)
+        data = ClusteredConcaveModularData(members, member_weights, n)
+    return make_function(n, data)
+
+
+@pytest.mark.parametrize("order_kind", ["random", "grid-descending"])
+@pytest.mark.parametrize("case", ["everywhere", "wide", "empty"])
+@pytest.mark.parametrize("cls", ["featurebased", "clusterconcave"])
+def test_sparse_load_chain_edge_cases_equal_the_scalar_loop_bitwise(cls, case, order_kind):
+    n = 80
+    F = _sparse_load(cls, case, n, seed=len(case))
+    assert F._levels is None  # built by the first chain, not at set-up
+    _assert_sweep_is_loop(F, _order(order_kind, n, 3))
+    ranked, slots, levels = F._levels
+    assert len(levels) == np.bincount(F._ids).max() and slots.size == F._ids.size
+    if case == "everywhere":
+        assert len(levels) == n
+    if case == "wide":
+        assert F.num_buckets > 2**16 and F._ids.max() >= 2**16
+    if case == "empty":
+        assert F._ptr[1] == F._ptr[0]
+    F.set_memo([1, 2])  # a second chain reuses the layout
+    _assert_sweep_is_loop(F, _order("random", n, 4))
+    assert F._levels[1] is slots
 
 
 def test_sparse_facility_location_leaves_unowned_records():

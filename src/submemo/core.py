@@ -13,9 +13,11 @@ one ``_gains_add`` hook call and returns the hook's array.  A hook may keep
 gains between calls, provided they stay bitwise the scalar reads and the
 array it returns is the caller's.  ``gains_add`` still books one public
 ``gain_add`` per id, with the ``_booking`` flag set: while it is set,
-``gain_add`` charges the gain and skips ``_gain_add``, so the counters and
-the traced ``gain_add`` calls stay those of scalar reads, and the
-benchmark's traced run checks one public call per charged gain.
+``gain_add`` charges the gain and returns, skipping its id and membership
+checks as well as ``_gain_add``, so the counters and the traced
+``gain_add`` calls stay those of scalar reads, and the benchmark's traced
+run checks one public call per charged gain.  ``gains_add`` has checked
+every id (``check_ids`` plus its memo check) before it books them.
 ``ValueOracleFunction`` has no batched hook by design: a value-oracle gain
 stays one oracle call.
 
@@ -25,7 +27,9 @@ stays one oracle call.
 memo ends at V in ``order``.  A ``_chain`` hook computes the whole chain
 and the full-set statistic in one call.  Its gains go straight into the
 weights, and the pairs are booked with ``_booking`` set, so ``update``
-skips ``_update`` as ``gain_add`` skips ``_gain_add``.  The pairs stay
+skips its checks and ``_update``, charges and grows the memo, as
+``gain_add`` skips its checks and ``_gain_add``: ``check_permutation``
+has checked the order, and the memo starts empty.  The pairs stay
 because the benchmark's traced run checks one public call per charged
 gain and update against the counters.  Without the hook each gain is
 computed on the prefix, for ``ValueOracleFunction`` one oracle call each:
@@ -366,13 +370,14 @@ class SubmodularFunction(ABC):
 
     def gain_add(self, j) -> float:
         """f(memo + j) - f(memo) from the live statistic (read-only)."""
+        if self._booking:  # the batch is checked and its gains computed: charge only
+            self.counters.gain_evals += 1
+            return None
         if type(j) is not int or not 0 <= j < self.n:
             j = _check_id(j, self.n)
         if self.memo._flags[j]:
             raise PreconditionError(f"gain_add: element {j} already memoized")
         self.counters.gain_evals += 1
-        if self._booking:
-            return None
         return self._gain_add(j)
 
     def gains_add(self, cands) -> np.ndarray:
@@ -420,12 +425,14 @@ class SubmodularFunction(ABC):
 
     def update(self, j) -> None:
         """Transform the statistic p_X into p_{X+j} and grow the memo set."""
-        if type(j) is not int or not 0 <= j < self.n:
-            j = _check_id(j, self.n)
-        if self.memo._flags[j]:
-            raise PreconditionError(f"update: element {j} already memoized")
-        self.counters.memo_updates += 1
-        if not self._booking:
+        if self._booking:  # a checked permutation whose statistic is built: charge only
+            self.counters.memo_updates += 1
+        else:
+            if type(j) is not int or not 0 <= j < self.n:
+                j = _check_id(j, self.n)
+            if self.memo._flags[j]:
+                raise PreconditionError(f"update: element {j} already memoized")
+            self.counters.memo_updates += 1
             self._update(j)
         memo = self.memo  # j is checked: grow it without Subset.add's checks
         memo._members.append(j)

@@ -26,6 +26,7 @@ contiguous copy of the transpose.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +42,17 @@ from ..core import InputError, SubmodularFunction
 # 800 us with 128-row blocks and 1060 us for one gather.  A full-set top-2
 # rebuild with sorted members took 5.1-5.9 ms, against 4.9-6.5 ms with
 # 128-row blocks, 6.7-7.1 ms with 256 and 10.2-13.0 ms reading 128-row
-# column slices of ``cols``.
+# column slices of ``cols``.  The block and the scalar gain's row start on a
+# 64-byte cache line (``_aligned_empty``); a plain ``np.empty`` lands where
+# the allocation history puts it, and every vector store into a misaligned
+# output splits across two lines.  On a 2-vCPU AVX-512 x86-64 host at
+# n = 1500 (best of 21, two processes), one ``_chain`` took 2.25-2.33 ms
+# with the block at offset 0 and 2.70-2.71, 2.70-2.81 and 2.67 ms at
+# offsets 8, 16 and 32 bytes; a scalar gain took 2.28 us with its row at
+# offset 0 and 2.57 us at 16, and 2.29 us with ``_best``, which it only
+# reads, at either offset.  Rows are not padded: a 1504-float row stride
+# made ``_chain`` 3.40 ms, since its 2-d subtract and row sums stop
+# running over contiguous memory.
 _GAIN_BLOCK = 64
 # Chain positions per block of an extreme-point chain.  The running maximum
 # (B + 1 rows, the first carrying the best records in) and its differences
@@ -56,6 +67,19 @@ _CHAIN_BLOCK = (_GAIN_BLOCK - 1) // 2
 # host it took 3.6 ms with 128-row tiles, 4.3 ms with 512 and 5.3 ms for
 # one whole-matrix array_equal(s, s.T).
 _SYM_TILE = 128
+
+# Bytes per cache line.
+_LINE = 64
+
+
+def _aligned_empty(shape) -> np.ndarray:
+    """An uninitialized C-contiguous float array of ``shape`` (an int or a
+    tuple) that starts on a ``_LINE``-byte boundary: 8 floats more are
+    allocated and the array is the slice from the first boundary in them."""
+    size = math.prod(shape) if isinstance(shape, tuple) else shape
+    raw = np.empty(size + _LINE // 8)
+    skip = -raw.ctypes.data % _LINE // 8
+    return raw[skip:skip + size].reshape(shape)
 
 
 def _exactly_symmetric(s: np.ndarray) -> bool:
@@ -201,11 +225,14 @@ class FacilityLocationFunction(SubmodularFunction):
         self._arg = np.full(n, -1, dtype=np.intp)
         self._arg2 = np.full(n, -1, dtype=np.intp)
         self._owed = None  # chain order whose records past _best are not built yet
-        self._buf = np.empty(n)
+        # the scalar gain's row and the row it takes the maximum with
+        self._buf = _aligned_empty(n)
+        self._zeros = _aligned_empty(n)
+        self._zeros.fill(0.0)
         # kept for the batched gains and _chain, not reallocated per call: a fresh
         # 768 KB block per batch raised peak RSS by 17 MB over a 40 s
         # greedy-pm benchmark run (seed 1)
-        self._block = np.empty((_GAIN_BLOCK, n))
+        self._block = _aligned_empty((_GAIN_BLOCK, n))
         self._kept = None  # (gains, valid, best_at_read) of _gains_add
 
     def _evaluate(self, idx):
@@ -218,9 +245,12 @@ class FacilityLocationFunction(SubmodularFunction):
         return float(best.sum())
 
     def _gain_add(self, j):
+        # a kept zero row, not the scalar 0.0, which numpy converts on every
+        # call (2.10 against 2.45 us a hook call at n = 1500); np.maximum
+        # applies one per-element rule to both, zeros' signs included
         buf = self._buf
         np.subtract(self.data.cols[j], self._best, out=buf)
-        np.maximum(buf, 0.0, out=buf)
+        np.maximum(buf, self._zeros, out=buf)
         return float(np.add.reduce(buf))
 
     def _gains_add(self, idx):

@@ -50,8 +50,16 @@ def ragged_sum(values: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """Sum of each consecutive segment of ``values`` with the given lengths.
 
     Segments of one length are stacked into a 2-d block and summed along
-    its rows, which runs numpy's 1-d pairwise sum on each of them.
+    its rows, which runs numpy's 1-d pairwise sum on each of them.  When
+    every segment has one length L, ``values`` is that block already, and
+    its row sums are read without the grouping and the gather: at 1500
+    segments of 8, 23 against 77 us.
     """
+    if lens.size and (lens == lens[0]).all():
+        length = int(lens[0])
+        if length == 0:
+            return np.zeros(lens.size)
+        return values.reshape(lens.size, length).sum(axis=1)
     out = np.zeros(lens.size)
     starts = np.cumsum(lens) - lens
     for length in np.unique(lens).tolist():

@@ -106,6 +106,38 @@ def test_ragged_sum_is_each_segments_own_sum():
     assert not np.array_equal(left_to_right, want)
 
 
+def _general_ragged_sum(values, lens):
+    """``ragged_sum`` through its grouping path: one extra segment of
+    another length keeps the lengths from being all one."""
+    odd = int(lens.max(initial=0)) + 1
+    return ragged_sum(np.concatenate([values, np.ones(odd)]), np.append(lens, odd))[:-1]
+
+
+@pytest.mark.parametrize("segments", [1, 2, 33, 1500])
+@pytest.mark.parametrize("length", [0, 1, 7, 8, 9, 200])
+def test_ragged_sum_of_one_length_is_the_general_path_bitwise(length, segments):
+    # 200 is past numpy's 128-element pairwise block
+    rng = np.random.default_rng(length * 7 + segments)
+    lens = np.full(segments, length, dtype=np.intp)
+    values = rng.standard_normal(lens.sum()) * 10.0 ** rng.integers(-6, 7, lens.sum())
+    got = ragged_sum(values, lens)
+    want = _general_ragged_sum(values, lens)
+    assert got.shape == (segments,) and got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+    starts = np.arange(segments) * length
+    assert got.tolist() == [values[s:s + length].sum() for s in starts]
+
+
+@pytest.mark.parametrize("lens", [[8] * 10 + [9], [0, 8, 8], [8, 8, 0], [1, 200], [200, 200, 7]])
+def test_ragged_sum_of_mixed_lengths_falls_back(lens):
+    lens = np.asarray(lens, dtype=np.intp)
+    values = np.random.default_rng(lens.sum()).standard_normal(lens.sum()) * 1e3
+    starts = np.cumsum(lens) - lens
+    want = [values[s:s + m].sum() for s, m in zip(starts, lens)]
+    assert ragged_sum(values, lens).tolist() == want
+    assert ragged_sum(np.zeros(0), np.zeros(0, dtype=np.intp)).shape == (0,)
+
+
 def test_ragged_positions_concatenate_the_rows():
     indptr = np.asarray([0, 3, 3, 4, 9])
     pos, lens = ragged_positions(indptr, np.asarray([3, 1, 0, 2, 3]))
@@ -187,6 +219,49 @@ def test_counters_move_only_on_reads():
         assert [g.hex() for g in got.tolist()] == [scalar.gain_add(j).hex() for j in cands]
         assert F.counters - before == EvalCounters(gain_evals=len(cands))
         assert not F._booking
+
+
+def _refuse_scalar_hooks(F) -> None:
+    def refused(j):
+        raise AssertionError(f"a booked call ran a scalar hook for {j}")
+    F._gain_add = F._update = refused
+
+
+@pytest.mark.parametrize("kind", ["faclocation", "featurebased", "setcover"])
+def test_booking_charges_without_the_scalar_hooks(kind):
+    # booked gain_add and update calls only charge: counters equal the
+    # per-element loop's, and neither _gain_add nor _update runs
+    F = zoo_instance(kind, 40, seed=8)
+    loop = F.clone_detached()
+    F.set_memo([3, 4])
+    loop.set_memo([3, 4])
+    cands = [j for j in range(40) if j not in F.memo] + [9]
+    _refuse_scalar_hooks(F)
+    want = [loop.gain_add(j) for j in cands]
+    assert F.gains_add(cands).tolist() == want
+    assert F.counters == loop.counters
+    order = np.random.default_rng(8).permutation(40)
+    loop.set_memo(())
+    loop_weights = np.empty(40)
+    for j in order.tolist():
+        loop_weights[j] = loop.gain_add(j)
+        loop.update(j)
+    weights = F.sweep(order)
+    assert weights.tobytes() == loop_weights.tobytes()
+    assert F.counters == loop.counters and F.memo.members == loop.memo.members
+    assert not F._booking
+
+
+def test_a_booked_call_checks_nothing():
+    # gains_add and sweep check their ids before they book them
+    F = zoo_instance("setcover", 20, seed=9)
+    F.set_memo([2])
+    F._booking = True
+    assert F.gain_add(2) is None
+    F.update(5)
+    F._booking = False
+    assert F.counters.gain_evals == 1 and F.counters.memo_updates == 1
+    assert F.memo.members == [2, 5]
 
 
 def _spy_on_gain_add(monkeypatch) -> list:

@@ -274,3 +274,54 @@ def test_function_classes_spawn_one_way_and_carry_no_name():
     zoo = zoo_classes([ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))])
     assert sorted(c.name for c in zoo if defines(c, "_spawn")) == list(SPAWNERS)
     assert [c.name for c in zoo if defines(c, "name")] == []
+
+
+# Facility location's written scratch starts on a cache line: every array
+# that ``__init__`` allocates with ``np.empty`` for scratch comes from
+# ``graphs._aligned_empty`` instead.  A misaligned output splits each vector
+# store of the gain and chain loops across two lines.
+ALIGNED_SCRATCH = ("_block", "_buf", "_zeros")
+
+
+def scratch_sources(init: ast.FunctionDef) -> tuple[dict, list[int]]:
+    """(attribute -> names of the functions called to assign ``self.<attribute>``,
+    lines that call ``empty`` or ``empty_like`` directly)."""
+    sources, direct = {}, []
+    for node in ast.walk(init):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if (isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name)
+                        and target.value.id == "self"):
+                    call = node.value
+                    func = call.func if isinstance(call, ast.Call) else None
+                    name = (func.attr if isinstance(func, ast.Attribute)
+                            else getattr(func, "id", None))
+                    sources.setdefault(target.attr, []).append(name)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("empty", "empty_like"):
+                direct.append(node.lineno)
+    return sources, sorted(direct)
+
+
+def test_scratch_sources_are_found():
+    source = (
+        "def __init__(self, data):\n"
+        "    self._buf = _aligned_empty(n)\n"
+        "    self._block = np.empty((64, n))\n"
+        "    self._zeros = self._buf + 0.0\n"
+        "    tmp = np.empty_like(self._buf)\n"
+        "    self._zeros = _aligned_empty(n)\n"
+    )
+    sources, direct = scratch_sources(ast.parse(source).body[0])
+    assert sources == {"_buf": ["_aligned_empty"], "_block": ["empty"], "_zeros": [None, "_aligned_empty"]}
+    assert direct == [3, 5]
+
+
+def test_facility_location_scratch_is_allocated_aligned():
+    tree = ast.parse((SRC / "functions" / "graphs.py").read_text())
+    sources, direct = scratch_sources(_function(tree, "FacilityLocationFunction.__init__"))
+    assert direct == []
+    for name in ALIGNED_SCRATCH:
+        assert sources.get(name) == ["_aligned_empty"], name

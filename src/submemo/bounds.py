@@ -2,9 +2,11 @@
 
 Everything here is computed through the memoization contract, never a
 from-scratch oracle call.  An extreme point is one
-``SubmodularFunction.sweep``: it is charged as one rebuild plus n
-gain/update pairs, and a class with a ``_chain`` hook does that work in
-one call.  The tight upper bound at X costs one rebuild plus n gains.
+``SubmodularFunction.sweep``: it is charged as one rebuild plus n gains
+and n updates, and a class with a ``_chain`` hook does that work in one
+call.  A tight upper bound at X costs one or two rebuilds plus n gains,
+read in two batched calls (``gains_add``, ``gains_remove``,
+``gains_singleton``).
 Calls mutate the function's memo set (they sweep it), so calls on one
 instance must be serialized.
 
@@ -41,30 +43,39 @@ def subgradient_at(F: SubmodularFunction, Y, tie_order=None) -> ModularFunction:
     return extreme_point(F, np.concatenate((tie_order[inside], tie_order[~inside])))
 
 
+def _running_total(values: np.ndarray) -> float:
+    """0.0 plus each value in turn, left to right, as a ``+=`` loop adds them."""
+    total = 0.0
+    for v in values.tolist():
+        total += v
+    return total
+
+
 def supergradient_grow(F: SubmodularFunction, X) -> ModularFunction:
     """Tight modular upper bound at X built from grow-style gains.
 
     Inside X the weight is the member's removal gain at X; outside it is the
-    singleton value.  Cost: one rebuild plus n gain evaluations.
+    singleton value.  Cost: one rebuild plus n gains, read in one
+    ``gains_remove`` and one ``gains_singleton`` call.  The offset sums the
+    members' weights in ascending id order.
     """
     sub = as_subset(F.n, X)
     fx = F.value_at(sub)
     weights = np.empty(F.n)
-    inside_total = 0.0
-    for j in range(F.n):
-        if j in sub:
-            weights[j] = F.gain_remove(j)
-            inside_total += weights[j]
-        else:
-            weights[j] = F.gain_singleton(j)
-    return ModularFunction(fx - inside_total, weights)
+    inside = np.flatnonzero(sub.mask)
+    outside = np.flatnonzero(~sub.mask)
+    weights[inside] = F.gains_remove(inside)
+    weights[outside] = F.gains_singleton(outside)
+    return ModularFunction(fx - _running_total(weights[inside]), weights)
 
 
 def supergradient_shrink(F: SubmodularFunction, X) -> ModularFunction:
     """The second tight modular upper bound at X (shrink-style gains).
 
     Inside X the weight is the member's removal gain at V; outside it is the
-    add gain at X.  Costs two rebuilds (memo at X, then at V) plus n gains.
+    add gain at X.  Costs two rebuilds (memo at X, then at V) plus n gains,
+    read in one ``gains_add`` and one ``gains_remove`` call.  The offset
+    sums the members' weights in member order.
     """
     sub = as_subset(F.n, X)
     fx = F.value_at(sub)
@@ -72,11 +83,9 @@ def supergradient_shrink(F: SubmodularFunction, X) -> ModularFunction:
     outside = np.flatnonzero(~sub.mask)
     weights[outside] = F.gains_add(outside)
     F.set_memo(range(F.n))
-    inside_total = 0.0
-    for j in sub.members:
-        weights[j] = F.gain_remove(j)
-        inside_total += weights[j]
-    return ModularFunction(fx - inside_total, weights)
+    inside = sub.to_indices()
+    weights[inside] = F.gains_remove(inside)
+    return ModularFunction(fx - _running_total(weights[inside]), weights)
 
 
 def tight_upper_bounds(F: SubmodularFunction, X):

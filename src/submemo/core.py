@@ -8,33 +8,32 @@ through the public methods below, which keeps the counter accounting exact:
 ``gain_add`` / ``gain_remove`` / ``gain_singleton`` answer marginal values
 from the live statistic.
 
-``gains_add(cands)`` reads the add gains of every id in ``cands`` with
-one ``_gains_add`` hook call and returns the hook's array.  A hook may keep
-gains between calls, provided they stay bitwise the scalar reads and the
-array it returns is the caller's.  ``gains_add`` still books one public
-``gain_add`` per id, with the ``_booking`` flag set: while it is set,
-``gain_add`` charges the gain and returns, skipping its id and membership
-checks as well as ``_gain_add``, so the counters and the traced
-``gain_add`` calls stay those of scalar reads, and the benchmark's traced
-run checks one public call per charged gain.  ``gains_add`` has checked
-every id (``check_ids`` plus its memo check) before it books them.
-``ValueOracleFunction`` has no batched hook by design: a value-oracle gain
-stays one oracle call.
+``gains_add(cands)``, ``gains_remove(ids)`` and ``gains_singleton(ids)``
+read the add, removal and singleton gains of many ids with one hook call
+each (``_gains_add``, ``_gains_remove``, ``_singletons``) and return the
+hook's array.  Ids are checked as the scalar method checks them, and the
+whole batch is checked before anything is charged.  A hook may keep gains
+between calls, provided they stay bitwise the scalar reads and the array
+it returns is the caller's.  The batch charges ``len(ids)`` gains in one
+step, then books one public scalar call per id with the ``_booking`` flag
+set; a booked ``gain_add``, ``gain_remove``, ``gain_singleton`` or
+``update`` returns at once, without checks, charges or hooks.  The booked
+calls stay because the benchmark's traced run counts one public call per
+charged gain.  Where a class has no batched hook, the batch is the
+per-id public loop: ``ValueOracleFunction`` has none by design, so a
+value-oracle gain stays one oracle call.
 
 ``sweep(order)`` is the extreme-point sweep: the gain of each element of
-``order`` on top of the elements before it, charged and traced as
-``set_memo(())`` plus one ``gain_add``/``update`` pair per element; the
-memo ends at V in ``order``.  A ``_chain`` hook computes the whole chain
-and the full-set statistic in one call.  Its gains go straight into the
-weights, and the pairs are booked with ``_booking`` set, so ``update``
-skips its checks and ``_update``, charges and grows the memo, as
-``gain_add`` skips its checks and ``_gain_add``: ``check_permutation``
-has checked the order, and the memo starts empty.  The pairs stay
-because the benchmark's traced run checks one public call per charged
-gain and update against the counters.  Without the hook each gain is
-computed on the prefix, for ``ValueOracleFunction`` one oracle call each:
-the baseline measured.  ``_booking`` is False outside ``gains_add`` and
-``sweep``.
+``order`` on top of the elements before it, charged as ``set_memo(())``
+plus n gains and n updates; the memo ends at V in ``order``.  A ``_chain``
+hook computes the whole chain and the full-set statistic in one call.
+Its gains go straight into the weights, the n gains and n updates are
+charged and the memo extended in one step each, and one
+``gain_add``/``update`` pair per element is booked as above:
+``check_permutation`` has checked the order, and the memo starts empty.
+Without the hook each gain is computed on the prefix, for
+``ValueOracleFunction`` one oracle call each: the baseline measured.
+``_booking`` is False outside the batched reads and ``sweep``.
 
 The per-element methods (``gain_add``, ``gain_remove``, ``gain_singleton``,
 ``update``, ``downdate``) accept a plain ``int`` in range without calling
@@ -356,7 +355,7 @@ class SubmodularFunction(ABC):
         self.n = int(n)
         self.memo = Subset(self.n)
         self.counters = EvalCounters()
-        self._booking = False  # gains_add or sweep holds the hook's answers
+        self._booking = False  # a batched read or sweep books its charged calls
 
     # ------------------------------------------------------------------
     # public contract
@@ -370,8 +369,7 @@ class SubmodularFunction(ABC):
 
     def gain_add(self, j) -> float:
         """f(memo + j) - f(memo) from the live statistic (read-only)."""
-        if self._booking:  # the batch is checked and its gains computed: charge only
-            self.counters.gain_evals += 1
+        if self._booking:  # a batch checked and charged this read
             return None
         if type(j) is not int or not 0 <= j < self.n:
             j = _check_id(j, self.n)
@@ -383,28 +381,49 @@ class SubmodularFunction(ABC):
     def gains_add(self, cands) -> np.ndarray:
         """``gain_add`` of every id in ``cands``, computed in one hook call.
 
-        Ids are checked as ``gain_add`` checks them.  Each gain is charged
-        through one ``gain_add`` call, booked with ``_booking`` set, and
-        the hook's own array, bitwise those reads, is returned.
+        Ids are checked as ``gain_add`` checks them; see ``_batch`` for the
+        charge and the booked calls.
         """
         idx = check_ids(cands, self.n)
         held = idx[self.memo.mask[idx]]
         if held.size:
             raise PreconditionError(f"gains_add: element {held[0]} already memoized")
-        gains = self._gains_add(idx)
-        gain_add = self.gain_add
+        return self._batch(idx, self._gains_add(idx), self.gain_add)
+
+    def gains_remove(self, ids) -> np.ndarray:
+        """``gain_remove`` of every id in ``ids``, computed in one hook call."""
+        idx = check_ids(ids, self.n)
+        free = idx[~self.memo.mask[idx]]
+        if free.size:
+            raise PreconditionError(f"gains_remove: element {free[0]} not memoized")
+        return self._batch(idx, self._gains_remove(idx), self.gain_remove)
+
+    def gains_singleton(self, ids) -> np.ndarray:
+        """``gain_singleton`` of every id in ``ids``, computed in one hook call."""
+        idx = check_ids(ids, self.n)
+        return self._batch(idx, self._singletons(idx), self.gain_singleton)
+
+    def _batch(self, idx: np.ndarray, gains, read) -> np.ndarray:
+        """The batched hook's ``gains`` of the checked ``idx``, charged as
+        ``len(idx)`` gains in one step and booked through one ``read`` (the
+        public scalar method) per id; without a hook (None), ``read`` of
+        each id."""
+        ids = idx.tolist()
         if gains is None:
-            return np.array([gain_add(j) for j in idx.tolist()], dtype=float)
+            return np.array([read(j) for j in ids], dtype=float)
+        self.counters.gain_evals += len(ids)
         self._booking = True
         try:
-            for j in idx.tolist():
-                gain_add(j)
+            for j in ids:
+                read(j)
         finally:
             self._booking = False
         return gains
 
     def gain_remove(self, j) -> float:
         """f(memo) - f(memo - j) from the live statistic (read-only)."""
+        if self._booking:
+            return None
         if type(j) is not int or not 0 <= j < self.n:
             j = _check_id(j, self.n)
         if not self.memo._flags[j]:
@@ -418,6 +437,8 @@ class SubmodularFunction(ABC):
         Cheap for every class (the empty statistic is trivial), so it is
         accounted as a statistic-based gain, not an oracle call.
         """
+        if self._booking:
+            return None
         if type(j) is not int or not 0 <= j < self.n:
             j = _check_id(j, self.n)
         self.counters.gain_evals += 1
@@ -425,15 +446,14 @@ class SubmodularFunction(ABC):
 
     def update(self, j) -> None:
         """Transform the statistic p_X into p_{X+j} and grow the memo set."""
-        if self._booking:  # a checked permutation whose statistic is built: charge only
-            self.counters.memo_updates += 1
-        else:
-            if type(j) is not int or not 0 <= j < self.n:
-                j = _check_id(j, self.n)
-            if self.memo._flags[j]:
-                raise PreconditionError(f"update: element {j} already memoized")
-            self.counters.memo_updates += 1
-            self._update(j)
+        if self._booking:  # sweep charged it and grew the memo
+            return
+        if type(j) is not int or not 0 <= j < self.n:
+            j = _check_id(j, self.n)
+        if self.memo._flags[j]:
+            raise PreconditionError(f"update: element {j} already memoized")
+        self.counters.memo_updates += 1
+        self._update(j)
         memo = self.memo  # j is checked: grow it without Subset.add's checks
         memo._members.append(j)
         memo._flags[j] = 1
@@ -459,14 +479,16 @@ class SubmodularFunction(ABC):
         """Gains along a permutation: weight[order[i]] is the gain of
         order[i] on top of the first i elements.
 
-        Charged as ``set_memo(())`` plus one ``gain_add``/``update`` pair
-        per element; the memo ends at V.  A ``_chain`` hook computes the
-        gains and the final statistic in one call; its gains are the
-        weights, and the pairs, run with ``_booking`` set, only book them.
-        A chain that returns the wrong number of gains raises ValueError
-        before anything is booked.  If anything raises after the first
-        ``set_memo(())``, a second, charged ``set_memo(())`` brings the memo
-        and the statistic back to ∅ together before the error propagates.
+        Charged as ``set_memo(())`` plus n gains and n updates; the memo
+        ends at V in ``order``.  A ``_chain`` hook computes the gains and
+        the final statistic in one call; its gains are the weights, the
+        gains and updates are charged and the memo grown in one step each,
+        and one ``gain_add``/``update`` pair per element, run with
+        ``_booking`` set, only books them.  A chain that returns the wrong
+        number of gains raises ValueError before anything is charged.  If
+        anything raises after the first ``set_memo(())``, a second, charged
+        ``set_memo(())`` brings the memo and the statistic back to ∅
+        together before the error propagates.
         """
         order = check_permutation(self.n, order)
         self.set_memo(())
@@ -483,6 +505,11 @@ class SubmodularFunction(ABC):
                 if gains.shape != order.shape:
                     raise ValueError(f"_chain gave {gains.size} gains for {order.size} ids")
                 weights[order] = gains
+                self.counters.gain_evals += self.n
+                self.counters.memo_updates += self.n
+                memo = self.memo  # empty: the permutation is all of it
+                memo._members.extend(ids)
+                memo._mask[:] = True
                 self._booking = True
                 for j in ids:
                     gain_add(j)
@@ -547,8 +574,18 @@ class SubmodularFunction(ABC):
     def _gain_remove(self, j: int) -> float:
         ...
 
+    def _gains_remove(self, idx: np.ndarray) -> np.ndarray | None:
+        """``_gain_remove`` of every id in ``idx`` (all memoized), bitwise
+        equal to the scalar hook; None where a class has no batched form."""
+        return None
+
     def _singleton(self, j: int) -> float:
         return self._evaluate(np.asarray([j], dtype=np.intp))
+
+    def _singletons(self, idx: np.ndarray) -> np.ndarray | None:
+        """``_singleton`` of every id in ``idx``, bitwise equal to the scalar
+        hook; None where a class has no batched form."""
+        return None
 
     @abstractmethod
     def _update(self, j: int) -> None:

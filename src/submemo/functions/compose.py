@@ -61,6 +61,12 @@ class ModularSetFunction(SubmodularFunction):
     def _gain_remove(self, j):
         return float(self.data.weights[j])
 
+    def _gains_remove(self, idx):
+        return self.data.weights[idx]
+
+    def _singletons(self, idx):
+        return self.data.weights[idx]
+
     def _update(self, j):
         pass
 
@@ -138,13 +144,7 @@ class MixtureFunction(SubmodularFunction):
         return float(total)
 
     def _gains_add(self, idx):
-        total = 0.0
-        for w, child in self.components:
-            gains = child._gains_add(idx)
-            if gains is None:
-                return None
-            total = total + w * gains
-        return total
+        return self._batched("_gains_add", idx)
 
     def _chain(self, order):
         total = 0.0
@@ -163,8 +163,26 @@ class MixtureFunction(SubmodularFunction):
             total += w * child._gain_remove(j)
         return float(total)
 
+    def _gains_remove(self, idx):
+        return self._batched("_gains_remove", idx)
+
     def _singleton(self, j):
         return float(sum(w * child._singleton(j) for w, child in self.components))
+
+    def _singletons(self, idx):
+        return self._batched("_singletons", idx)
+
+    def _batched(self, hook: str, idx):
+        """The weighted sum of the components' batched ``hook`` over ``idx``,
+        added in component order from 0.0 as the scalar hooks add; None
+        when a component has no batched form."""
+        total = 0.0
+        for w, child in self.components:
+            gains = getattr(child, hook)(idx)
+            if gains is None:
+                return None
+            total = total + w * gains
+        return total
 
     def _update(self, j):
         for _, child in self.components:

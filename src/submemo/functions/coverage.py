@@ -102,11 +102,24 @@ class SetCoverFunction(SubmodularFunction):
         return float(np.add.reduce(self.data.weights[it[self._count[it] == 0]]))
 
     def _gains_add(self, idx):
+        return self._weights_covered(idx, 0)
+
+    def _gains_remove(self, idx):
+        return self._weights_covered(idx, 1)
+
+    def _singletons(self, idx):
+        # the one-member _evaluate sums the items' weights in item order, as stored
+        pos, lens = ragged_positions(self.data.indptr, idx)
+        return ragged_sum(self.data.weights[self.data.items[pos]], lens)
+
+    def _weights_covered(self, idx, count: int) -> np.ndarray:
+        """Per id, the summed weights of its items covered ``count`` times,
+        as the scalar gains sum them."""
         pos, lens = ragged_positions(self.data.indptr, idx)
         it = self.data.items[pos]
-        free = self._count[it] == 0
+        hit = self._count[it] == count
         row = np.repeat(np.arange(idx.size), lens)
-        return ragged_sum(self.data.weights[it[free]], np.bincount(row[free], minlength=idx.size))
+        return ragged_sum(self.data.weights[it[hit]], np.bincount(row[hit], minlength=idx.size))
 
     def _chain(self, order):
         # an element gains the items it is the first in the chain to cover

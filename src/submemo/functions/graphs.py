@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core import InputError, SubmodularFunction
+from .ragged import ragged_positions, ragged_sum, stable_order
 
 # Rows per block of every blocked read of the similarity: a batched gain's
 # candidate columns, the similarity rows whose best moved under kept batched
@@ -288,14 +289,28 @@ class FacilityLocationFunction(SubmodularFunction):
     def _gains_fresh(self, idx):
         """Add gains of ``idx`` off ``_best``, ``_GAIN_BLOCK`` candidate columns at a time."""
         out = np.empty(idx.size)
+        for span, sub in self._column_blocks(idx):
+            np.subtract(sub, self._best, out=sub)
+            np.maximum(sub, 0.0, out=sub)
+            sub.sum(axis=1, out=out[span])
+        return out
+
+    def _singletons(self, idx):
+        """f({j}) of each id: the row sum of ``cols[j]``, as the one-member
+        ``_evaluate`` reads it (a contiguous row's sum is the 1-d pairwise sum)."""
+        out = np.empty(idx.size)
+        for span, sub in self._column_blocks(idx):
+            sub.sum(axis=1, out=out[span])
+        return out
+
+    def _column_blocks(self, idx):
+        """``(slice, block)`` pairs: ``cols`` of ``idx``, ``_GAIN_BLOCK`` at
+        a time, read into ``_block``, and their place in ``idx``."""
         for lo in range(0, idx.size, _GAIN_BLOCK):
             rows = idx[lo:lo + _GAIN_BLOCK]
             sub = self._block[:rows.size]
             np.take(self.data.cols, rows, axis=0, out=sub, mode="clip")
-            np.subtract(sub, self._best, out=sub)
-            np.maximum(sub, 0.0, out=sub)
-            sub.sum(axis=1, out=out[lo:lo + rows.size])
-        return out
+            yield slice(lo, lo + rows.size), sub
 
     def _chain(self, order):
         """Chain gains off the running best record, ``_CHAIN_BLOCK``
@@ -352,6 +367,19 @@ class FacilityLocationFunction(SubmodularFunction):
         self._build_owed()
         hit = self._arg == j
         return float(np.add.reduce(self._best[hit] - self._second[hit]))
+
+    def _gains_remove(self, idx):
+        """Removal gains of the members ``idx``: the rows each one owns,
+        grouped by ``_arg`` with rows ascending in a group (``stable_order``),
+        summed per member as ``_gain_remove`` sums them."""
+        self._build_owed()
+        owned = np.flatnonzero(self._arg >= 0)
+        owner = self._arg[owned]
+        indptr = np.zeros(self.n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(owner, minlength=self.n), out=indptr[1:])
+        pos, lens = ragged_positions(indptr, idx)
+        rows = owned[stable_order(owner, self.n)[pos]]
+        return ragged_sum(self._best[rows] - self._second[rows], lens)
 
     def _update(self, j):
         self._build_owed()

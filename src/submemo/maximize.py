@@ -99,16 +99,20 @@ def _result(F, trace, stats=None) -> MaximizationResult:
 
 
 def _best_singleton_swap(F, c: Knapsack, pool, result: MaximizationResult) -> MaximizationResult:
-    """Knapsack post-step: the better of ratio-greedy and the best feasible singleton."""
-    best_j, best_v = None, -math.inf
-    for j in pool:
-        if c.costs[j] <= c.budget:
-            v = F.gain_singleton(j)
-            if v > best_v:
-                best_j, best_v = j, v
-    if best_j is not None and best_v > result.value + ABS_TOL:
-        F.set_memo([best_j])
-        return _result(F, [(best_j, best_v)], result.stats)
+    """Knapsack post-step: the better of ratio-greedy and the best feasible singleton.
+
+    ``pool`` lists distinct ids in ascending order; the first of equal best
+    singletons wins.
+    """
+    pool = np.asarray(pool, dtype=np.intp)
+    feasible = pool[c.costs[pool] <= c.budget]
+    values = F.gains_singleton(feasible)
+    if feasible.size:
+        best = int(np.argmax(values))
+        best_j, best_v = int(feasible[best]), float(values[best])
+        if best_v > result.value + ABS_TOL:
+            F.set_memo([best_j])
+            return _result(F, [(best_j, best_v)], result.stats)
     return result
 
 

@@ -190,7 +190,7 @@ def lovasz_descent(
         best_i = int(np.argmin(prefix))
         if prefix[best_i] < best_value:
             best_value = float(prefix[best_i])
-            best_members = sorted(int(j) for j in order[:best_i])
+            best_members = np.sort(order[:best_i]).tolist()
         g = h.weights
         grad_scale = max(grad_scale, float(np.linalg.norm(g)), 1e-12)
         step = radius / grad_scale / math.sqrt(t + 1.0)

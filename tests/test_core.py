@@ -279,7 +279,8 @@ def test_contract_method_surface():
 
     assert public(SubmodularFunction) == [
         "clone_detached", "downdate", "evaluate", "gain_add", "gain_remove", "gain_singleton",
-        "gains_add", "memo_value", "reset_counters", "set_memo", "sweep", "update", "value_at",
+        "gains_add", "gains_remove", "gains_singleton", "memo_value", "reset_counters", "set_memo",
+        "sweep", "update", "value_at",
     ]
     assert public(ValueOracleFunction) == public(SubmodularFunction)
     # the value-oracle class answers these itself

@@ -253,15 +253,19 @@ def test_booking_charges_without_the_scalar_hooks(kind):
 
 
 def test_a_booked_call_checks_nothing():
-    # gains_add and sweep check their ids before they book them
+    # the batched reads and sweep check their ids and charge the batch
+    # before they book it: a booked call returns at once, charging nothing
     F = zoo_instance("setcover", 20, seed=9)
     F.set_memo([2])
+    before = F.counters.copy()
     F._booking = True
-    assert F.gain_add(2) is None
-    F.update(5)
+    assert F.gain_add(2) is None and F.gain_remove(5) is None and F.gain_singleton(2) is None
+    F.update(2)
     F._booking = False
-    assert F.counters.gain_evals == 1 and F.counters.memo_updates == 1
-    assert F.memo.members == [2, 5]
+    assert F.counters == before and F.memo.members == [2]
+    F.gains_remove([2, 2])
+    F.gains_singleton([0, 1, 2])
+    assert F.counters - before == EvalCounters(gain_evals=5)
 
 
 def _spy_on_gain_add(monkeypatch) -> list:

@@ -325,3 +325,31 @@ def test_facility_location_scratch_is_allocated_aligned():
     assert direct == []
     for name in ALIGNED_SCRATCH:
         assert sources.get(name) == ["_aligned_empty"], name
+
+
+# The tight upper bounds read their n gains in two batched calls, not one
+# public call and one hook call per element.
+PER_ELEMENT_READS = {"gain_remove", "gain_singleton"}
+
+
+def per_element_reads(tree: ast.AST) -> list[int]:
+    """Lines that call a method named ``gain_remove`` or ``gain_singleton``."""
+    return sorted({node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Attribute) and node.func.attr in PER_ELEMENT_READS})
+
+
+def test_per_element_reads_are_found():
+    source = (
+        "def supergradient_grow(F, X):\n"
+        "    w = F.gains_remove(inside)\n"
+        "    a = F.gain_remove(j)\n"
+        "    b = [F.gain_singleton(j) for j in outside]\n"
+        "    c = F.gains_singleton(outside) + gain_remove(j)\n"
+    )
+    assert per_element_reads(ast.parse(source)) == [3, 4]
+
+
+@pytest.mark.parametrize("name", ["supergradient_grow", "supergradient_shrink"])
+def test_supergradients_read_their_gains_in_batches(name):
+    tree = ast.parse((SRC / "bounds.py").read_text())
+    assert per_element_reads(_function(tree, name)) == []

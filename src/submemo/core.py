@@ -14,14 +14,18 @@ each (``_gains_add``, ``_gains_remove``, ``_singletons``) and return the
 hook's array.  Ids are checked as the scalar method checks them, and the
 whole batch is checked before anything is charged.  A hook may keep gains
 between calls, provided they stay bitwise the scalar reads and the array
-it returns is the caller's.  The batch charges ``len(ids)`` gains in one
-step, then books one public scalar call per id with the ``_booking`` flag
-set; a booked ``gain_add``, ``gain_remove``, ``gain_singleton`` or
-``update`` returns at once, without checks, charges or hooks.  The booked
-calls stay because the benchmark's traced run counts one public call per
-charged gain.  Where a class has no batched hook, the batch is the
-per-id public loop: ``ValueOracleFunction`` has none by design, so a
-value-oracle gain stays one oracle call.
+it returns is the caller's.  ``functions.kept.KeptGains`` keeps the add
+gains of facility location, set cover and the sparse-load classes
+(feature-based, clustered concave): a read recomputes only the candidates
+that the statistic's moves since the last read can reach, by a reach rule
+each class states.  The batch charges ``len(ids)`` gains in one step,
+then books one public scalar call per id with the ``_booking`` flag set;
+a booked ``gain_add``, ``gain_remove``, ``gain_singleton`` or ``update``
+returns at once, without checks, charges or hooks.  The booked calls stay
+because the benchmark's traced run counts one public call per charged
+gain.  Where a class has no batched hook, the batch is the per-id public
+loop: ``ValueOracleFunction`` has none by design, so a value-oracle gain
+stays one oracle call.
 
 ``sweep(order)`` is the extreme-point sweep: the gain of each element of
 ``order`` on top of the elements before it, charged as ``set_memo(())``

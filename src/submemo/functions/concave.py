@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core import InputError, SubmodularFunction
+from .kept import KeptGains
 from .ragged import csr_checked, csr_from_rows, ragged_positions, ragged_sum, stable_order
 
 
@@ -90,7 +91,7 @@ def _cluster_fault(c: int, check: str):
     raise InputError("cluster weights must be finite and non-negative")
 
 
-class _SparseLoadFunction(SubmodularFunction):
+class _SparseLoadFunction(KeptGains):
     """f(X) = sum_b psi(p[b]) with statistic p[b] = total score of bucket b over the memo.
 
     Built from a data object that carries CSR ``indptr`` and ``values`` and a
@@ -107,6 +108,13 @@ class _SparseLoadFunction(SubmodularFunction):
     one slice add per entry of the most-used bucket, 13-14 in the
     benchmark's feature-based instances and n when a bucket is in every
     element.
+
+    The batched add gains are kept (``KeptGains``, keyed on ``_load``).
+    The reach rule: an add gain reads the loads of its element's buckets,
+    so a candidate is reached when one of its buckets' loads changed bits
+    since the last read.  A downdate that leaves an ulp residual where the
+    load was 0 counts as a move.  ``_entries_csr`` hands the elements'
+    buckets to the base class's lookup.
     """
 
     def __init__(self, data, ids: np.ndarray, num_buckets: int):
@@ -147,7 +155,13 @@ class _SparseLoadFunction(SubmodularFunction):
         psi = self._psi
         return float(np.add.reduce(psi(p + vals) - psi(p)))
 
-    def _gains_add(self, idx):
+    def _kept_key(self):
+        return self._load
+
+    def _entries_csr(self):
+        return self._indptr, self._ids, self.num_buckets
+
+    def _gains_fresh(self, idx):
         pos, lens = ragged_positions(self._indptr, idx)
         p = self._load[self._ids[pos]]
         return ragged_sum(self._psi(p + self._vals[pos]) - self._psi(p), lens)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core import InputError, SubmodularFunction
+from .kept import KeptGains
 from .ragged import csr_from_rows, ragged_positions, ragged_sum
 
 
@@ -76,12 +77,18 @@ class SetCoverData:
         return self.items[ptr[j]:ptr[j + 1]]
 
 
-class SetCoverFunction(SubmodularFunction):
+class SetCoverFunction(KeptGains):
     """Coverage counts per universe item; gains read the 0/1 count boundary.
 
     The scalar hooks sum with ``np.add.reduce``, the reduction
     ``ndarray.sum`` runs, without its Python frame: a set holds a few
     items, so the Python around a read costs more than its numpy work.
+
+    The batched add gains are kept (``KeptGains``, keyed on ``count ==
+    0``).  The reach rule: an add gain reads only whether its items'
+    counts are 0, so a candidate is reached when one of its items crossed
+    the 0 boundary since the last read; a 1 -> 2 move changes no add gain.
+    ``_entries_csr`` hands the sets' items to the base class's lookup.
     """
 
     def __init__(self, data: SetCoverData):
@@ -101,7 +108,13 @@ class SetCoverFunction(SubmodularFunction):
         it = self.data.item_slice(j)
         return float(np.add.reduce(self.data.weights[it[self._count[it] == 0]]))
 
-    def _gains_add(self, idx):
+    def _kept_key(self):
+        return self._count == 0
+
+    def _entries_csr(self):
+        return self.data.indptr, self.data.items, self.data.universe
+
+    def _gains_fresh(self, idx):
         return self._weights_covered(idx, 0)
 
     def _gains_remove(self, idx):

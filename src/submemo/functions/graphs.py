@@ -14,10 +14,14 @@ with one subtract and one row sum.  After a chain only the best records
 are current; the second-best and owner records are owed, and the hooks
 that read them (``_gain_remove``, ``_update``, ``_downdate``,
 ``_statistic``) build them first.  Batched add gains are kept between
-calls and recomputed only for the candidates that a move of the best
-records since the last call can reach, found by reading the moved rows of
-``similarity``.  The row-sum statistic lives once, in ``_RowSumFunction``,
-which dispersion-sum shares over its distance matrix.
+calls (``kept.KeptGains``) and recomputed only for the candidates that a
+move of the best records since the last call can reach.  The reach rule:
+a row whose best record's bits moved from b to b' reaches candidate j
+when s_ij >= min(b, b'), found by reading the moved rows of
+``similarity``.  A value-oracle call gathers its member columns into the
+kept block too, so its time does not follow the allocator's state.  The
+row-sum statistic lives once, in ``_RowSumFunction``, which
+dispersion-sum shares over its distance matrix.
 
 ``cols`` *is* ``similarity`` when the similarity is C-contiguous and
 symmetric bit for bit, so each similarity is held once; otherwise it is a
@@ -32,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core import InputError, SubmodularFunction
+from .kept import KeptGains
 from .ragged import ragged_positions, ragged_sum, stable_order
 
 # Rows per block of every blocked read of the similarity: a batched gain's
@@ -189,7 +194,7 @@ class FacilityLocationData:
         return self.similarity.shape[0]
 
 
-class FacilityLocationFunction(SubmodularFunction):
+class FacilityLocationFunction(KeptGains):
     """f(X) = sum_i max_{j in X} s_ij with a per-row (best, second-best) statistic.
 
     Adding k is a vectorized O(n) shift of the top-2 records.  Removing k
@@ -208,9 +213,9 @@ class FacilityLocationFunction(SubmodularFunction):
     descent and min-norm-point, whose next sweep starts with a rebuild,
     never build them.
 
-    ``_gains_add`` keeps its gains in ``_kept`` = (gains, valid,
-    best_at_read) and recomputes, with ``_gains_fresh``, only the
-    candidates whose gain a move of ``_best`` since the last call can have
+    The batched add gains are kept (``KeptGains``, keyed on ``_best``) and
+    recomputed with ``_gains_fresh`` only for the candidates that
+    ``_reach`` finds on the rows a move of ``_best`` since the last call
     changed, so naive and randomized greedy pay per round for the rows the
     last pick moved rather than for every candidate.  ``_rebuild`` and
     ``_chain`` drop the kept gains: they move almost every row, and reading
@@ -230,19 +235,30 @@ class FacilityLocationFunction(SubmodularFunction):
         self._buf = _aligned_empty(n)
         self._zeros = _aligned_empty(n)
         self._zeros.fill(0.0)
-        # kept for the batched gains and _chain, not reallocated per call: a fresh
-        # 768 KB block per batch raised peak RSS by 17 MB over a 40 s
-        # greedy-pm benchmark run (seed 1)
+        # kept for the batched reads, _chain and _evaluate, not reallocated per
+        # call: a fresh 768 KB block per batch raised peak RSS by 17 MB over a
+        # 40 s greedy-pm benchmark run (seed 1), and a fresh gather per
+        # value-oracle block made greedy-vo's time follow glibc's malloc state
+        # (2.8 s, and 11-13 s with MALLOC_MMAP_THRESHOLD_=65536)
         self._block = _aligned_empty((_GAIN_BLOCK, n))
-        self._kept = None  # (gains, valid, best_at_read) of _gains_add
 
     def _evaluate(self, idx):
+        # member columns gathered into the kept block with ``ndarray.take``:
+        # at n = 1500 and 10-225 members on a 2-vCPU x86-64 host (10th
+        # percentile of 300 calls) that took 7.2-151 us, against 7.7-160 us
+        # for a fresh gather and 8.4-158 us through ``_column_blocks``, whose
+        # two generators cost more than they save
         if idx.size == 0:
             return 0.0
-        cols = self.data.cols
-        best = cols[idx[:_GAIN_BLOCK]].max(axis=0)
-        for lo in range(_GAIN_BLOCK, idx.size, _GAIN_BLOCK):
-            np.maximum(best, cols[idx[lo:lo + _GAIN_BLOCK]].max(axis=0), out=best)
+        cols, best = self.data.cols, None
+        for lo in range(0, idx.size, _GAIN_BLOCK):
+            rows = idx[lo:lo + _GAIN_BLOCK]
+            sub = self._block[:rows.size]
+            cols.take(rows, axis=0, out=sub, mode="clip")
+            if best is None:
+                best = sub.max(axis=0)
+            else:
+                np.maximum(best, sub.max(axis=0), out=best)
         return float(best.sum())
 
     def _gain_add(self, j):
@@ -254,37 +270,27 @@ class FacilityLocationFunction(SubmodularFunction):
         np.maximum(buf, self._zeros, out=buf)
         return float(np.add.reduce(buf))
 
-    def _gains_add(self, idx):
-        """Add gains of ``idx``, kept between calls and recomputed only where
-        a move of ``_best`` since the last call can have changed them.
+    def _kept_key(self):
+        return self._best
+
+    def _reach(self, moved, before):
+        """The candidates whose add gain a move of the rows ``moved`` of
+        ``_best`` can reach, as a mask.
 
         A gain is the pairwise sum over rows i of max(s_ij - best_i, 0).
         Where s_ij < best_i both before and after a row's move, the
         difference is negative and the term is +0.0 both times, so a gain
-        stays bitwise unless some moved row has s_ij >= min(old, new).  A row
-        counts as moved when its bits differ from the snapshot taken at the
-        last call, so the rule leans neither on which zero ``np.maximum``
-        returns on a tie nor on a zero's sign.  Moved rows are read
-        ``_GAIN_BLOCK`` at a time into ``_block``.  The returned array is
-        the caller's.
+        stays bitwise unless some moved row has s_ij >= min(old, new).
+        Moved rows are read ``_GAIN_BLOCK`` at a time into ``_block``.
         """
-        if self._kept is None:
-            self._kept = (np.empty(self.n), np.zeros(self.n, dtype=bool), self._best.copy())
-        gains, valid, seen = self._kept
-        moved = np.flatnonzero(self._best.view(np.uint64) != seen.view(np.uint64))
-        if moved.size:
-            low = np.minimum(seen[moved], self._best[moved])[:, None]
-            for lo in range(0, moved.size, _GAIN_BLOCK):
-                rows = moved[lo:lo + _GAIN_BLOCK]
-                sub = self._block[:rows.size]
-                np.take(self.data.similarity, rows, axis=0, out=sub, mode="clip")
-                valid &= ~(sub >= low[lo:lo + rows.size]).any(axis=0)
-            np.copyto(seen, self._best)
-        stale = idx[~valid[idx]]
-        if stale.size:
-            gains[stale] = self._gains_fresh(stale)
-            valid[stale] = True
-        return gains[idx]
+        low = np.minimum(before[moved], self._best[moved])[:, None]
+        hit = np.zeros(self.n, dtype=bool)
+        for lo in range(0, moved.size, _GAIN_BLOCK):
+            rows = moved[lo:lo + _GAIN_BLOCK]
+            sub = self._block[:rows.size]
+            np.take(self.data.similarity, rows, axis=0, out=sub, mode="clip")
+            hit |= (sub >= low[lo:lo + rows.size]).any(axis=0)
+        return hit
 
     def _gains_fresh(self, idx):
         """Add gains of ``idx`` off ``_best``, ``_GAIN_BLOCK`` candidate columns at a time."""

@@ -162,15 +162,15 @@ def csr_checked(lens, ids, values, bound, fault, sort_rows: bool = False):
             unsorted = np.zeros(n, dtype=bool)
             unsorted[row[1:][~rising]] = True
             at = np.flatnonzero(unsorted[row])
-            ids[at], twice = _sorted_in_rows(row[at], ids[at])
+            rows = np.flatnonzero(unsorted)
+            ids[at], twice = _sorted_in_rows(lens[rows], ids[at])
             if twice is not None:
-                first["twice"] = twice
+                first["twice"] = int(rows[twice])
     else:
         order = ("range", "twice", "values")
-        if ids.size:
-            _, twice = _sorted_in_rows(np.repeat(np.arange(n), lens), ids)
-            if twice is not None:
-                first["twice"] = twice
+        _, twice = _sorted_in_rows(lens, ids)
+        if twice is not None:
+            first["twice"] = twice
         if values.size and not (values.min() >= 0 and values.max() < np.inf):
             first["values"] = row_of(np.argmax(~np.isfinite(values) | (values < 0)))
     if first:
@@ -179,19 +179,31 @@ def csr_checked(lens, ids, values, bound, fault, sort_rows: bool = False):
     return indptr, ids, values
 
 
-def _sorted_in_rows(row, ids):
+def _sorted_in_rows(lens, ids):
     """(``ids`` sorted within each row, the first row that lists an id twice or None).
 
-    ``row`` holds each entry's row, ascending.  One ``np.sort`` of the keys
-    ``row * span + id - lo`` sorts every row at once (a ``lexsort`` of the
-    pairs took several times as long); equal neighbouring keys are an id
-    listed twice.  Where the keys would overflow intp, ids are replaced by
-    their ranks first.
+    Row r holds the next ``lens[r]`` entries of ``ids``.  Rows of one
+    length are one 2-d block, sorted along its rows.  Otherwise one
+    ``np.sort`` of the keys ``row * span + id - lo`` sorts every row at once
+    (a ``lexsort`` of the pairs took several times as long); where the keys
+    would overflow intp, ids are replaced by their ranks first.  Equal
+    neighbours within a row are an id listed twice.  Sorting one 2-d block
+    per distinct length instead costs about 15 us a length: on reversed
+    sets of mixed lengths (2-vCPU x86-64 host, best of 5) it took 300
+    against 80 us at n = 1500 and 31 against 37 ms at n = 24000 (3.46M
+    items).
     """
+    if ids.size == 0:
+        return ids, None
+    if (lens == lens[0]).all():
+        block = np.sort(ids.reshape(lens.size, int(lens[0])), axis=1)
+        twice = np.flatnonzero((block[:, 1:] == block[:, :-1]).any(axis=1))
+        return block.ravel(), (int(twice[0]) if twice.size else None)
+    row = np.repeat(np.arange(lens.size), lens)
     lo = int(ids.min())
     span = int(ids.max()) - lo + 1
     ranked = None
-    if span * (int(row[-1]) + 1) > np.iinfo(np.intp).max:
+    if span * lens.size > np.iinfo(np.intp).max:
         ranked, ids = np.unique(ids, return_inverse=True)
         lo, span = 0, ranked.size
     base = row * span

@@ -357,6 +357,34 @@ def test_items_too_far_apart_for_a_row_key_are_ranked(sets):
     assert got[0] == "error"
 
 
+@pytest.mark.parametrize("lengths", ["mixed", "one"])
+def test_unsorted_sets_are_sorted_within_each_set(lengths):
+    # reversed, shuffled and already sorted sets; the mixed lengths include
+    # empty sets, and the one-length system takes the single-block path
+    rng = np.random.default_rng(11)
+    universe = 60
+    sizes = rng.integers(0, 14, size=50) if lengths == "mixed" else np.full(50, 6)
+    sets = []
+    for r, size in enumerate(sizes.tolist()):
+        s = rng.choice(universe, size=size, replace=False)
+        sets.append((s[::-1], rng.permutation(s), np.sort(s))[r % 3])
+    assert (sizes == 0).any() == (lengths == "mixed")
+    d = SetCoverData(sets, universe)
+    assert d.items.tolist() == np.concatenate([np.sort(s) for s in sets]).tolist()
+    assert np.diff(d.indptr).tolist() == sizes.tolist()
+
+
+@pytest.mark.parametrize("sets, bad", [
+    ([[0, 1], [5, 4, 3], [2, 9, 2, 7, 1], [8, 8]], 2),  # a longer set faults first
+    ([[0, 1], [5, 4, 4], [2, 9, 2, 7, 1], [8, 8]], 1),
+    ([[2, 1, 0], [9, 8, 7], [3, 3, 5], [6, 6, 0]], 2),  # one length
+])
+def test_a_duplicate_names_the_first_bad_set(sets, bad):
+    with pytest.raises(InputError, match=f"set of element {bad} contains duplicate items"):
+        SetCoverData(sets, 10)
+    assert_same(lambda: old_flatten_sets(sets, 10), lambda: new_set_cover(sets, 10))
+
+
 def test_cluster_that_is_not_a_list_of_ids_is_refused():
     with pytest.raises(InputError, match="cluster 1 lists a non-integer element"):
         ClusteredConcaveModularData([[0], [[0, 1]]], [[1.0], [[1.0, 1.0]]], n=2)

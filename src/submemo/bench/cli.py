@@ -19,7 +19,9 @@ input error (an out-of-range ``--k`` or ``--budget-frac`` included, and a
 ``--max-iters`` or ``--audit-rounds`` below 1), 3 solver non-convergence,
 4 failed check (a ``validate`` row FAILs or a ``bench`` cell errors).
 Every JSON result carries ``runner.run_metadata()`` under ``meta``, with
-n and, where the command takes one, the seed.
+n and, where the command takes one, the seed.  A ``maximize`` result also
+carries the algorithm's ``stats`` (lazy greedy's recomputes per round,
+randomized greedy's dummy rounds, and so on).
 """
 
 from __future__ import annotations
@@ -199,6 +201,7 @@ def _cmd_solve(args) -> int:
             selected=res.members,
             value=res.value,
             counters=res.counters.as_dict(),
+            stats=res.stats,
             seed=seed,
         )
     else:

@@ -39,6 +39,10 @@ Without the hook each gain is computed on the prefix, for
 ``ValueOracleFunction`` one oracle call each: the baseline measured.
 ``_booking`` is False outside the batched reads and ``sweep``.
 
+An instance must not be driven from two threads at once; facility
+location's batched reads may run part of their work on a worker thread of
+their own, and return only after it has finished.
+
 The per-element methods (``gain_add``, ``gain_remove``, ``gain_singleton``,
 ``update``, ``downdate``) accept a plain ``int`` in range without calling
 ``_check_id``; any other id goes through it, so numpy ints and bools are

@@ -23,6 +23,18 @@ kept block too, so its time does not follow the allocator's state.  The
 row-sum statistic lives once, in ``_RowSumFunction``, which
 dispersion-sum shares over its distance matrix.
 
+Facility location's blocked batched reads, ``_gains_fresh`` (kept add
+gains, lazy greedy's first batch, the supergradient), ``_singletons`` and
+``_retop`` (rebuilds, owed records, downdates that repair more than one
+block of rows), run through ``_split_blocks``: with two blocks or more and
+more than one usable CPU (``os.sched_getaffinity``), the calling thread
+runs the first half of the blocks and one worker thread the rest.  Each
+share writes its own slice of the output or its own rows of the records,
+so every result is bitwise the serial one.  The worker is the one thread
+of a module-level pool, so the workers never outnumber the usable CPUs
+minus one, and with one usable CPU no thread starts.  ``_evaluate`` and
+``_reach`` stay serial, for the reasons measured at ``_GAIN_BLOCK``.
+
 ``cols`` *is* ``similarity`` when the similarity is C-contiguous and
 symmetric bit for bit, so each similarity is held once; otherwise it is a
 contiguous copy of the transpose.
@@ -31,6 +43,8 @@ contiguous copy of the transpose.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,7 +72,17 @@ from .ragged import ragged_positions, ragged_sum, stable_order
 # offset 0 and 2.57 us at 16, and 2.29 us with ``_best``, which it only
 # reads, at either offset.  Rows are not padded: a 1504-float row stride
 # made ``_chain`` 3.40 ms, since its 2-d subtract and row sums stop
-# running over contiguous memory.
+# running over contiguous memory.  ``_gains_fresh``, ``_singletons`` and
+# ``_retop`` split their blocks between the calling thread and one worker
+# (``_split_blocks``).  At n = 1500 on a 2-vCPU x86-64 host (seed 1, best
+# of 51) a fresh read took 2.16 -> 1.19 ms at 1500 columns, 1.17 -> 0.69
+# ms at 811, 0.18 -> 0.13 ms at 128 and 0.09 ms at 64 either way, and
+# naive greedy at k = 75 took 107 -> 70 ms.  Two loops stay serial.  Splitting the value-oracle
+# ``_evaluate`` (per-block maxima, reduced after both shares) read from
+# -5% to +4% on value-oracle lazy greedy at k = 75, 225 and 450, and the
+# oracle is the paper's baseline, which a statistic change should not
+# move.  Splitting ``_reach`` took naive k = 75 from 70.2-70.7 to
+# 69.0-69.9 ms only.
 _GAIN_BLOCK = 64
 # Chain positions per block of an extreme-point chain.  The running maximum
 # (B + 1 rows, the first carrying the best records in) and its differences
@@ -86,6 +110,77 @@ def _aligned_empty(shape) -> np.ndarray:
     raw = np.empty(size + _LINE // 8)
     skip = -raw.ctypes.data % _LINE // 8
     return raw[skip:skip + size].reshape(shape)
+
+
+# The worker of ``_split_blocks``: (pid, one-thread pool), and the worker's
+# scratch, kept per thread and grown only when a wider block is asked for.
+_pool = None
+_worker_local = threading.local()
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform: stay serial
+        return 1
+
+
+def _worker():
+    """The one-thread pool, made on first need and made again when the pid
+    changed, so a forked child never waits on its parent's thread.
+
+    Two threads that race here may each make a pool: both work, and the one
+    not kept ends its thread once unreferenced.  A lock instead would need
+    re-initialising in a forked child that inherits it held.
+    ``concurrent.futures`` is imported here, not with the module: with
+    ``logging``, which it imports, it added 0.6 MB to the peak RSS of runs
+    that never split."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    global _pool
+    if _pool is None or _pool[0] != os.getpid():
+        _pool = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="submemo-blocks"))
+    return _pool[1]
+
+
+def _run_blocks(lo: int, hi: int, width: int, block, body) -> None:
+    """``body(a, b, sub)`` for the ``_GAIN_BLOCK`` blocks ``[a, b)`` of
+    ``[lo, hi)``, ``sub`` the first ``b - a`` rows of a ``(_GAIN_BLOCK,
+    width)`` view of the front of ``block``, or of this thread's scratch
+    when ``block`` is None."""
+    if block is None:
+        block = getattr(_worker_local, "scratch", None)
+        if block is None or block.size < _GAIN_BLOCK * width:
+            block = _worker_local.scratch = _aligned_empty(_GAIN_BLOCK * width)
+    sub = block.reshape(-1)[:_GAIN_BLOCK * width].reshape(_GAIN_BLOCK, width)
+    for a in range(lo, hi, _GAIN_BLOCK):
+        b = min(a + _GAIN_BLOCK, hi)
+        body(a, b, sub[:b - a])
+
+
+def _split_blocks(count: int, width: int, block: np.ndarray, body) -> None:
+    """``body(lo, hi, sub)`` for every ``_GAIN_BLOCK`` block ``[lo, hi)`` of
+    ``range(count)``, ``sub`` a ``(hi - lo, width)`` scratch block.
+
+    The calling thread runs its blocks in ``block`` (at least ``_GAIN_BLOCK
+    * width`` floats).  With two blocks or more and more than one usable
+    CPU, it runs the first half of them, rounded up, and the worker the
+    rest, the last partial block included; ``body`` must then write only
+    what its own ``[lo, hi)`` names.  The call returns, or raises, once
+    both shares have finished; the caller's exception comes first.
+    """
+    blocks = -(-count // _GAIN_BLOCK)
+    mid, rest = count, None
+    if blocks >= 2 and _usable_cpus() > 1:
+        mid = (blocks + 1) // 2 * _GAIN_BLOCK
+        rest = _worker().submit(_run_blocks, mid, count, width, None, body)
+    try:
+        _run_blocks(0, mid, width, block, body)
+    finally:
+        if rest is not None:
+            rest.exception()  # waits for the worker's share, raised or not
+    if rest is not None:
+        rest.result()
 
 
 def _exactly_symmetric(s: np.ndarray) -> bool:
@@ -235,7 +330,7 @@ class FacilityLocationFunction(KeptGains):
         self._buf = _aligned_empty(n)
         self._zeros = _aligned_empty(n)
         self._zeros.fill(0.0)
-        # kept for the batched reads, _chain and _evaluate, not reallocated per
+        # kept for the batched reads, _retop, _chain and _evaluate, not reallocated per
         # call: a fresh 768 KB block per batch raised peak RSS by 17 MB over a
         # 40 s greedy-pm benchmark run (seed 1), and a fresh gather per
         # value-oracle block made greedy-vo's time follow glibc's malloc state
@@ -246,8 +341,8 @@ class FacilityLocationFunction(KeptGains):
         # member columns gathered into the kept block with ``ndarray.take``:
         # at n = 1500 and 10-225 members on a 2-vCPU x86-64 host (10th
         # percentile of 300 calls) that took 7.2-151 us, against 7.7-160 us
-        # for a fresh gather and 8.4-158 us through ``_column_blocks``, whose
-        # two generators cost more than they save
+        # for a fresh gather and 8.4-158 us through a generator of blocks,
+        # which costs more than it saves
         if idx.size == 0:
             return 0.0
         cols, best = self.data.cols, None
@@ -293,30 +388,31 @@ class FacilityLocationFunction(KeptGains):
         return hit
 
     def _gains_fresh(self, idx):
-        """Add gains of ``idx`` off ``_best``, ``_GAIN_BLOCK`` candidate columns at a time."""
+        """Add gains of ``idx`` off ``_best``, a block of candidate columns at a time."""
         out = np.empty(idx.size)
-        for span, sub in self._column_blocks(idx):
-            np.subtract(sub, self._best, out=sub)
+        cols, best = self.data.cols, self._best
+
+        def gains(lo, hi, sub):
+            np.take(cols, idx[lo:hi], axis=0, out=sub, mode="clip")
+            np.subtract(sub, best, out=sub)
             np.maximum(sub, 0.0, out=sub)
-            sub.sum(axis=1, out=out[span])
+            sub.sum(axis=1, out=out[lo:hi])
+
+        _split_blocks(idx.size, self.n, self._block, gains)
         return out
 
     def _singletons(self, idx):
         """f({j}) of each id: the row sum of ``cols[j]``, as the one-member
         ``_evaluate`` reads it (a contiguous row's sum is the 1-d pairwise sum)."""
         out = np.empty(idx.size)
-        for span, sub in self._column_blocks(idx):
-            sub.sum(axis=1, out=out[span])
-        return out
+        cols = self.data.cols
 
-    def _column_blocks(self, idx):
-        """``(slice, block)`` pairs: ``cols`` of ``idx``, ``_GAIN_BLOCK`` at
-        a time, read into ``_block``, and their place in ``idx``."""
-        for lo in range(0, idx.size, _GAIN_BLOCK):
-            rows = idx[lo:lo + _GAIN_BLOCK]
-            sub = self._block[:rows.size]
-            np.take(self.data.cols, rows, axis=0, out=sub, mode="clip")
-            yield slice(lo, lo + rows.size), sub
+        def sums(lo, hi, sub):
+            np.take(cols, idx[lo:hi], axis=0, out=sub, mode="clip")
+            sub.sum(axis=1, out=out[lo:hi])
+
+        _split_blocks(idx.size, self.n, self._block, sums)
+        return out
 
     def _chain(self, order):
         """Chain gains off the running best record, ``_CHAIN_BLOCK``
@@ -413,11 +509,11 @@ class FacilityLocationFunction(KeptGains):
         Reads ``similarity`` rows ``_GAIN_BLOCK`` at a time, a run of
         consecutive rows as one slice and other rows gathered, and takes the
         members along them into a block ``sub[r, t]`` = s(row r, member t),
-        so both argmax passes run along contiguous memory (a downdate's 2
-        rows at 1400 members: 6 against 16 us for a strided ``cols``
-        gather).  Ties go to the earliest member, as with ``argmax``.  The
-        block lives for one call: a block kept per instance stayed resident
-        and raised peak RSS.
+        in the front of ``_block`` or the worker's scratch
+        (``_split_blocks``), so both argmax passes run along contiguous
+        memory (a downdate's 2 rows at 1400 members: 6 against 16 us for a
+        strided ``cols`` gather).  Ties go to the earliest member, as with
+        ``argmax``.
         """
         if members.size == 0:
             self._best[rows] = 0.0
@@ -426,14 +522,15 @@ class FacilityLocationFunction(KeptGains):
             self._arg2[rows] = -1
             return
         sim = self.data.similarity
-        block = np.empty((min(_GAIN_BLOCK, rows.size), members.size))
-        for lo in range(0, rows.size, _GAIN_BLOCK):
-            blk = rows[lo:lo + _GAIN_BLOCK]
+
+        def records(lo, hi, sub):
+            blk = rows[lo:hi]
             first, last = int(blk[0]), int(blk[-1])
             read = sim[first:last + 1] if last - first + 1 == blk.size else sim[blk]
-            sub = block[:blk.size]
             np.take(read, members, axis=1, out=sub, mode="clip")
             self._top2(blk, sub, members)
+
+        _split_blocks(rows.size, members.size, self._block, records)
 
     def _top2(self, rows, sub: np.ndarray, members: np.ndarray) -> None:
         """Set the records of ``rows`` from ``sub[r, t]`` = s(row r, member t).

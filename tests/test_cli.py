@@ -115,6 +115,13 @@ def test_cli_maximize_json_output(tmp_path, capsys):
     assert payload["counters"]["oracle_evals"] == 0
 
 
+def test_cli_maximize_reports_the_algorithm_stats(capsys):
+    # lazy greedy counts the first round's n gains, then one count per pick
+    spec = "synthetic:faclocation,n=30,seed=3"
+    assert cli_main(["maximize", "--function", spec, "--algorithm", "lazy-greedy", "--k", "5"]) == 0
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert len(stats["recomputes_per_round"]) == 6
+    assert stats["recomputes_per_round"][0] == 30
 @pytest.mark.parametrize(
     "argv, run",
     [

@@ -19,9 +19,10 @@ input error (an out-of-range ``--k`` or ``--budget-frac`` included, and a
 ``--max-iters`` or ``--audit-rounds`` below 1), 3 solver non-convergence,
 4 failed check (a ``validate`` row FAILs or a ``bench`` cell errors).
 Every JSON result carries ``runner.run_metadata()`` under ``meta``, with
-n and, where the command takes one, the seed.  A ``maximize`` result also
-carries the algorithm's ``stats`` (lazy greedy's recomputes per round,
-randomized greedy's dummy rounds, and so on).
+n and, where the command takes one, the seed.  A ``maximize``,
+``minimize``, ``scsc``, ``scsk`` or ``ds-min`` result also carries the
+solver's ``stats`` (lazy greedy's recomputes per round, min-norm-point's
+norm trace, the difference-of-submodular variant, and so on).
 """
 
 from __future__ import annotations
@@ -212,6 +213,7 @@ def _cmd_solve(args) -> int:
             iterations=res.iterations,
             duality_gap=res.duality_gap,
             counters=res.counters.as_dict(),
+            stats=res.stats,
         )
     _emit(args, payload, inst.n)
     return 0
@@ -244,7 +246,7 @@ def _cmd_pair(args) -> int:
     if res.constraint_value is not None:  # SCSC and SCSK
         payload["constraint_value"] = res.constraint_value
     payload.update(iterations=res.iterations, converged=res.converged, trace=res.trace,
-                   counters=res.counters.as_dict())
+                   counters=res.counters.as_dict(), stats=res.stats)
     _emit(args, payload, f.n)
     return 0
 

@@ -18,26 +18,33 @@ it returns is the caller's.  ``functions.kept.KeptGains`` keeps the add
 gains of facility location, set cover and the sparse-load classes
 (feature-based, clustered concave): a read recomputes only the candidates
 that the statistic's moves since the last read can reach, by a reach rule
-each class states.  The batch charges ``len(ids)`` gains in one step,
-then books one public scalar call per id with the ``_booking`` flag set;
-a booked ``gain_add``, ``gain_remove``, ``gain_singleton`` or ``update``
-returns at once, without checks, charges or hooks.  The booked calls stay
-because the benchmark's traced run counts one public call per charged
-gain.  Where a class has no batched hook, the batch is the per-id public
-loop: ``ValueOracleFunction`` has none by design, so a value-oracle gain
-stays one oracle call.
+each class states.  The batch charges ``len(ids)`` gains in one step.
+Where a class has no batched hook, the batch is the per-id public loop:
+``ValueOracleFunction`` has none by design, so a value-oracle gain stays
+one oracle call.
 
 ``sweep(order)`` is the extreme-point sweep: the gain of each element of
 ``order`` on top of the elements before it, charged as ``set_memo(())``
 plus n gains and n updates; the memo ends at V in ``order``.  A ``_chain``
 hook computes the whole chain and the full-set statistic in one call.
-Its gains go straight into the weights, the n gains and n updates are
-charged and the memo extended in one step each, and one
-``gain_add``/``update`` pair per element is booked as above:
-``check_permutation`` has checked the order, and the memo starts empty.
-Without the hook each gain is computed on the prefix, for
-``ValueOracleFunction`` one oracle call each: the baseline measured.
-``_booking`` is False outside the batched reads and ``sweep``.
+Its gains go straight into the weights, and the n gains and n updates are
+charged and the memo extended in one step each: ``check_permutation`` has
+checked the order, and the memo starts empty.  Without the hook each gain
+is computed on the prefix, for ``ValueOracleFunction`` one oracle call
+each: the baseline measured.
+
+Booking.  When something observes the public scalar methods, a batched
+read also books one public ``gain_add``, ``gain_remove`` or
+``gain_singleton`` call per charged gain, and a chained ``sweep`` one
+``gain_add``/``update`` pair per element, with the ``_booking`` flag set;
+a booked call returns at once, without checks, charges or hooks.  The
+methods count as observed when the bound method is not
+``SubmodularFunction``'s own function (``_PLAIN_CALLS``): a subclass
+override, a wrapper patched on the classes (the benchmark's tracer, which
+counts one public call per charged gain, or a test's spy) or a callable
+set on the instance.  Unobserved, nothing is booked, since a booked call
+would compute nothing.  ``_booking`` is False outside the batched reads
+and ``sweep``.
 
 An instance must not be driven from two threads at once; facility
 location's batched reads may run part of their work on a worker thread of
@@ -413,19 +420,19 @@ class SubmodularFunction(ABC):
 
     def _batch(self, idx: np.ndarray, gains, read) -> np.ndarray:
         """The batched hook's ``gains`` of the checked ``idx``, charged as
-        ``len(idx)`` gains in one step and booked through one ``read`` (the
-        public scalar method) per id; without a hook (None), ``read`` of
-        each id."""
-        ids = idx.tolist()
+        ``len(idx)`` gains in one step, and booked through one ``read`` (the
+        public scalar method) per id when ``read`` is observed; without a
+        hook (None), ``read`` of each id."""
         if gains is None:
-            return np.array([read(j) for j in ids], dtype=float)
-        self.counters.gain_evals += len(ids)
-        self._booking = True
-        try:
-            for j in ids:
-                read(j)
-        finally:
-            self._booking = False
+            return np.array([read(j) for j in idx.tolist()], dtype=float)
+        self.counters.gain_evals += idx.size
+        if _observed(read):
+            self._booking = True
+            try:
+                for j in idx.tolist():
+                    read(j)
+            finally:
+                self._booking = False
         return gains
 
     def gain_remove(self, j) -> float:
@@ -489,14 +496,14 @@ class SubmodularFunction(ABC):
 
         Charged as ``set_memo(())`` plus n gains and n updates; the memo
         ends at V in ``order``.  A ``_chain`` hook computes the gains and
-        the final statistic in one call; its gains are the weights, the
-        gains and updates are charged and the memo grown in one step each,
-        and one ``gain_add``/``update`` pair per element, run with
-        ``_booking`` set, only books them.  A chain that returns the wrong
-        number of gains raises ValueError before anything is charged.  If
-        anything raises after the first ``set_memo(())``, a second, charged
-        ``set_memo(())`` brings the memo and the statistic back to ∅
-        together before the error propagates.
+        the final statistic in one call; its gains are the weights, and the
+        gains and updates are charged and the memo grown in one step each.
+        When ``gain_add`` or ``update`` is observed, one pair per element,
+        run with ``_booking`` set, only books them.  A chain that returns
+        the wrong number of gains raises ValueError before anything is
+        charged.  If anything raises after the first ``set_memo(())``, a
+        second, charged ``set_memo(())`` brings the memo and the statistic
+        back to ∅ together before the error propagates.
         """
         order = check_permutation(self.n, order)
         self.set_memo(())
@@ -518,10 +525,11 @@ class SubmodularFunction(ABC):
                 memo = self.memo  # empty: the permutation is all of it
                 memo._members.extend(ids)
                 memo._mask[:] = True
-                self._booking = True
-                for j in ids:
-                    gain_add(j)
-                    update(j)
+                if _observed(gain_add, update):
+                    self._booking = True
+                    for j in ids:
+                        gain_add(j)
+                        update(j)
         except BaseException:
             self.set_memo(())
             raise
@@ -624,6 +632,18 @@ class SubmodularFunction(ABC):
         inner function) overrides it.
         """
         return type(self)(self.data)
+
+
+# The public scalar methods as ``SubmodularFunction`` defines them.  A
+# batched read or a chained sweep books its charged calls only through a
+# method that is not one of these, since one of these would return at once.
+_PLAIN_CALLS = frozenset((SubmodularFunction.gain_add, SubmodularFunction.gain_remove,
+                          SubmodularFunction.gain_singleton, SubmodularFunction.update))
+
+
+def _observed(*calls) -> bool:
+    """Whether a bound method of ``calls`` is not one of ``_PLAIN_CALLS``."""
+    return any(getattr(call, "__func__", None) not in _PLAIN_CALLS for call in calls)
 
 
 class ValueOracleFunction(SubmodularFunction):

@@ -326,8 +326,10 @@ class FacilityLocationFunction(KeptGains):
         self._arg = np.full(n, -1, dtype=np.intp)
         self._arg2 = np.full(n, -1, dtype=np.intp)
         self._owed = None  # chain order whose records past _best are not built yet
-        # the scalar gain's row and the row it takes the maximum with
+        # the scalar gain's row and the row it takes the maximum with; the
+        # value oracle reduces into _buf and _row
         self._buf = _aligned_empty(n)
+        self._row = _aligned_empty(n)
         self._zeros = _aligned_empty(n)
         self._zeros.fill(0.0)
         # kept for the batched reads, _retop, _chain and _evaluate, not reallocated per
@@ -342,18 +344,20 @@ class FacilityLocationFunction(KeptGains):
         # at n = 1500 and 10-225 members on a 2-vCPU x86-64 host (10th
         # percentile of 300 calls) that took 7.2-151 us, against 7.7-160 us
         # for a fresh gather and 8.4-158 us through a generator of blocks,
-        # which costs more than it saves
+        # which costs more than it saves.  Each block's column maximum goes
+        # into a kept row too, so no call allocates an n-float row.
         if idx.size == 0:
             return 0.0
-        cols, best = self.data.cols, None
+        cols, best, row = self.data.cols, self._buf, self._row
         for lo in range(0, idx.size, _GAIN_BLOCK):
             rows = idx[lo:lo + _GAIN_BLOCK]
             sub = self._block[:rows.size]
             cols.take(rows, axis=0, out=sub, mode="clip")
-            if best is None:
-                best = sub.max(axis=0)
+            if lo == 0:
+                sub.max(axis=0, out=best)
             else:
-                np.maximum(best, sub.max(axis=0), out=best)
+                sub.max(axis=0, out=row)
+                np.maximum(best, row, out=best)
         return float(best.sum())
 
     def _gain_add(self, j):

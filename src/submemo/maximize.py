@@ -251,25 +251,29 @@ def greedy_stochastic(
 
     The sample has ceil((n/k) * ln(1/eps)) elements drawn uniformly without
     replacement from the unselected pool.  A repeated pool id counts once.
+    The unselected pool is a list in ascending order, kept between steps:
+    each step draws positions into it, reads their gains in position order
+    (the first of equal gains wins) and pops the pick.
     """
     _validate_constraint(F, Cardinality(k))
     if not 0.0 < eps < 1.0:
         raise InputError("eps must lie in (0, 1)")
-    pool = _pool(F, pool)
+    rest = _pool(F, pool).tolist()
     rng = np.random.default_rng(seed)
     sample_size = math.ceil((F.n / k) * math.log(1.0 / eps))
     F.set_memo(())
     trace = []
-    for _ in range(min(k, pool.size)):
-        remaining = pool[~F.memo.mask[pool]]
-        take = min(sample_size, remaining.size)
-        sample = np.sort(rng.choice(remaining.size, size=take, replace=False))
-        best_j, best_g = None, -math.inf
-        for j in remaining[sample].tolist():
+    for _ in range(min(k, len(rest))):
+        take = min(sample_size, len(rest))
+        sample = np.sort(rng.choice(len(rest), size=take, replace=False))
+        best_p, best_j, best_g = None, None, -math.inf
+        for p in sample.tolist():
+            j = rest[p]
             g = F.gain_add(j)
             if g > best_g:
-                best_j, best_g = j, g
-        F.update(best_j)
+                best_p, best_j, best_g = p, j, g
+        F.update(best_j)  # None when no gain beats -inf: an InputError
+        del rest[best_p]
         trace.append((best_j, best_g))
     return _result(F, trace)
 

@@ -1,5 +1,8 @@
-"""Facility location's written scratch starts on a cache line, and the scalar
-gain's kept zero row gives the bits of the scalar ``0.0`` form."""
+"""Facility location's written scratch starts on a cache line, the scalar
+gain's kept zero row gives the bits of the scalar ``0.0`` form, and the
+value oracle reduces into kept rows with the bits of fresh ones."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from submemo import make_function
 from submemo.functions import FacilityLocationData
 from submemo.functions.graphs import _GAIN_BLOCK, _LINE, _aligned_empty
 
-SCRATCH = ("_block", "_buf", "_zeros")
+SCRATCH = ("_block", "_buf", "_row", "_zeros")
 
 
 def _facloc(n: int, seed: int, signed_zeros: bool = False):
@@ -28,7 +31,7 @@ def _assert_aligned_scratch(F) -> None:
         assert a.ctypes.data % _LINE == 0, name
         assert a.dtype == np.float64 and a.flags.c_contiguous, name
     assert F._block.shape == (_GAIN_BLOCK, n)  # rows are not padded
-    assert F._buf.shape == F._zeros.shape == (n,)
+    assert F._buf.shape == F._row.shape == F._zeros.shape == (n,)
     assert not F._zeros.any() and not np.signbit(F._zeros).any()
 
 
@@ -64,3 +67,44 @@ def test_scalar_gain_is_the_scalar_zero_form_bitwise(n, signed_zeros):
             want = float(np.add.reduce(np.maximum(cols[j] - best, 0.0)))
             assert F.gain_add(j).hex() == want.hex()
     assert not F._zeros.any()  # the read-only zero row stays +0.0
+
+
+def _evaluate_fresh(cols, idx) -> float:
+    """The value oracle's blocked column maximum, every row freshly allocated."""
+    best = None
+    for lo in range(0, idx.size, _GAIN_BLOCK):
+        block_max = cols[idx[lo:lo + _GAIN_BLOCK]].max(axis=0)
+        best = block_max if best is None else np.maximum(best, block_max)
+    return 0.0 if best is None else float(best.sum())
+
+
+@pytest.mark.parametrize("signed_zeros", [False, True])
+def test_value_oracle_is_the_fresh_rows_bitwise(signed_zeros):
+    n = 500
+    F = _facloc(n, 13, signed_zeros)
+    cols = F.data.cols
+    rng = np.random.default_rng(13)
+    for size in (0, 1, 63, 64, 65, 450):
+        for _ in range(3):
+            idx = rng.permutation(n)[:size].astype(np.intp)
+            want = _evaluate_fresh(cols, idx)
+            assert F._evaluate(idx).hex() == want.hex(), size
+            assert F.evaluate(idx.tolist()).hex() == want.hex(), size
+            if not signed_zeros and size:  # a maximum is exact: one gather agrees
+                assert want == float(cols[idx].max(axis=0).sum())
+
+
+def test_value_oracle_allocates_no_row():
+    n = 500
+    F = _facloc(n, 17)
+    idx = np.random.default_rng(17).permutation(n)[:450].astype(np.intp)
+    want = F._evaluate(idx)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        got = F._evaluate(idx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak - before < 8 * n, peak - before

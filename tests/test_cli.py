@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 from submemo.bench.cli import EXIT_CHECK_FAILED, build_parser, cli_main, load_function_spec
+from submemo.bench.cli import _json_default as cli_json_default
 from submemo.bench.dataio import save_dense_matrix, save_set_system
 from submemo.bench import runner
 from submemo.bench.runner import GRADIENT_TASKS, instance_for, run_gradient, run_metadata
+from submemo.constrained import ds_minimize, scsc_solve, scsk_solve
 from submemo.core import InputError
 from submemo.functions import (
     FacilityLocationData,
@@ -227,6 +229,40 @@ def test_cli_scsc_scsk_dsmin(capsys):
     assert cli_main(["scsc", *base, "--c-frac", "0.5"]) == 0
     assert cli_main(["scsk", *base, "--b-frac", "0.4"]) == 0
     assert cli_main(["ds-min", *base, "--variant", "mod-mod"]) == 0
+
+
+def _json(x):
+    """``x`` as the CLI writes it."""
+    return json.loads(json.dumps(x, default=cli_json_default))
+
+
+@pytest.mark.parametrize("algorithm", ["min-norm-point", "lovasz-descent", "mmin"])
+def test_cli_minimize_reports_the_solver_stats(algorithm, capsys):
+    spec = "synthetic:graphcut,n=12,seed=1"
+    assert cli_main(["minimize", "--function", spec, "--algorithm", algorithm, "--k", "3"]) == 0
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    _, data = load_function_spec(spec)
+    want = runner.ALGORITHMS[algorithm](instance_for(make_function(12, data), "pm"), 3, None).stats
+    assert stats == _json(want)
+
+
+PAIR = ["--function", "synthetic:featurebased,n=14,seed=4",
+        "--function-g", "synthetic:setcover,n=14,seed=5"]
+
+
+@pytest.mark.parametrize("command, flags, solve", [
+    ("scsc", ["--c", "2.0"], lambda f, g: scsc_solve(f, g, 2.0, 50)),
+    ("scsk", ["--b", "1.5"], lambda f, g: scsk_solve(f, g, 1.5, 50)),
+    ("ds-min", ["--variant", "mod-mod"], lambda f, g: ds_minimize(f, g, "mod-mod", 50)),
+    ("ds-min", ["--variant", "sup-sub"], lambda f, g: ds_minimize(f, g, "sup-sub", 50)),
+])
+def test_cli_pair_commands_report_the_solver_stats(command, flags, solve, capsys):
+    assert cli_main([command, *PAIR, *flags]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    f, g = (instance_for(make_function(14, load_function_spec(spec)[1]), "pm") for spec in PAIR[1::2])
+    want = solve(f, g)
+    assert payload["selected"] == want.members
+    assert payload["stats"] == _json(want.stats)
 
 
 def test_cli_validate(capsys):

@@ -242,6 +242,69 @@ def test_stochastic_matches_list_based_loop(kind, k, eps, pool):
         assert all(type(j) is int for j, _ in got.trace)
 
 
+def _stochastic_by_mask(F, k, eps, seed, pool):
+    """greedy_stochastic as it was written before it kept its pool: the
+    unselected pool rebuilt from the memo's mask at every step."""
+    maximize._validate_constraint(F, Cardinality(k))
+    pool = maximize._pool(F, pool)
+    rng = np.random.default_rng(seed)
+    sample_size = math.ceil((F.n / k) * math.log(1.0 / eps))
+    F.set_memo(())
+    trace = []
+    for _ in range(min(k, pool.size)):
+        remaining = pool[~F.memo.mask[pool]]
+        take = min(sample_size, remaining.size)
+        sample = np.sort(rng.choice(remaining.size, size=take, replace=False))
+        best_j, best_g = None, -math.inf
+        for j in remaining[sample].tolist():
+            g = F.gain_add(j)
+            if g > best_g:
+                best_j, best_g = j, g
+        F.update(best_j)
+        trace.append((best_j, best_g))
+    return F.memo.members, trace, F.counters
+
+
+def _outcome(run):
+    """``run()``'s selection, trace in hex and counters, or its InputError."""
+    try:
+        members, trace, counters = run()
+    except InputError as err:
+        return ("InputError", str(err))
+    return members, [(j, g.hex()) for j, g in trace], counters.as_dict()
+
+
+@pytest.mark.parametrize("mode", ["pm", "vo"])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_stochastic_keeps_the_mask_filtered_selection(kind, mode):
+    n = 18
+    for k in (1, n // 3, n, n + 1):
+        for pool in (None, [3, 17, 3, 0, 9, 12, 9, 5, 14]):
+            for seed in (0, 1):
+                def build():
+                    F = zoo_instance(kind, n, seed=11)
+                    return wrap_value_oracle(F) if mode == "vo" else F
+
+                def kept():
+                    G = build()
+                    res = greedy_stochastic(G, k, 0.1, seed, pool=pool)
+                    assert res.counters == G.counters
+                    return res.members, res.trace, res.counters
+
+                want = _outcome(lambda: _stochastic_by_mask(build(), k, 0.1, seed, pool))
+                assert _outcome(kept) == want, (k, pool, seed)
+
+
+def test_stochastic_without_a_finite_gain_raises_as_before():
+    # no NaN gain beats -inf, so no step has a pick
+    for run in (greedy_stochastic, _stochastic_by_mask):
+        F = zoo_instance("setcover", 12, seed=3)
+        F._gain_add = lambda j: math.nan
+        with pytest.raises(InputError, match="element id must be an integer, got None"):
+            run(F, 3, 0.1, 0, None)
+        assert F.counters.gain_evals > 0 and F.memo.members == []
+
+
 def test_stochastic_duplicated_pool_equals_deduplicated():
     F = zoo_instance("faclocation", 12, seed=0)
     want = greedy_stochastic(F.clone_detached(), k=3, seed=0, pool=[1, 2, 5, 8])

@@ -23,11 +23,13 @@ A ``zoo`` section follows, untraced in both modes.  For every kind in
 script of 3n adds and removes (each step's gain, ``memo_value``, a sha256
 of every ``_statistic()`` array and any ``InputError`` message), then a
 from-scratch evaluation and a rebuild at a random set and at the empty
-set, and the final counters; the PM and value-oracle runs of lazy and
-naive greedy (k = max(1, n // 3)), local search and bidirectional greedy;
-and min-norm-point and 20 Lovasz descent iterations on the function minus
-a modular penalty of 0.3 per element.  OUT is sorted JSON, so two trees
-agree when their dumps do:
+set, and the final counters; one ``gains_remove`` batch over the members
+of a random set and one ``gains_singleton`` batch over every id, with
+their counters; the PM and value-oracle runs of lazy, naive and
+stochastic greedy (k = max(1, n // 3), the stochastic one seeded with the
+seed), local search and bidirectional greedy; and min-norm-point and 20
+Lovasz descent iterations on the function minus a modular penalty of 0.3
+per element.  OUT is sorted JSON, so two trees agree when their dumps do:
 
     python3 tools/parity_dump.py parent-checkout parent.json --seeds 0 1 2 3
     python3 tools/parity_dump.py . change.json --seeds 0 1 2 3
@@ -159,9 +161,21 @@ def _zoo_moves(F, rng) -> list:
     return steps
 
 
+def _zoo_batches(F, rng) -> dict:
+    """A ``gains_remove`` batch over the members of a random set and a
+    ``gains_singleton`` batch over every id, read on ``F``."""
+    members = rng.permutation(F.n)[:int(rng.integers(F.n + 1))].tolist()
+    F.set_memo(members)
+    F.reset_counters()
+    return {"members": members, "remove": _attempt(lambda: F.gains_remove(members)),
+            "singleton": _attempt(lambda: F.gains_singleton(range(F.n))),
+            "counters": F.counters.as_dict()}
+
+
 def _zoo_record(kind: str, n: int, seed: int) -> dict:
-    """Move script, PM and VO maximization runs, and min-norm-point and
-    Lovasz descent on the penalised function, for one zoo instance."""
+    """Move script, batched reads, PM and VO maximization runs, and
+    min-norm-point and Lovasz descent on the penalised function, for one
+    zoo instance."""
     import numpy as np
 
     from submemo.bench import gen_synthetic
@@ -172,17 +186,20 @@ def _zoo_record(kind: str, n: int, seed: int) -> dict:
         bidirectional_greedy,
         greedy_lazy,
         greedy_naive,
+        greedy_stochastic,
         local_search_usm,
     )
     from submemo.minimize import lovasz_descent, min_norm_point
 
     data = gen_synthetic(kind, n, seed)
     F = make_function(n, data)
-    rec = {"moves": _zoo_moves(F, np.random.default_rng(seed)), "counters": F.counters.as_dict()}
+    rec = {"moves": _zoo_moves(F, np.random.default_rng(seed)), "counters": F.counters.as_dict(),
+           "batches": _zoo_batches(make_function(n, data), np.random.default_rng(seed))}
     k = max(1, n // 3)
     algorithms = {
         "lazy-greedy": lambda G: greedy_lazy(G, Cardinality(k)),
         "naive-greedy": lambda G: greedy_naive(G, Cardinality(k)),
+        "stochastic-greedy": lambda G: greedy_stochastic(G, k, seed=seed),
         "local-search": local_search_usm,
         "bidirectional-greedy": bidirectional_greedy,
     }

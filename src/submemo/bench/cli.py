@@ -22,7 +22,8 @@ Every JSON result carries ``runner.run_metadata()`` under ``meta``, with
 n and, where the command takes one, the seed.  A ``maximize``,
 ``minimize``, ``scsc``, ``scsk`` or ``ds-min`` result also carries the
 solver's ``stats`` (lazy greedy's recomputes per round, min-norm-point's
-norm trace, the difference-of-submodular variant, and so on).
+norm trace, the difference-of-submodular variant, the ``scsc``/``scsk``
+rounds' floored-cost flags, and so on).
 """
 
 from __future__ import annotations

@@ -71,6 +71,12 @@ class IterativeResult:
         return self.selected.members
 
 
+def _floored(bounds) -> bool:
+    """Whether a weight of one of ``bounds`` lies below ``_COST_FLOOR``, so
+    that the round's costs floor it."""
+    return any(bool((bound.weights < _COST_FLOOR).any()) for bound in bounds)
+
+
 def submodular_set_cover(g: SubmodularFunction, cost, c: float) -> IterativeResult:
     """Lazy cost-ratio greedy cover: grow until g reaches the level c.
 
@@ -123,13 +129,18 @@ def scsc_solve(
 
     Each round replaces f by both tight upper bounds at the incumbent,
     solves the resulting modular-cost cover, and keeps the better feasible
-    candidate; the best feasible iterate never worsens.
+    candidate; the best feasible iterate never worsens.  Costs below
+    ``_COST_FLOOR`` are floored; ``stats["cost_floored"]`` says per round
+    whether a weight of its bounds was.
     """
     _check_pair(f, g)
+    floored = []
 
     def step(current):
         candidates = []
-        for bound in tight_upper_bounds(f, current):
+        bounds = tight_upper_bounds(f, current)
+        floored.append(_floored(bounds))
+        for bound in bounds:
             cand = submodular_set_cover(g, np.maximum(bound.weights, _COST_FLOOR), c).members
             candidates.append((f.value_at(cand), cand))
         return min(candidates)
@@ -145,6 +156,7 @@ def scsc_solve(
         iterations=len(rounds),
         converged=converged,
         counters=_total(f.counters, g.counters),
+        stats={"cost_floored": floored},
     )
 
 
@@ -155,13 +167,17 @@ def scsk_solve(
 
     The knapsack costs are a tight upper bound on f, so every iterate is
     feasible for the true constraint.  Returns the empty set when no single
-    element fits the budget.
+    element fits the budget.  ``stats["cost_floored"]`` is as for
+    ``scsc_solve``.
     """
     _check_pair(f, g)
+    floored = []
 
     def step(current):
         candidates = []
-        for bound in tight_upper_bounds(f, current):
+        bounds = tight_upper_bounds(f, current)
+        floored.append(_floored(bounds))
+        for bound in bounds:
             slack = b - bound.offset
             costs = np.maximum(bound.weights, _COST_FLOOR)
             if slack <= 0 or not np.any(costs <= slack):
@@ -182,6 +198,7 @@ def scsk_solve(
         iterations=len(rounds),
         converged=converged,
         counters=_total(f.counters, g.counters),
+        stats={"cost_floored": floored},
     )
 
 

@@ -23,7 +23,14 @@ import numpy as np
 
 from ..core import InputError, SubmodularFunction
 from .kept import KeptGains
-from .ragged import csr_checked, csr_from_rows, ragged_positions, ragged_sum, stable_order
+from .ragged import (
+    csr_checked,
+    csr_from_rows,
+    ragged_positions,
+    ragged_sum,
+    row_views,
+    stable_order,
+)
 
 
 # Ids per block of the batched singletons, whose block is _SINGLETON_BLOCK x
@@ -96,12 +103,14 @@ class _SparseLoadFunction(KeptGains):
 
     Built from a data object that carries CSR ``indptr`` and ``values`` and a
     concave ``psi``; each subclass passes the bucket ids and bucket count
-    under the names its data uses.  The scalar hooks slice the CSR arrays
-    with ``_ptr``, ``indptr`` as a Python list, and sum with
-    ``np.add.reduce``, the reduction ``ndarray.sum`` runs, without its
-    Python frame: an entry holds a few values (8 in the benchmark's
-    feature-based instance), so the Python around a read costs more than
-    its numpy work.
+    under the names its data uses.  An entry holds a few values (8 in the
+    benchmark's feature-based instance), so the Python around a scalar read
+    costs more than its numpy work.  The scalar hooks therefore read element
+    j's ``(bucket ids, values)`` views from ``_entries``, a list made once
+    per data object (the data's ``entry_views``) by the first scalar read
+    (``_entry``), rather than slicing the CSR arrays on every call.  They
+    sum with ``np.add.reduce``, the reduction ``ndarray.sum`` runs, without
+    its Python frame.
 
     The extreme-point chain groups its entries by bucket in linear time
     (``stable_order``) and moves the loads one occurrence level at a time:
@@ -122,7 +131,7 @@ class _SparseLoadFunction(KeptGains):
         self.data = data
         self.num_buckets = num_buckets
         self._indptr = data.indptr
-        self._ptr = data.indptr.tolist()
+        self._entries = None  # data.entry_views, bound by the first scalar read
         self._ids = ids
         self._vals = data.values
         self._psi = data.psi
@@ -130,8 +139,20 @@ class _SparseLoadFunction(KeptGains):
         self._levels = None  # the chain's level layout, built by the first chain
 
     def _entry(self, j: int):
-        lo, hi = self._ptr[j], self._ptr[j + 1]
-        return self._ids[lo:hi], self._vals[lo:hi]
+        """Element j's ``(bucket ids, values)`` views, after binding
+        ``_entries`` to the data's list of them, made here on first need.
+
+        The list lives on the data object, so every instance over the data
+        (spawns, clones, value-oracle inners, mixture and penalty
+        components) shares it.  Once it is bound, the scalar hooks read
+        ``_entries`` themselves and never call this.
+        """
+        data = self.data
+        if data.entry_views is None:
+            data.entry_views = list(zip(row_views(self._indptr, self._ids),
+                                        row_views(self._indptr, self._vals)))
+        self._entries = data.entry_views
+        return self._entries[j]
 
     def _accumulate(self, idx: np.ndarray) -> np.ndarray:
         """Loads of the members ``idx``, bitwise as one ``load[ids] += vals`` each.
@@ -150,7 +171,8 @@ class _SparseLoadFunction(KeptGains):
         return float(self._psi(self._accumulate(idx)).sum())
 
     def _gain_add(self, j):
-        ids, vals = self._entry(j)
+        entries = self._entries
+        ids, vals = entries[j] if entries is not None else self._entry(j)
         p = self._load[ids]
         psi = self._psi
         return float(np.add.reduce(psi(p + vals) - psi(p)))
@@ -211,7 +233,8 @@ class _SparseLoadFunction(KeptGains):
         return self._levels
 
     def _gain_remove(self, j):
-        ids, vals = self._entry(j)
+        entries = self._entries
+        ids, vals = entries[j] if entries is not None else self._entry(j)
         p = self._load[ids]
         psi = self._psi
         return float(np.add.reduce(psi(p) - psi(np.maximum(p - vals, 0.0))))
@@ -246,11 +269,13 @@ class _SparseLoadFunction(KeptGains):
         return out
 
     def _update(self, j):
-        ids, vals = self._entry(j)
+        entries = self._entries
+        ids, vals = entries[j] if entries is not None else self._entry(j)
         self._load[ids] += vals
 
     def _downdate(self, j):
-        ids, vals = self._entry(j)
+        entries = self._entries
+        ids, vals = entries[j] if entries is not None else self._entry(j)
         self._load[ids] = np.maximum(self._load[ids] - vals, 0.0)
 
     def _rebuild(self, idx):
@@ -279,6 +304,7 @@ class FeatureBasedData:
     indptr: np.ndarray = field(init=False, repr=False)
     feature_ids: np.ndarray = field(init=False, repr=False)
     values: np.ndarray = field(init=False, repr=False)
+    entry_views = None  # each element's (ids, values) views: its function's first scalar read
 
     def __post_init__(self):
         if isinstance(self.scores, np.ndarray) or (
@@ -332,6 +358,7 @@ class ClusteredConcaveModularData:
     cluster_weights: list
     n: int
     concave: str = "sqrt"
+    entry_views = None  # each element's (ids, weights) views: its function's first scalar read
 
     def __post_init__(self):
         if len(self.clusters) != len(self.cluster_weights):

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..core import InputError, SubmodularFunction
 from .kept import KeptGains
-from .ragged import csr_from_rows, ragged_positions, ragged_sum
+from .ragged import csr_from_rows, ragged_positions, ragged_sum, row_views
 
 
 def _set_rows(sets):
@@ -50,13 +50,19 @@ def _validated_weights(weights, universe: int) -> np.ndarray:
 
 @dataclass
 class SetCoverData:
-    """Item sets S_j over a weighted universe; f(X) = w(union of S_j, j in X)."""
+    """Item sets S_j over a weighted universe; f(X) = w(union of S_j, j in X).
+
+    The sets are CSR arrays (``indptr``, ``items``).  ``item_slice(j)``
+    reads S_j off a list of per-set views that its first call makes, and
+    the object keeps, rather than slicing ``items`` on every read.
+    """
 
     sets: list
     universe: int
     weights: np.ndarray | None = None
     indptr: np.ndarray = field(init=False, repr=False)
     items: np.ndarray = field(init=False, repr=False)
+    _item_views = None  # each set's items as a view, made by the first item_slice
 
     def __post_init__(self):
         if self.universe < 0:
@@ -65,7 +71,6 @@ class SetCoverData:
         self.indptr, self.items, _ = csr_from_rows(
             _set_rows(self.sets), self.universe, _set_fault, sort_rows=True
         )
-        self._ptr = self.indptr.tolist()  # item_slice bounds as Python ints
         self.weights = _validated_weights(self.weights, self.universe)
 
     @property
@@ -73,8 +78,13 @@ class SetCoverData:
         return len(self.sets)
 
     def item_slice(self, j: int) -> np.ndarray:
-        ptr = self._ptr
-        return self.items[ptr[j]:ptr[j + 1]]
+        """S_j's items, a view read off a list of every set's views that the
+        first call makes and this data object keeps, so every instance over
+        it shares one list."""
+        views = self._item_views
+        if views is None:
+            views = self._item_views = row_views(self.indptr, self.items)
+        return views[j]
 
 
 class SetCoverFunction(KeptGains):

@@ -22,12 +22,17 @@ bitwise:
   input order, and added one occurrence level at a time.
 
 ``stable_order`` is ``np.argsort(kind="stable")`` for bounded
-non-negative integer keys in linear time.
+non-negative integer keys in linear time.  ``row_views`` lists every row's
+slice once, for the scalar hooks that read one element's row per call.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# numpy's pairwise sum adds up to this many terms in 8 lanes and splits
+# longer runs in two (``PW_BLOCKSIZE`` in its loops).
+_PAIRWISE_BLOCK = 128
 
 
 def ragged_positions(indptr: np.ndarray, idx: np.ndarray):
@@ -46,26 +51,53 @@ def ragged_positions(indptr: np.ndarray, idx: np.ndarray):
     return pos, lens
 
 
-def ragged_sum(values: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Sum of each consecutive segment of ``values`` with the given lengths.
+def row_views(indptr: np.ndarray, values: np.ndarray) -> list:
+    """``values[indptr[r]:indptr[r + 1]]`` of every CSR row r, as a list of
+    views: made once, a scalar hook indexes the list instead of slicing."""
+    ptr = indptr.tolist()
+    return [values[lo:hi] for lo, hi in zip(ptr, ptr[1:])]
 
-    Segments of one length are stacked into a 2-d block and summed along
-    its rows, which runs numpy's 1-d pairwise sum on each of them.  When
-    every segment has one length L, ``values`` is that block already, and
-    its row sums are read without the grouping and the gather: at 1500
-    segments of 8, 23 against 77 us.
+
+def ragged_sum(values: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Sum of each consecutive segment of ``values`` with the given lengths,
+    bitwise ``np.add.reduce`` of each segment.
+
+    Segments are summed as rows of 2-d blocks, which runs numpy's 1-d
+    pairwise sum on each row.  That sum starts from 0.0; below
+    ``_PAIRWISE_BLOCK`` terms it adds the first 8 * (L // 8) in 8 lanes and
+    the rest one by one, so zeros after a row's terms leave its sum bitwise
+    unchanged.  Each segment shorter than that is copied, once, into a
+    zeroed array at width 8 * (L // 8) + 7, and a longer one at its own
+    length, with the segments grouped by width.  Each group is then one
+    block, read in place.  A block per distinct length instead costs one
+    gather each: at n = 1500 (seed 1, 2-vCPU x86-64 host, best of 9) a
+    set-cover chain's sum (20 lengths) took 185 against 93 us and 55 sets
+    (15 lengths) 73 against 22 us.  When every segment has one length L,
+    ``values`` is that block already, and its row sums are read without the
+    grouping and the copy: at 1500 segments of 8, 23 against 77 us.
     """
-    if lens.size and (lens == lens[0]).all():
+    if lens.size == 0:
+        return np.zeros(0)
+    if (lens == lens[0]).all():
         length = int(lens[0])
         if length == 0:
             return np.zeros(lens.size)
         return values.reshape(lens.size, length).sum(axis=1)
-    out = np.zeros(lens.size)
-    starts = np.cumsum(lens) - lens
-    for length in np.unique(lens).tolist():
-        if length:
-            rows = np.flatnonzero(lens == length)
-            out[rows] = values[starts[rows, None] + np.arange(length)].sum(axis=1)
+    widths = np.where(lens < _PAIRWISE_BLOCK, lens | 7, lens)  # 8 * (L // 8) + 7 below the block
+    order = stable_order(widths, int(widths.max()) + 1)
+    w = widths[order]
+    ends = np.cumsum(w)
+    at = np.empty_like(ends)
+    at[order] = ends - w  # each segment's start in the padded copy, grouped by width
+    at -= np.cumsum(lens) - lens  # minus each segment's start in values
+    padded = np.zeros(int(ends[-1]))
+    padded[np.repeat(at, lens) + np.arange(values.size)] = values
+    out = np.empty(lens.size)
+    cuts = [0, *(np.flatnonzero(w[1:] != w[:-1]) + 1).tolist(), lens.size]
+    for lo, hi in zip(cuts, cuts[1:]):
+        width = int(w[lo])
+        block = padded[ends[lo] - width:ends[hi - 1]].reshape(hi - lo, width)
+        out[order[lo:hi]] = block.sum(axis=1)
     return out
 
 

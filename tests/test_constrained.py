@@ -111,6 +111,16 @@ def test_scsk_iterates_always_feasible(rng):
         assert res.constraint_value <= budget + 1e-9 * max(1.0, budget)
 
 
+def test_cost_rounds_report_whether_a_bound_weight_was_floored():
+    # a modular f is its own tight upper bound, so its weights are every
+    # round's costs; a zero weight is floored at _COST_FLOOR
+    g = make_function(4, SetCoverData(sets=[[0, 1], [1, 2], [2], [0, 3]], universe=4))
+    for weights, floored in (([2.0, 1.0, 5.0, 3.0], False), ([2.0, 0.0, 5.0, 3.0], True)):
+        f = make_function(4, ModularData(np.array(weights)))
+        for res in (scsc_solve(f, g, 3.0), scsk_solve(f, g, 3.5)):
+            assert res.stats == {"cost_floored": [floored] * res.iterations}
+
+
 def test_scsk_budget_below_singletons_returns_empty():
     f = make_function(3, ModularData(np.array([5.0, 6.0, 7.0])))
     g = make_function(3, SetCoverData(sets=[[0], [1], [2]], universe=3))

@@ -138,6 +138,27 @@ def test_ragged_sum_of_mixed_lengths_falls_back(lens):
     assert ragged_sum(np.zeros(0), np.zeros(0, dtype=np.intp)).shape == (0,)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_ragged_sum_pads_each_length_group_bitwise(seed):
+    # segments of 0-300 terms, with the edges of numpy's 8-lane and 128-term
+    # blocks, mixed signs, magnitudes 1e-12..1e12 and negative zeros, summed in
+    # one call and one at a time by np.add.reduce
+    rng = np.random.default_rng(seed)
+    edges = [0, 1, 7, 8, 9, 15, 16, 17, 127, 128, 129, 255, 256, 300]
+    lens = np.concatenate([edges * 2, rng.integers(0, 301, size=40), rng.integers(0, 24, size=200)])
+    rng.shuffle(lens)
+    values = rng.standard_normal(lens.sum()) * 10.0 ** rng.integers(-12, 13, lens.sum())
+    values[rng.random(values.size) < 0.05] = -0.0
+    ends = np.cumsum(lens)
+    want = np.asarray([np.add.reduce(values[e - m:e]) for e, m in zip(ends, lens)])
+    assert ragged_sum(values, lens).tobytes() == want.tobytes()
+    for length in edges:  # each length with one other, so that the groups are used
+        two = np.asarray([length, 3], dtype=np.intp)
+        part = values[:two.sum()]
+        want = [np.add.reduce(part[:length]), np.add.reduce(part[length:])]
+        assert ragged_sum(part, two).tobytes() == np.asarray(want).tobytes()
+
+
 def test_ragged_positions_concatenate_the_rows():
     indptr = np.asarray([0, 3, 3, 4, 9])
     pos, lens = ragged_positions(indptr, np.asarray([3, 1, 0, 2, 3]))

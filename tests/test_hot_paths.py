@@ -66,8 +66,9 @@ def test_value_oracle_methods_read_the_memo_index():
 # The scalar gain hooks that lazy and stochastic greedy call per read: each
 # is a handful of numpy calls, on a few entries for the sparse classes, so the
 # Python around them shows.  Sums go through ``np.add.reduce``, not
-# ``ndarray.sum``'s Python wrapper, and CSR row bounds come from a Python
-# list, not two numpy scalar reads of ``indptr``.
+# ``ndarray.sum``'s Python wrapper, and a CSR row is a view read off a list
+# that the data object keeps, not a slice between two numpy scalar reads of
+# ``indptr``.
 SCALAR_HOOKS = {
     "graphs.py": {"FacilityLocationFunction": ("_gain_add", "_gain_remove")},
     "concave.py": {"_SparseLoadFunction": ("_entry", "_gain_add", "_gain_remove")},

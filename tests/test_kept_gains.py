@@ -258,17 +258,22 @@ def test_a_read_recomputes_exactly_the_candidates_a_move_reaches(kind, seed, mon
 
 
 def test_a_zero_that_only_changes_sign_counts_as_a_move(monkeypatch):
-    # column 0 is +0.0 and column 1 is -0.0 everywhere: dropping 0 from {0, 1}
-    # turns every row's best from +0.0 into -0.0 and changes no value
+    # column 0 is +0.0 and column 1 is -0.0 everywhere: every record of {0, 1}
+    # is a zero that no member beats, so it is +0.0 and unowned, and dropping
+    # 0 moves nothing.  No move leaves a -0.0 record, so the sign is flipped
+    # by hand: that changes no value and must still count as a move
     S = np.random.default_rng(5).uniform(0.5, 1.0, size=(8, 8))
     S[:, 0], S[:, 1] = 0.0, -0.0
     F = make_function(8, FacilityLocationData(S))
     F.set_memo([0, 1])
+    assert not np.signbit(F._best).any() and (F._arg == -1).all()
     cands = np.arange(2, 8)
     F.gains_add(cands)
     calls = _spy_on_fresh(F, monkeypatch)
     F.downdate(0)
-    assert F._best.tolist() == [0.0] * 8 and np.signbit(F._best).all()
+    F.gains_add(cands)
+    assert calls == []
+    F._best[:] = -0.0
     F.gains_add(cands)
     assert calls == [cands.tolist()]
 

@@ -253,7 +253,7 @@ def test_sparse_load_chain_edge_cases_equal_the_scalar_loop_bitwise(cls, case, o
     if case == "wide":
         assert F.num_buckets > 2**16 and F._ids.max() >= 2**16
     if case == "empty":
-        assert F._ptr[1] == F._ptr[0]
+        assert F._indptr[1] == F._indptr[0]
     F.set_memo([1, 2])  # a second chain reuses the layout
     _assert_sweep_is_loop(F, _order("random", n, 4))
     assert F._levels[1] is slots

@@ -378,13 +378,18 @@ class _Top2Reference:
         sub = self.cols[members][:, rows]
         top = sub.argmax(axis=0)
         r = np.arange(rows.size)
-        self.best[rows], self.arg[rows] = sub[top, r], members[top]
+        self.best[rows], self.arg[rows] = self.owned(sub[top, r], members[top])
         if members.size == 1:
             self.second[rows], self.arg2[rows] = 0.0, -1
             return
         sub[top, r] = -np.inf
         top2 = sub.argmax(axis=0)
-        self.second[rows], self.arg2[rows] = sub[top2, r], members[top2]
+        self.second[rows], self.arg2[rows] = self.owned(sub[top2, r], members[top2])
+
+    @staticmethod
+    def owned(value, owner):
+        # a record no member beats (0) is +0.0 and unowned, as updates leave it
+        return value + 0.0, np.where(value == 0.0, -1, owner)
 
     def update(self, j):
         col = self.cols[j]
@@ -489,6 +494,51 @@ def test_retop_matches_the_unblocked_reference_bitwise(rows, order, layout):
     for got, want in zip((F._best, F._second, F._arg, F._arg2),
                          (ref.best, ref.second, ref.arg, ref.arg2)):
         assert got.tobytes() == want.tobytes()
+
+
+def _owner_records(F) -> list:
+    F._statistic()  # builds the records a chain left owed
+    return [r.tobytes() for r in (F._best, F._second, F._arg, F._arg2)]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_facility_location_owner_records_do_not_depend_on_history(seed):
+    # a 0.1 grid ties often and has zero entries; zero rows and a -0.0 column
+    # leave records that no member beats.  Whatever way the memo was reached
+    # (set_memo, updates from the empty set, a sweep, downdates), the records
+    # and every removal gain are bitwise those of a fresh rebuild
+    n = 30
+    rng = np.random.default_rng(seed)
+    s = np.round(rng.random((n, n)), 1)
+    s[rng.choice(n, size=4, replace=False)] = 0.0
+    s[:, rng.integers(n)] = -0.0
+    data = FacilityLocationData(s)
+    X = [int(j) for j in rng.permutation(n)[:n // 2]]
+    rebuilt = make_function(n, data)
+    rebuilt.set_memo(X)
+    grown = make_function(n, data)
+    for j in X:
+        grown.update(j)
+    swept = make_function(n, data)
+    swept.sweep(rng.permutation(n))
+    shrunk = make_function(n, data)
+    shrunk.set_memo(rng.permutation(n).tolist())
+    for j in rng.permutation(n)[:n - 3].tolist():
+        shrunk.downdate(j)
+    grown_then_shrunk = make_function(n, data)
+    for j in X:
+        grown_then_shrunk.update(j)
+    for j in X[::2]:
+        grown_then_shrunk.downdate(j)
+    assert _owner_records(rebuilt) == _owner_records(grown)
+    for F in (rebuilt, grown, swept, shrunk, grown_then_shrunk):
+        want = F.clone_detached()
+        assert _owner_records(F) == _owner_records(want)
+        assert not np.signbit(F._best).any() and not np.signbit(F._second).any()
+        assert ((F._arg == -1) == (F._best == 0.0)).all()
+        assert ((F._arg2 == -1) == (F._second == 0.0)).all()
+        for j in F.memo.members:
+            assert F.gain_remove(j).hex() == want.gain_remove(j).hex()
 
 
 def test_logdet_gain_is_schur_complement(rng):

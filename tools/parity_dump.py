@@ -21,7 +21,8 @@ construction.
 A ``zoo`` section follows, untraced in both modes.  For every kind in
 ``SYNTHETIC_KINDS``, at n = 3, 8 and 20 and each seed, it records a seeded
 script of 3n adds and removes (each step's gain, ``memo_value``, a sha256
-of every ``_statistic()`` array and any ``InputError`` message), then a
+of every ``_statistic()`` array and of the owner records ``_arg`` and
+``_arg2`` where the instance has them, and any ``InputError`` message), then a
 from-scratch evaluation and a rebuild at a random set and at the empty
 set, and the final counters; one ``gains_remove`` batch over the members
 of a random set and one ``gains_singleton`` batch over every id, with
@@ -124,8 +125,14 @@ def _record(cell, res) -> dict:
 
 
 def _stat_digest(F) -> dict:
-    """``_array_digest`` of each array of ``F``'s statistic."""
-    return {name: _array_digest(value) for name, value in sorted(F._statistic().items())}
+    """``_array_digest`` of each array of ``F``'s statistic, then of the
+    owner records ``_arg`` and ``_arg2`` where ``F`` keeps them (facility
+    location)."""
+    out = {name: _array_digest(value) for name, value in sorted(F._statistic().items())}
+    for name in ("_arg", "_arg2"):
+        if hasattr(F, name):
+            out[name] = _array_digest(getattr(F, name))
+    return out
 
 
 def _attempt(call) -> dict:

@@ -1,4 +1,4 @@
-"""Benchmark harness: data IO, synthetic instances, brute force, timing runner."""
+"""Benchmark harness: data IO, synthetic instances, brute-force references and the CLI."""
 
 from .brute import BRUTE_FORCE_CAP, brute_force_max, brute_force_min, brute_force_min_over
 from .dataio import (
@@ -9,7 +9,6 @@ from .dataio import (
     save_set_system,
     save_sparse_triplets,
 )
-from .runner import ExperimentConfig, TimingRecord, run_experiment, speedup_ratios
 from .synthetic import SYNTHETIC_KINDS, gen_synthetic
 
 __all__ = [
@@ -23,10 +22,6 @@ __all__ = [
     "save_dense_matrix",
     "save_set_system",
     "save_sparse_triplets",
-    "ExperimentConfig",
-    "TimingRecord",
-    "run_experiment",
-    "speedup_ratios",
     "SYNTHETIC_KINDS",
     "gen_synthetic",
 ]

@@ -5,19 +5,20 @@ Functions are addressed as ``synthetic:<kind>,n=...,seed=...`` strings,
 their class from the file contents; bare dense CSVs default to facility
 location).  Each subcommand takes only the options it reads:
 
-- ``--seed``: ``maximize`` (for the randomized algorithms), ``gradients``,
-  ``bench`` and ``validate``;
+- ``--seed``: ``maximize`` (for the randomized algorithms), ``gradients``
+  and ``validate``;
 - ``--mode``: every command but ``validate``, which audits the statistic;
 - ``--k`` / ``--budget-frac``: ``maximize`` and ``minimize`` (the floor of
   ``mmin``); without either, k is 10% of n.
 
 Every instance is built and every gradient input is drawn by
-``runner.instance_for`` and ``runner.run_gradient``, the same path the
-``bench`` command times.  ``scsc``, ``scsk`` and ``ds-min`` call the
-solvers of ``submemo.constrained`` directly.  Exit codes: 0 success, 2
-input error (an out-of-range ``--k`` or ``--budget-frac`` included, and a
-``--max-iters`` or ``--audit-rounds`` below 1), 3 solver non-convergence,
-4 failed check (a ``validate`` row FAILs or a ``bench`` cell errors).
+``runner.instance_for`` and ``runner.run_gradient``.  ``scsc``, ``scsk``
+and ``ds-min`` call the solvers of ``submemo.constrained`` directly.  No
+command times anything: PM-vs-VO cost shows in the exact counters each
+result carries, and wall-clock PM/VO tables come from ``perfbench/``.
+Exit codes: 0 success, 2 input error (an out-of-range ``--k`` or
+``--budget-frac`` included, and a ``--max-iters`` or ``--audit-rounds``
+below 1), 3 solver non-convergence, 4 a ``validate`` row FAILs.
 Every JSON result carries ``runner.run_metadata()`` under ``meta``, with
 n and, where the command takes one, the seed.  A ``maximize``,
 ``minimize``, ``scsc``, ``scsk`` or ``ds-min`` result also carries the
@@ -55,14 +56,11 @@ from .runner import (
     GRADIENT_TASKS,
     MAXIMIZE_ALGORITHMS,
     MINIMIZE_ALGORITHMS,
-    ExperimentConfig,
     instance_for,
-    modes_for,
-    run_experiment,
     run_gradient,
     run_metadata,
 )
-from .synthetic import gen_synthetic
+from .synthetic import gen_synthetic, pop_param
 
 EXIT_CHECK_FAILED = 4
 
@@ -85,6 +83,8 @@ def _parse_params(parts) -> dict:
         if "=" not in part:
             raise InputError(f"bad synthetic parameter {part!r} (expected key=value)")
         key, value = part.split("=", 1)
+        if key in params:
+            raise InputError(f"synthetic parameter {key} given twice")
         try:
             params[key] = int(value)
         except ValueError:
@@ -95,13 +95,6 @@ def _parse_params(parts) -> dict:
     return params
 
 
-def _int_param(params: dict, key: str, default: int) -> int:
-    value = params.pop(key, default)
-    if not isinstance(value, int):
-        raise InputError(f"synthetic parameter {key} must be an integer, got {value!r}")
-    return value
-
-
 def load_function_spec(text: str):
     """Resolve a --function argument to (name, data object)."""
     if text.startswith("synthetic:"):
@@ -109,8 +102,8 @@ def load_function_spec(text: str):
         parts = body.split(",")
         kind = parts[0]
         params = _parse_params(parts[1:])
-        n = _int_param(params, "n", 100)
-        seed = _int_param(params, "seed", 0)
+        n = pop_param(params, "n", 100, int)
+        seed = pop_param(params, "seed", 0, int)
         return f"{kind}-n{n}", gen_synthetic(kind, n, seed, params)
     if ":" in text and not Path(text).exists():
         prefix, path = text.split(":", 1)
@@ -254,7 +247,7 @@ def _cmd_pair(args) -> int:
 
 def _cmd_gradients(args) -> int:
     name, base = _build(args.function)
-    modes = modes_for(args.mode)
+    modes = ("pm", "vo") if args.mode == "both" else (args.mode,)
     payload = {"function": name, "seed": args.seed, "runs": {}}
     weights = {}
     for mode in modes:
@@ -272,31 +265,6 @@ def _cmd_gradients(args) -> int:
     payload["weights"] = weights
     _emit(args, payload, base.n)
     return 0
-
-
-def _budgets(text: str) -> tuple:
-    try:
-        return tuple(float(b) for b in text.split(","))
-    except ValueError:
-        raise InputError(f"--budgets must be comma-separated numbers, got {text!r}") from None
-
-
-def _cmd_bench(args) -> int:
-    cfg = ExperimentConfig(
-        functions=[_build(spec) for spec in args.function],
-        algorithm=args.algorithm,
-        mode=args.mode,
-        budgets=_budgets(args.budgets),
-        repetitions=args.reps,
-        seed=args.seed,
-    )
-    out_dir = args.out or "bench-out"
-    records = run_experiment(cfg, out_dir=out_dir)
-    failures = [r for r in records if r.error]
-    print(f"wrote {Path(out_dir) / 'report.csv'} and report.json ({len(records)} cells)")
-    for r in failures:
-        print(f"cell error: {r.function}/{r.mode}/{r.budget}: {r.error}", file=sys.stderr)
-    return EXIT_CHECK_FAILED if failures else 0
 
 
 def _cmd_validate(args) -> int:
@@ -358,7 +326,7 @@ def _cmd_validate(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="submemo",
-        description="Submodular optimization benchmarks: memoized vs value-oracle.",
+        description="Submodular optimization with memoized statistics (pm) or the value oracle (vo).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     spec_help = "synthetic:<kind>,n=..,seed=.. | <class>:<path> | <path>"
@@ -406,21 +374,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(
         "gradients",
         _cmd_gradients,
-        "sub/supergradient benchmark",
+        "seeded sub- and supergradients",
         modes=("pm", "vo", "both"),
         default_mode="both",
     )
     p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("bench", help="timing table: functions x budgets x modes")
-    p.add_argument("--function", action="append", required=True)
-    p.add_argument("--algorithm", default="lazy-greedy", help="an algorithm name or 'gradients'")
-    p.add_argument("--mode", choices=("pm", "vo", "both"), default="both")
-    p.add_argument("--budgets", default="0.05,0.15,0.30")
-    p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser("validate", help="statistic + submodularity audit")
     p.add_argument("--function", required=True, help=spec_help)

@@ -1,4 +1,4 @@
-"""Benchmark harness: loaders, generators, brute force, experiment runner."""
+"""Benchmark harness: loaders, generators, brute force, PM/VO instances."""
 
 import json
 
@@ -8,18 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submemo.bench import (
-    ExperimentConfig,
     brute_force_max,
     brute_force_min,
     gen_synthetic,
     load_dense_matrix,
     load_set_system,
     load_sparse_triplets,
-    run_experiment,
     save_dense_matrix,
     save_set_system,
     save_sparse_triplets,
-    speedup_ratios,
 )
 from submemo.bench.runner import instance_for
 from submemo.core import EvalCounters, InputError, ValueOracleFunction
@@ -238,85 +235,8 @@ def test_brute_force_cap():
 
 
 # ---------------------------------------------------------------------------
-# experiment runner
+# PM/VO instances
 # ---------------------------------------------------------------------------
-
-
-def _small_cfg(algorithm="lazy-greedy", mode="both"):
-    functions = [
-        ("facloc", zoo_instance("faclocation", 40, seed=5)),
-        ("setcov", zoo_instance("setcover", 40, seed=6)),
-    ]
-    return ExperimentConfig(
-        functions=functions,
-        algorithm=algorithm,
-        mode=mode,
-        budgets=(0.1, 0.2),
-        repetitions=2,
-        seed=9,
-    )
-
-
-def test_run_experiment_report_shape(tmp_path):
-    records = run_experiment(_small_cfg(), out_dir=tmp_path)
-    assert len(records) == 2 * 2 * 2  # functions x budgets x modes
-    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
-    assert len(report["records"]) == len(records)
-    assert report["speedups"]
-    csv_lines = (tmp_path / "report.csv").read_text(encoding="utf-8").strip().splitlines()
-    assert csv_lines[0] == "function,pm_10%,pm_20%,vo_10%,vo_20%"
-    assert len(csv_lines) == 3
-
-
-def test_run_experiment_mode_counter_contract(tmp_path):
-    for record in run_experiment(_small_cfg()):
-        assert record.error is None
-        if record.mode == "pm":
-            assert record.counters["oracle_evals"] == 0
-        else:
-            assert record.counters["gain_evals"] == 0
-
-
-def test_run_experiment_deterministic_values():
-    r1 = run_experiment(_small_cfg(algorithm="stochastic-greedy", mode="pm"))
-    r2 = run_experiment(_small_cfg(algorithm="stochastic-greedy", mode="pm"))
-    for a, b in zip(r1, r2):
-        assert a.value == b.value
-        assert a.counters == b.counters
-        assert a.selected_size == b.selected_size
-
-
-def test_run_experiment_pm_vo_same_solution():
-    for rec_pm, rec_vo in zip(
-        run_experiment(_small_cfg(mode="pm")), run_experiment(_small_cfg(mode="vo"))
-    ):
-        assert rec_pm.value == pytest.approx(rec_vo.value, rel=1e-9)
-        assert rec_pm.selected_size == rec_vo.selected_size
-
-
-def test_run_experiment_gradients_structure(tmp_path):
-    cfg = _small_cfg(algorithm="gradients")
-    records = run_experiment(cfg, out_dir=tmp_path)
-    assert len(records) == 2 * 2 * 2  # functions x tasks x modes
-    header = (tmp_path / "report.csv").read_text(encoding="utf-8").splitlines()[0]
-    assert header == "function,subgradient_pm,subgradient_vo,supergradient_pm,supergradient_vo"
-    for r in records:
-        if r.mode == "pm":
-            assert r.counters["oracle_evals"] == 0
-
-
-def test_run_experiment_cell_errors_not_fatal():
-    bad = zoo_instance("dispmin", 10, seed=11)  # infeasible: max > n budgets fine; force algo error
-    cfg = ExperimentConfig(
-        functions=[("tiny", zoo_instance("faclocation", 3, seed=1)), ("ok", bad)],
-        algorithm="distributed-greedy",
-        mode="pm",
-        budgets=(0.9,),
-        repetitions=1,
-        seed=0,
-    )
-    records = run_experiment(cfg)
-    assert len(records) == 2  # every cell reported, error or not
 
 
 @pytest.mark.parametrize("mode", ["pm", "vo"])
@@ -334,10 +254,3 @@ def test_instance_for_is_fresh_and_leaves_the_base_alone(mode, monkeypatch):
     assert inst.counters == EvalCounters()
     assert base.memo.members == [1, 4, 6] and base.counters == counters
     assert base.memo_value() == value
-
-
-def test_speedup_ratios_pairing():
-    records = run_experiment(_small_cfg())
-    ratios = speedup_ratios(records)
-    assert len(ratios) == 4  # functions x budgets
-    assert all(r > 0 for r in ratios.values())

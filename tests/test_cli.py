@@ -1,6 +1,7 @@
 """CLI surface: subcommands, spec grammar, exit codes, report files."""
 
 import argparse
+import ast
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 from submemo.bench.cli import EXIT_CHECK_FAILED, build_parser, cli_main, load_function_spec
 from submemo.bench.cli import _json_default as cli_json_default
 from submemo.bench.dataio import save_dense_matrix, save_set_system
+from submemo.bench import cli as cli_module
 from submemo.bench import runner
 from submemo.bench.runner import GRADIENT_TASKS, instance_for, run_gradient, run_metadata
 from submemo.constrained import ds_minimize, scsc_solve, scsk_solve
@@ -66,55 +68,21 @@ def test_load_function_spec_errors(tmp_path):
         load_function_spec(f"wrongclass:{dense}")
 
 
-def test_cli_bench_smoke(tmp_path, capsys):
-    out = tmp_path / "runs"
-    code = cli_main(
-        [
-            "bench",
-            "--function",
-            "synthetic:faclocation,n=50,seed=7",
-            "--algorithm",
-            "lazy-greedy",
-            "--mode",
-            "both",
-            "--budgets",
-            "0.05,0.1",
-            "--reps",
-            "1",
-            "--out",
-            str(out),
-        ]
-    )
-    assert code == 0
-    assert (out / "report.csv").exists()
-    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
-    assert report["records"]
-    for record in report["records"]:
-        if record["mode"] == "pm":
-            assert record["counters"]["oracle_evals"] == 0
-        else:
-            assert record["counters"]["gain_evals"] == 0
-
-
-def test_cli_maximize_json_output(tmp_path, capsys):
-    code = cli_main(
-        [
-            "maximize",
-            "--function",
-            "synthetic:setcover,n=30,seed=3",
-            "--algorithm",
-            "lazy-greedy",
-            "--k",
-            "5",
-            "--out",
-            str(tmp_path),
-        ]
-    )
-    assert code == 0
+@pytest.mark.parametrize("mode", ["pm", "vo"])
+def test_cli_maximize_json_output(mode, tmp_path, capsys):
+    # PM reads gains off the statistic, VO calls the oracle: same picks, disjoint counters
+    spec = "synthetic:setcover,n=30,seed=3"
+    argv = ["maximize", "--function", spec, "--algorithm", "lazy-greedy", "--k", "5",
+            "--mode", mode, "--out", str(tmp_path)]
+    assert cli_main(argv) == 0
     payload = json.loads((tmp_path / "result.json").read_text(encoding="utf-8"))
-    assert payload["k"] == 5
+    assert payload["k"] == 5 and payload["mode"] == mode
     assert len(payload["selected"]) <= 5
-    assert payload["counters"]["oracle_evals"] == 0
+    _, data = load_function_spec(spec)
+    pm = runner.ALGORITHMS["lazy-greedy"](instance_for(make_function(30, data), "pm"), 5, None)
+    assert payload["selected"] == pm.members
+    zero = "oracle_evals" if mode == "pm" else "gain_evals"
+    assert payload["counters"][zero] == 0
 
 
 def test_cli_maximize_reports_the_algorithm_stats(capsys):
@@ -144,14 +112,6 @@ def test_cli_json_carries_run_metadata(argv, run, tmp_path, capsys):
     assert written["meta"] == {**run_metadata(), **run}
 
 
-def test_bench_report_carries_run_metadata(tmp_path, capsys):
-    out = tmp_path / "runs"
-    assert cli_main(["bench", "--function", "synthetic:setcover,n=20,seed=1", "--mode", "pm",
-                     "--budgets", "0.2", "--reps", "1", "--seed", "6", "--out", str(out)]) == 0
-    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
-    assert report["meta"] == {**run_metadata(), "n": {"setcover-n20": 20}, "seed": 6}
-
-
 _SHA = "0123456789abcdef0123456789abcdef01234567"
 
 
@@ -179,7 +139,7 @@ def test_run_metadata_reads_the_sha_from_git(files, sha, tmp_path, monkeypatch):
     assert meta["python"] == ".".join(map(str, sys.version_info[:3]))
 
 
-def test_cli_builds_a_mixture_from_the_spec_size(tmp_path, capsys):
+def test_cli_builds_a_mixture_from_the_spec_size(capsys):
     # a mixture's data object has no n of its own: the spec gives it
     spec = "synthetic:mixture,n=14"
     _, data = load_function_spec(spec)
@@ -188,11 +148,8 @@ def test_cli_builds_a_mixture_from_the_spec_size(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["selected"]) == 3
     assert payload["value"] == pytest.approx(F.evaluate(payload["selected"]))
-    out = tmp_path / "runs"
-    assert cli_main(["bench", "--function", spec, "--mode", "both", "--budgets", "0.2",
-                     "--out", str(out)]) == 0
-    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
-    assert {r["mode"] for r in report["records"]} == {"pm", "vo"}
+    assert cli_main(["maximize", "--function", spec, "--k", "3", "--mode", "vo"]) == 0
+    assert json.loads(capsys.readouterr().out)["selected"] == payload["selected"]
 
 
 def test_cli_minimize_and_nonconvergence_exit_code(capsys):
@@ -281,34 +238,6 @@ def test_cli_validate_fail_exit_code(capsys):
     assert code == EXIT_CHECK_FAILED
 
 
-def test_cli_bench_cell_error_exit_code(tmp_path, capsys):
-    # four machines over a three-element ground set: that cell errors
-    out = tmp_path / "runs"
-    code = cli_main(
-        [
-            "bench",
-            "--function",
-            "synthetic:faclocation,n=3,seed=1",
-            "--function",
-            "synthetic:dispmin,n=10,seed=11",
-            "--algorithm",
-            "distributed-greedy",
-            "--mode",
-            "pm",
-            "--budgets",
-            "0.9",
-            "--reps",
-            "1",
-            "--out",
-            str(out),
-        ]
-    )
-    assert code == EXIT_CHECK_FAILED
-    assert "cell error: faclocation-n3" in capsys.readouterr().err
-    records = json.loads((out / "report.json").read_text(encoding="utf-8"))["records"]
-    assert [r["error"] is not None for r in records] == [True, False]
-
-
 def test_python_dash_m_entry_point():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
@@ -352,10 +281,41 @@ def test_cli_out_of_range_budget_is_an_input_error(command, flags, capsys):
     assert "input error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("spec", ["n=abc", "seed=x", "n=2.5"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        pytest.param("setcover,n=abc", id="n=abc"),
+        pytest.param("setcover,seed=x", id="seed=x"),
+        pytest.param("setcover,n=2.5", id="n=2.5"),
+        "faclocation,n=12,dimm=2",  # a key the kind does not read
+        "faclocation,n=12,dim=abc",
+        "setcover,n=12,density=x",
+        "mixture,n=12,dim=4",  # the mixture reads only components and sub_params
+        "setcover,n=12,n=5",  # a key given twice
+    ],
+)
 def test_cli_malformed_synthetic_number_is_an_input_error(spec, capsys):
-    assert cli_main(["maximize", "--function", f"synthetic:setcover,{spec}"]) == 2
+    assert cli_main(["maximize", "--function", f"synthetic:{spec}"]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        ("setcover,n=12,density=1.5", "density"),
+        ("probsetcover,n=12,density=-0.1", "density"),
+        ("deep2,n=12,density=nan", "density"),
+        ("faclocation,n=12,dim=0", "dim"),
+        ("setcover,n=12,universe=0", "universe"),
+        ("clustersetcover,n=12,clusters=0", "clusters"),
+        ("deep2,n=12,inner_units=0", "inner_units"),
+    ],
+)
+def test_cli_out_of_range_synthetic_parameter_is_an_input_error(spec, key, capsys):
+    # each of these crashed in numpy or built a degenerate instance that exited 0
+    assert cli_main(["maximize", "--function", f"synthetic:{spec}"]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and f"parameter {key} must lie in" in err
 
 
 _PAIR = ["--function", "synthetic:setcover,n=12", "--function-g", "synthetic:faclocation,n=12"]
@@ -377,13 +337,6 @@ def test_cli_count_below_one_is_an_input_error(argv, capsys):
     assert captured.out == "" and "must be >= 1" in captured.err
 
 
-def test_cli_malformed_bench_budget_is_an_input_error(tmp_path, capsys):
-    argv = ["bench", "--function", "synthetic:setcover,n=10", "--budgets", "0.1,abc",
-            "--out", str(tmp_path)]
-    assert cli_main(argv) == 2
-    assert "input error" in capsys.readouterr().err
-
-
 def test_cli_option_surface():
     # pins each subcommand's options, so adding or dropping a flag is a deliberate edit
     parser = build_parser()
@@ -402,8 +355,6 @@ def test_cli_option_surface():
                  "--out"],
         "ds-min": ["--function", "--function-g", "--max-iters", "--mode", "--out", "--variant"],
         "gradients": ["--function", "--mode", "--out", "--seed"],
-        "bench": ["--algorithm", "--budgets", "--function", "--mode", "--out", "--reps",
-                  "--seed"],
         "validate": ["--audit-rounds", "--function", "--seed"],
     }
 
@@ -418,3 +369,45 @@ def test_cli_gradients_use_the_runner_rule(capsys):
         for task in GRADIENT_TASKS:
             expected = run_gradient(instance_for(base, mode), task, 7).weights.tolist()
             assert weights[mode][task] == expected, (mode, task)
+
+
+def read_dests(source: str) -> set:
+    """The names ``source`` reads off ``args``: ``args.x`` or ``getattr(args, "x", ...)``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "args":
+                found.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "getattr":
+            obj, name = (node.args + [None, None])[:2]
+            if isinstance(obj, ast.Name) and obj.id == "args" and isinstance(name, ast.Constant):
+                found.add(name.value)
+    return found
+
+
+def unread_options(parser: argparse.ArgumentParser, source: str) -> list:
+    """``"<command> <flag>"`` for each subcommand option whose dest ``source`` never reads."""
+    reads = read_dests(source)
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sorted(
+        f"{name} {a.option_strings[-1]}"
+        for name, sub in commands.choices.items()
+        for a in sub._actions
+        if a.option_strings and not isinstance(a, argparse._HelpAction) and a.dest not in reads
+    )
+
+
+def test_unread_options_are_found():
+    parser = argparse.ArgumentParser()
+    p = parser.add_subparsers().add_parser("run")
+    p.add_argument("--x")
+    p.add_argument("--y-z", dest="y_z")
+    p.add_argument("--w")
+    source = "def f(args, other):\n    return args.x, getattr(args, 'y_z', 0), other.w, getattr(other, 'w')\n"
+    assert unread_options(parser, source) == ["run --w"]
+    assert unread_options(parser, source + "args.w\n") == []
+
+
+def test_every_option_is_read():
+    source = Path(cli_module.__file__).read_text(encoding="utf-8")
+    assert unread_options(build_parser(), source) == []

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import InputError, SubmodularFunction
+from .graphs import real_array
 
 
 @dataclass
@@ -23,7 +24,7 @@ class ModularData:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        w = real_array(self.weights, "modular weights")
         if w.ndim != 1 or w.size == 0:
             raise InputError("modular weights must be a non-empty 1-d array")
         if not np.all(np.isfinite(w)):

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core import InputError, SubmodularFunction
+from .graphs import real_array
 from .kept import KeptGains
 from .ragged import (
     csr_checked,
@@ -310,7 +311,7 @@ class FeatureBasedData:
         if isinstance(self.scores, np.ndarray) or (
             hasattr(self.scores, "ndim") and getattr(self.scores, "ndim", 0) == 2
         ):
-            m = np.asarray(self.scores, dtype=float)
+            m = real_array(self.scores, "feature scores")
             if np.any(m < 0) or not np.all(np.isfinite(m)):
                 raise InputError("feature scores must be finite and non-negative")
             if m.ndim != 2:

@@ -33,7 +33,7 @@ class DispersionData:
     kind: str = "min"
 
     def __post_init__(self):
-        d = _validated_square(self.distance, True, "distance matrix")
+        d, _ = _validated_square(self.distance, True, "distance matrix")
         if np.any(np.diag(d) != 0):
             raise InputError("distance matrix must have a zero diagonal")
         self.distance = d

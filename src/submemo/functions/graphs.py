@@ -35,14 +35,22 @@ block of rows), run through ``_split_blocks``: with two blocks or more and
 more than one usable CPU (``os.sched_getaffinity``), the calling thread
 runs the first half of the blocks and one worker thread the rest.  Each
 share writes its own slice of the output or its own rows of the records,
-so every result is bitwise the serial one.  The worker is the one thread
-of a module-level pool, so the workers never outnumber the usable CPUs
-minus one, and with one usable CPU no thread starts.  ``_evaluate`` and
+so every result is bitwise the serial one.  The ingest scan of every dense
+similarity and distance matrix (``_scan``) splits too: its ``_SYM_TILE``
+bands alternate between the calling thread and the worker, so that each
+reads about half of the triangle.  The worker is the one thread of a
+module-level pool, so the workers never outnumber the usable CPUs minus
+one, and with one usable CPU no thread starts.  ``_evaluate`` and
 ``_reach`` stay serial, for the reasons measured at ``_GAIN_BLOCK``.
 
-``cols`` *is* ``similarity`` when the similarity is C-contiguous and
-symmetric bit for bit, so each similarity is held once; otherwise it is a
-contiguous copy of the transpose.
+A dense input is read once at ingest: one pass over its bands checks that
+every entry is finite and non-negative and whether it equals its
+transpose bit for bit (``_validated_square``).  ``cols`` *is*
+``similarity`` when the similarity is C-contiguous and that verdict holds,
+so each similarity is held once; otherwise it is a contiguous copy of the
+transpose.  Graph cut, dispersion and log-det, which need symmetry only
+within a tolerance, run the tolerance test band by band, and only when the
+exact verdict is no.
 """
 
 from __future__ import annotations
@@ -98,10 +106,20 @@ _GAIN_BLOCK = 64
 _CHAIN_BLOCK = (_GAIN_BLOCK - 1) // 2
 
 
-# Rows per tile of the exact symmetry test.  At n = 1500 on a 2-vCPU x86-64
-# host it took 3.6 ms with 128-row tiles, 4.3 ms with 512 and 5.3 ms for
-# one whole-matrix array_equal(s, s.T).
+# Rows per band of the ingest scan (``_scan``) and of the tolerance test.
+# At n = 1500 on a 2-vCPU x86-64 host, when first measured, the exact
+# symmetry test alone took 3.6 ms with 128-row bands, 4.3 ms with 512 and
+# 5.3 ms for one whole-matrix array_equal(s, s.T).  On the same host later
+# (seed 1, best of 31), reading the benchmark's facility-location
+# similarity at ingest took 2.43 ms as a minimum, a maximum and the banded
+# symmetry test, 1.70 ms as one pass that checks range and symmetry per
+# band, and 0.95 ms with the bands alternating between the calling thread
+# and the worker; at n = 6000, 46.6, 34.4 and 17.2 ms.
 _SYM_TILE = 128
+# The bits of +inf.  Every double whose bits, read as an unsigned integer,
+# are below these is finite and non-negative; -0.0, a negative, an inf or a
+# NaN reads at or above them.
+_INF_BITS = np.float64(np.inf).view(np.uint64)
 
 # Bytes per cache line.
 _LINE = 64
@@ -175,17 +193,26 @@ def _split_blocks(count: int, width: int, block: np.ndarray, body) -> None:
     both shares have finished; the caller's exception comes first.
     """
     blocks = -(-count // _GAIN_BLOCK)
-    mid, rest = count, None
     if blocks >= 2 and _usable_cpus() > 1:
         mid = (blocks + 1) // 2 * _GAIN_BLOCK
-        rest = _worker().submit(_run_blocks, mid, count, width, None, body)
+        _in_two(lambda: _run_blocks(0, mid, width, block, body),
+                lambda: _run_blocks(mid, count, width, None, body))
+    else:
+        _run_blocks(0, count, width, block, body)
+
+
+def _in_two(here, there) -> None:
+    """``there()`` on the worker and ``here()`` on the calling thread.
+
+    Returns, or raises, once both have finished; the caller's exception
+    comes first.
+    """
+    rest = _worker().submit(there)
     try:
-        _run_blocks(0, mid, width, block, body)
+        here()
     finally:
-        if rest is not None:
-            rest.exception()  # waits for the worker's share, raised or not
-    if rest is not None:
-        rest.result()
+        rest.exception()  # waits for the worker's share, raised or not
+    rest.result()
 
 
 def _zeros_unowned(value: np.ndarray, owner: np.ndarray) -> bool:
@@ -200,61 +227,152 @@ def _zeros_unowned(value: np.ndarray, owner: np.ndarray) -> bool:
     return True
 
 
-def _exactly_symmetric(s: np.ndarray) -> bool:
-    """Whether s equals s.T bit for bit: a -0.0 facing a 0.0 is asymmetric.
+def real_array(x, what: str) -> np.ndarray:
+    """``x`` as a float array; a float64 array is kept, not copied.
 
-    Compares each band of rows right of the diagonal with the matching band
-    of columns, so no n x n temporary is made.
+    Ragged rows, complex entries and entries that are not numbers raise
+    ``InputError``, where a plain ``np.asarray(x, dtype=float)`` raises a
+    bare ``ValueError`` or drops the imaginary parts with a warning.
+    """
+    try:
+        a = np.asarray(x)
+    except ValueError:
+        raise InputError(f"{what} must be a rectangular array of numbers") from None
+    if a.dtype.kind == "c":
+        raise InputError(f"{what} must be real, got complex entries")
+    try:
+        return a.astype(float, copy=False)
+    except (TypeError, ValueError):
+        raise InputError(f"{what} must hold real numbers") from None
+
+
+class _Scan:
+    """What the bands of one ``_scan`` found: whether every entry read was
+    finite and non-negative, and whether the matrix is still exactly
+    symmetric.  Either share clears a flag; neither sets one."""
+
+    def __init__(self):
+        self.in_range = True
+        self.symmetric = True
+
+
+def _scan_bands(bits: np.ndarray, starts, ranged: bool, scan: _Scan) -> None:
+    """Read the ``_SYM_TILE``-row bands of ``bits`` that begin at ``starts``.
+
+    Band ``[lo, hi)`` compares its rows right of the diagonal,
+    ``bits[lo:hi, lo:]``, with the column band below the diagonal,
+    ``bits[lo:, lo:hi]``, bit for bit: a -0.0 facing a 0.0 is asymmetric.
+    With ``ranged`` it also takes the rows' largest bit pattern, and the
+    column band's where the two differ.  A double is finite and
+    non-negative exactly when its bits are below those of +inf, and the
+    bands' rows and columns cover the matrix.  Stops once the other share,
+    or this one, has cleared what is left to learn.
+    """
+    for lo in starts:
+        if not scan.in_range or not (ranged or scan.symmetric):
+            return
+        hi = lo + _SYM_TILE
+        rows, cols = bits[lo:hi, lo:], bits[lo:, lo:hi].T
+        if ranged and rows.max() >= _INF_BITS:
+            scan.in_range = False
+        elif not (scan.symmetric and np.array_equal(rows, cols)):
+            scan.symmetric = False
+            if ranged and cols.max() >= _INF_BITS:
+                scan.in_range = False
+
+
+def _scan(s: np.ndarray, ranged: bool) -> _Scan:
+    """One pass over the float square ``s``: whether it equals ``s.T`` bit
+    for bit and, with ``ranged``, whether every entry is finite and
+    non-negative (-0.0 is not: its sign bit is set).
+
+    The bands alternate between the calling thread and the worker when
+    there are two or more and more than one usable CPU, so each share reads
+    about half of the triangle.  An F-ordered ``s`` is read as ``s.T``,
+    along its rows.
     """
     bits = s.view(np.uint64)
-    n = s.shape[0]
-    for lo in range(0, n, _SYM_TILE):
+    if s.flags.f_contiguous and not s.flags.c_contiguous:
+        bits = bits.T
+    scan, starts = _Scan(), range(0, s.shape[0], _SYM_TILE)
+    if len(starts) >= 2 and _usable_cpus() > 1:
+        _in_two(lambda: _scan_bands(bits, starts[::2], ranged, scan),
+                lambda: _scan_bands(bits, starts[1::2], ranged, scan))
+    else:
+        _scan_bands(bits, starts, ranged, scan)
+    return scan
+
+
+def _close_symmetric(s: np.ndarray) -> bool:
+    """Whether the finite square ``s`` equals ``s.T`` within rtol 1e-9 and
+    atol 1e-12: the verdict of ``np.allclose(s, s.T, rtol=1e-9,
+    atol=1e-12)``, one ``_SYM_TILE``-row band at a time, so no n x n
+    temporary is made.
+
+    allclose meets each pair i != j twice, as entry (i, j) and as (j, i),
+    with the same |s_ij - s_ji| and the bound taken off the other entry;
+    each band tests its pairs right of the diagonal both ways.
+    """
+    for lo in range(0, s.shape[0], _SYM_TILE):
         hi = lo + _SYM_TILE
-        if not np.array_equal(bits[lo:hi, lo:], bits[lo:, lo:hi].T):
-            return False
+        rows, cols = s[lo:hi, lo:], s[lo:, lo:hi].T
+        gap = rows - cols
+        np.abs(gap, out=gap)
+        bound = np.empty_like(gap)
+        for other in (cols, rows):
+            np.abs(other, out=bound)
+            bound *= 1e-9
+            bound += 1e-12
+            if not (gap <= bound).all():
+                return False
     return True
 
 
 def _symmetric(s: np.ndarray) -> bool:
-    """Whether s equals s.T within rtol 1e-9 and atol 1e-12.
-
-    The exact test runs first; ``np.allclose`` and its n x n temporaries
-    only when it fails.
-    """
-    return _exactly_symmetric(s) or np.allclose(s, s.T, rtol=1e-9, atol=1e-12)
+    """Whether the finite square ``s`` equals ``s.T`` within rtol 1e-9 and
+    atol 1e-12; the exact ``_scan`` first, the tolerance test only when it
+    fails."""
+    return _scan(s, False).symmetric or _close_symmetric(s)
 
 
-def _columns(s: np.ndarray) -> np.ndarray:
+def _columns(s: np.ndarray, exact: bool) -> np.ndarray:
     """``cols`` of a validated similarity: ``cols[j]`` is ``s[:, j]`` bit for bit.
 
-    That is ``s`` itself when it is C-contiguous and exactly symmetric, and
-    a C-contiguous ``s.T`` otherwise (a view for F-ordered input, else a
-    copy).
+    That is ``s`` itself when it is C-contiguous and ``exact``ly symmetric,
+    and a C-contiguous ``s.T`` otherwise (a view for F-ordered input, else
+    a copy).
     """
-    if s.flags.c_contiguous and _exactly_symmetric(s):
+    if exact and s.flags.c_contiguous:
         return s
     return np.ascontiguousarray(s.T)
 
 
-def _validated_square(matrix, require_symmetric: bool, what: str) -> np.ndarray:
-    """``matrix`` as a float array, checked square, finite and non-negative.
+def _validated_square(matrix, require_symmetric: bool, what: str) -> tuple[np.ndarray, bool]:
+    """``matrix`` as a float array (``real_array``), checked square, finite
+    and non-negative, and whether it equals its transpose bit for bit.
 
-    A float64 array is kept, not copied.  Finiteness and sign are read off
-    the minimum and maximum (both NaN when any entry is), with no n x n
-    temporary.
+    One ``_scan`` reads the range and the exact symmetry.  Only when it
+    finds a bit pattern at or above +inf's do the minimum and maximum
+    (both NaN when any entry is) tell which message to raise, non-finite
+    before negative; a matrix whose only such entries are -0.0 is
+    accepted and scanned again for symmetry alone.  With
+    ``require_symmetric``, the tolerance test runs when the exact one
+    failed.
     """
-    s = np.asarray(matrix, dtype=float)
+    s = real_array(matrix, what)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise InputError(f"{what} must be a square matrix, got shape {s.shape}")
-    if s.size:
+    scan = _scan(s, True)
+    if not scan.in_range:
         lo, hi = s.min(), s.max()
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise InputError(f"{what} contains non-finite entries")
         if lo < 0:
             raise InputError(f"{what} must be non-negative")
-    if require_symmetric and not _symmetric(s):
+        scan = _scan(s, False)
+    if require_symmetric and not (scan.symmetric or _close_symmetric(s)):
         raise InputError(f"{what} must be symmetric")
-    return s
+    return s, scan.symmetric
 
 
 class _RowSumFunction(SubmodularFunction):
@@ -299,8 +417,8 @@ class FacilityLocationData:
     _col_views = None  # list(cols), made by the first col_views() call
 
     def __post_init__(self):
-        self.similarity = _validated_square(self.similarity, False, "facility location similarity")
-        self.cols = _columns(self.similarity)
+        self.similarity, exact = _validated_square(self.similarity, False, "facility location similarity")
+        self.cols = _columns(self.similarity, exact)
 
     @property
     def n(self) -> int:
@@ -622,13 +740,13 @@ class SaturatedCoverageData:
     cols: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.similarity = _validated_square(self.similarity, False, "saturated coverage similarity")
-        self.cols = _columns(self.similarity)
+        self.similarity, exact = _validated_square(self.similarity, False, "saturated coverage similarity")
+        self.cols = _columns(self.similarity, exact)
         if self.alpha is None:
             if not 0 < self.alpha_fraction:
                 raise InputError("alpha_fraction must be positive")
             self.alpha = self.alpha_fraction * self.similarity.sum(axis=1)
-        self.alpha = np.asarray(self.alpha, dtype=float)
+        self.alpha = real_array(self.alpha, "alpha")
         if self.alpha.shape != (self.similarity.shape[0],):
             raise InputError("alpha must have one threshold per row")
         if np.any(self.alpha < 0) or not np.all(np.isfinite(self.alpha)):
@@ -678,11 +796,11 @@ class GraphCutData:
     col_sums: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.similarity = _validated_square(self.similarity, True, "graph cut similarity")
+        self.similarity, exact = _validated_square(self.similarity, True, "graph cut similarity")
         if not np.isfinite(self.lam) or self.lam < 0:
             raise InputError("graph cut lambda must be finite and >= 0")
         self.lam = float(self.lam)
-        self.cols = _columns(self.similarity)
+        self.cols = _columns(self.similarity, exact)
         self.col_sums = self.similarity.sum(axis=0)
 
     @property

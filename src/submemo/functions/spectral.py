@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core import InputError, SubmodularFunction
-from .graphs import _symmetric
+from .graphs import _symmetric, real_array
 
 LOGDET_REL_TOL = 1e-7
 # ridge 0 is kept only when every squared pivot of the raw kernel's factor is
@@ -68,7 +68,7 @@ class LogDetData:
     ridged: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        k = np.asarray(self.kernel, dtype=float)
+        k = real_array(self.kernel, "kernel")
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
             raise InputError(f"kernel must be square, got shape {k.shape}")
         if not np.all(np.isfinite(k)):

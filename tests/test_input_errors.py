@@ -2,11 +2,13 @@
 exact message; and the near-symmetric input they accept.  Every ``InputError``
 raised in ``functions/concave.py``, ``functions/coverage.py``,
 ``functions/graphs.py``, ``functions/dispersion.py``,
-``functions/spectral.py``, ``functions/compose.py`` and
-``bench/dataio.py``, one malformed input or file per ``raise``, with its
-exact message."""
+``functions/spectral.py``, ``functions/compose.py``, ``minimize.py`` and
+``bench/dataio.py``, one malformed input, call or file per ``raise``, with
+its exact message.  Strings, ragged rows and complex entries in every dense
+input raise ``InputError`` too."""
 
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +42,7 @@ from submemo.functions import (
     make_function,
 )
 from submemo.functions.concave import make_concave
+from submemo.minimize import AtLeast, ExplicitFamily, lovasz_descent, mmin_constrained
 
 # constructor -> (what its messages call the matrix, whether it must be symmetric)
 SQUARE = {
@@ -91,6 +94,51 @@ def test_square_matrix_errors(cls, case):
     assert str(info.value) == f"{what} {message}"
 
 
+# dense input -> (constructor call on it, what its messages call it, whether it is 1-d)
+DENSE = {
+    "facility-location": (FacilityLocationData, "facility location similarity", False),
+    "saturated-coverage": (SaturatedCoverageData, "saturated coverage similarity", False),
+    "saturated-alpha": (lambda a: SaturatedCoverageData(BASE, alpha=a), "alpha", True),
+    "graph-cut": (GraphCutData, "graph cut similarity", False),
+    "dispersion": (DispersionData, "distance matrix", False),
+    "log-det": (LogDetData, "kernel", False),
+    "modular": (ModularData, "modular weights", True),
+    "feature-based": (lambda m: FeatureBasedData(np.asarray(m)), "feature scores", False),
+}
+# malformed form -> (square input, 1-d input, message after "<what> ")
+MALFORMED = {
+    "strings": ([["0", "a"], ["a", "0"]], ["1", "a"], "must hold real numbers"),
+    "ragged": ([[0.0, 1.0], [1.0]], [1.0, [2.0, 3.0]], "must be a rectangular array of numbers"),
+    "complex": (BASE + 1j, np.ones(3) + 1j, "must be real, got complex entries"),
+    "complex-zero-imaginary": (BASE + 0j, np.ones(3) + 0j, "must be real, got complex entries"),
+}
+
+
+def _malformed(target: str, form: str):
+    """(the constructor call on the malformed input, the exact message)."""
+    build, what, flat = DENSE[target]
+    square, line, message = MALFORMED[form]
+    return (lambda: build(line if flat else square)), f"{what} {message}"
+
+
+# "<input>/<form>" -> (call, exact message); feature-based data reads only an
+# array as dense, and numpy makes no ragged array
+DENSE_CASES = {f"{target}/{form}": _malformed(target, form) for target in DENSE for form in MALFORMED
+               if (target, form) != ("feature-based", "ragged")}
+
+
+@pytest.mark.parametrize("case", sorted(DENSE_CASES))
+def test_malformed_dense_inputs_raise_input_error(case):
+    build, message = DENSE_CASES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning on the way
+        with pytest.raises(InputError) as info:
+            build()
+    assert type(info.value) is InputError
+    assert str(info.value) == message
+    assert _raise_site(info.tb)[0] == "functions/graphs.py"
+
+
 def test_symmetric_within_allclose_is_accepted_with_private_cols():
     s = _with({(0, 1): 1.0 + 1e-12})
     d = GraphCutData(s)
@@ -139,7 +187,7 @@ def test_log_det_ridged_kernel_is_kernel_plus_ridge_identity(first, ridge):
 SUBMEMO = Path(__file__).resolve().parents[1] / "src" / "submemo"
 TABLE_FILES = ("functions/concave.py", "functions/coverage.py", "functions/graphs.py",
                "functions/dispersion.py", "functions/spectral.py", "functions/compose.py",
-               "bench/dataio.py")
+               "minimize.py", "bench/dataio.py")
 
 # v v^T for v = (0.54, 0.48), whose entries are these decimals: singular in
 # exact arithmetic, so only rounding decides each pivot's sign.  Factored in
@@ -280,6 +328,20 @@ def _loading(loader, text: str):
     return run
 
 
+# case -> (call, exact message)
+MINIMIZE_CASES = {
+    "lovasz-eps": (lambda: lovasz_descent(_modular(2), eps=1.0), "eps must lie in (0, 1)"),
+    "lovasz-iterations": (lambda: lovasz_descent(_modular(2), iterations=0),
+                          "iterations must be >= 1, got 0"),
+    "at-least-negative": (lambda: AtLeast(-1), "cardinality floor must be >= 0"),
+    "explicit-empty": (lambda: ExplicitFamily(()), "explicit family must be non-empty"),
+    "at-least-above-n": (lambda: mmin_constrained(_modular(2), AtLeast(3)),
+                         "cardinality floor 3 exceeds ground set 2"),
+    "unsupported-family": (lambda: mmin_constrained(_modular(2), "odd"),
+                           "unsupported constraint family 'odd'"),
+}
+
+
 # case -> (call on a scratch directory, exact message with {path} for the file read)
 FILE_CASES = {
     "dense-no-header": (_loading(load_dense_matrix, "1,2\n3,4\n"),
@@ -329,12 +391,12 @@ FILE_CASES = {
 
 
 def _raise_site(tb) -> tuple[str, int]:
-    """(file under ``submemo/``, line) of the innermost frame of ``tb``, where
-    the error was raised."""
+    """(file relative to ``submemo/``, line) of the innermost frame of
+    ``tb``, where the error was raised."""
     while tb.tb_next is not None:
         tb = tb.tb_next
-    path = Path(tb.tb_frame.f_code.co_filename)
-    return f"{path.parent.name}/{path.name}", tb.tb_lineno
+    path = Path(tb.tb_frame.f_code.co_filename).resolve()
+    return path.relative_to(SUBMEMO).as_posix(), tb.tb_lineno
 
 
 @pytest.mark.parametrize("case", sorted(DATA_CASES))
@@ -345,6 +407,16 @@ def test_data_constructor_errors(case):
     assert type(info.value) is InputError
     assert str(info.value) == message
     assert _raise_site(info.tb)[0] in TABLE_FILES
+
+
+@pytest.mark.parametrize("case", sorted(MINIMIZE_CASES))
+def test_minimize_errors(case):
+    call, message = MINIMIZE_CASES[case]
+    with pytest.raises(InputError) as info:
+        call()
+    assert type(info.value) is InputError
+    assert str(info.value) == message
+    assert _raise_site(info.tb)[0] == "minimize.py"
 
 
 @pytest.mark.parametrize("case", sorted(FILE_CASES))
@@ -404,7 +476,7 @@ def test_every_raise_in_the_table_files_has_a_case(tmp_path):
         with pytest.raises(InputError) as info:
             LogDetData(kernel, ridge=ridge)
         sites.add(_raise_site(info.tb))
-    for build, _ in DATA_CASES.values():
+    for build, _ in [*DATA_CASES.values(), *MINIMIZE_CASES.values(), *DENSE_CASES.values()]:
         with pytest.raises(InputError) as info:
             build()
         sites.add(_raise_site(info.tb))

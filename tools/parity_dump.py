@@ -1,7 +1,7 @@
 """Dump the exact outputs of every benchmark cell and of a zoo of small instances,
 for a byte-for-byte parity check.
 
-    python3 tools/parity_dump.py ROOT OUT --seeds 0 1 2 3 [--trace]
+    python3 tools/parity_dump.py ROOT OUT --seeds 0 1 2 3 [--trace] [--cpus N]
 
 Imports ``submemo`` from ``ROOT/src`` and the benchmark from
 ``ROOT/perfbench`` and writes nothing under ROOT (no bytecode either).  For
@@ -38,6 +38,13 @@ per element.  OUT is sorted JSON, so two trees agree when their dumps do:
 
 Each tree needs its own process, since both import a package named
 ``submemo``.
+
+``--cpus N`` pins the dump's process to the first N CPUs it may use
+(``os.sched_setaffinity``) before ``submemo`` is imported.  With ``--cpus
+1`` every loop that ``_split_blocks`` or the ingest scan would split
+between the calling thread and a worker runs serially, so a 1-CPU dump
+compared with a dump on two CPUs checks that the split is bitwise the
+serial loop.
 """
 
 from __future__ import annotations
@@ -298,7 +305,12 @@ def main(argv=None) -> int:
     p.add_argument("out", type=Path, help="JSON file to write")
     p.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3])
     p.add_argument("--trace", action="store_true", help="run under the tracer and add its counts")
+    p.add_argument("--cpus", type=int, help="pin the process to its first CPUS usable CPUs")
     args = p.parse_args(argv)
+    if args.cpus is not None:
+        if args.cpus < 1:
+            sys.exit(f"parity_dump: --cpus must be at least 1, got {args.cpus}")
+        os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:args.cpus])
 
     root = args.root.resolve()
     src, bench = root / "src", root / "perfbench"

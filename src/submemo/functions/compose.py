@@ -5,6 +5,9 @@ through their hooks, and each component belongs to one mixture: its memo
 and its counters are the mixture's own objects, so the tree keeps one memo
 and one set of counters.  A modular penalty is not a class of its own:
 f - m is the mixture of f and the modular function -m.
+
+Every weight here is read and checked finite (a mixture weight also
+non-negative) by ``core.real_array``.
 """
 
 from __future__ import annotations
@@ -13,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import InputError, SubmodularFunction
-from .graphs import real_array
+from ..core import InputError, SubmodularFunction, real_array
 
 
 @dataclass
@@ -24,12 +26,9 @@ class ModularData:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = real_array(self.weights, "modular weights")
-        if w.ndim != 1 or w.size == 0:
+        self.weights = real_array(self.weights, "modular weights", 1)
+        if self.weights.size == 0:
             raise InputError("modular weights must be a non-empty 1-d array")
-        if not np.all(np.isfinite(w)):
-            raise InputError("modular weights must be finite")
-        self.weights = w
 
     @property
     def n(self) -> int:
@@ -84,6 +83,10 @@ class ModularSetFunction(SubmodularFunction):
         return {}
 
 
+def _mixture_weight(w) -> float:
+    return float(real_array(w, "mixture weights", 0, values="non-negative"))
+
+
 @dataclass
 class MixtureData:
     """Weighted sum of component functions: (weight >= 0, component data)."""
@@ -94,8 +97,7 @@ class MixtureData:
         if not self.components:
             raise InputError("mixture needs at least one component")
         for w, _spec in self.components:
-            if not np.isfinite(w) or w < 0:
-                raise InputError("mixture weights must be finite and non-negative")
+            _mixture_weight(w)
 
     @property
     def n(self) -> int:
@@ -126,13 +128,10 @@ class MixtureFunction(SubmodularFunction):
         if not components:
             raise InputError("mixture needs at least one component")
         n = components[0][1].n
-        for w, child in components:
-            if child.n != n:
-                raise InputError("mixture components must share the ground set")
-            if not np.isfinite(w) or w < 0:
-                raise InputError("mixture weights must be finite and non-negative")
+        if any(child.n != n for _, child in components):
+            raise InputError("mixture components must share the ground set")
         super().__init__(n)
-        self.components = [(float(w), child) for w, child in components]
+        self.components = [(_mixture_weight(w), child) for w, child in components]
         self._rebuild(self.memo.to_indices())
 
     def _evaluate(self, idx):
@@ -224,10 +223,7 @@ class ModularPenaltyData:
     penalty: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.penalty, dtype=float)
-        if p.ndim != 1 or not np.all(np.isfinite(p)):
-            raise InputError("penalty weights must be a finite 1-d array")
-        self.penalty = p
+        self.penalty = real_array(self.penalty, "penalty weights", 1)
 
     @property
     def n(self) -> int:

@@ -6,8 +6,10 @@ loads.  Feature-based and clustered concave-over-modular functions keep the
 same statistic (per-bucket loads) and share every hook through
 ``_SparseLoadFunction``; they differ only in how their data fills the CSR
 arrays.  Both fill them through ``ragged.csr_from_rows``/``csr_checked``:
-a per-row loop keeps only each row's type and shape test, and the range,
-duplicate and sign checks run once on the concatenated entries.  An
+a per-row loop keeps only each row's type and shape test, and the cast and
+the range, duplicate and sign checks run once on the concatenated entries.
+Dense inputs (a score matrix, the deep function's arrays) are read and
+range-checked by ``core.real_array``.  An
 element's entries keep their input order (clustered data: ascending
 cluster), which the hooks' sums rely on bit for bit.  Concave shapes come
 from a closed, serializable registry: ``make_concave`` returns a plain numpy
@@ -21,8 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import InputError, SubmodularFunction
-from .graphs import real_array
+from ..core import InputError, SubmodularFunction, real_array
 from .kept import KeptGains
 from .ragged import (
     csr_checked,
@@ -65,10 +66,15 @@ def _feature_rows(score_lists):
         ids = np.asarray(ids)
         if ids.size and ids.dtype.kind not in "iu":
             raise InputError(f"feature scores: element {j} has non-integer ids")
-        vals = np.asarray(vals, dtype=float)
-        if ids.shape != vals.shape or ids.ndim != 1:
+        try:
+            row = np.asarray(vals)  # uncast: csr_from_rows casts the rows once, concatenated
+        except ValueError:  # ragged
+            row = None
+        if row is None or row.dtype.kind not in "biuf":  # converts numeric strings, or raises
+            row = real_array(vals, "feature scores", 1, values=None)
+        if ids.shape != row.shape or ids.ndim != 1:
             raise InputError(f"feature scores: element {j} has mismatched id/value arrays")
-        yield ids, vals
+        yield ids, row
 
 
 def _feature_fault(j: int, check: str):
@@ -85,10 +91,15 @@ def _cluster_rows(clusters, cluster_weights):
         cl = np.asarray(cl)
         if cl.ndim != 1 or (cl.size and cl.dtype.kind not in "iu"):
             raise InputError(f"cluster {c} lists a non-integer element")
-        w = np.asarray(w, dtype=float)
-        if cl.shape != w.shape:
+        try:
+            row = np.asarray(w)  # uncast, as in _feature_rows
+        except ValueError:  # ragged
+            row = None
+        if row is None or row.dtype.kind not in "biuf":
+            row = real_array(w, "cluster weights", 1, values=None)
+        if cl.shape != row.shape:
             raise InputError(f"cluster {c}: ids and weights have different lengths")
-        yield cl, w
+        yield cl, row
 
 
 def _cluster_fault(c: int, check: str):
@@ -311,13 +322,7 @@ class FeatureBasedData:
         if isinstance(self.scores, np.ndarray) or (
             hasattr(self.scores, "ndim") and getattr(self.scores, "ndim", 0) == 2
         ):
-            m = real_array(self.scores, "feature scores")
-            if np.any(m < 0) or not np.all(np.isfinite(m)):
-                raise InputError("feature scores must be finite and non-negative")
-            if m.ndim != 2:
-                raise InputError(
-                    f"dense feature scores must be 2-d (features x elements), got shape {m.shape}"
-                )
+            m = real_array(self.scores, "feature scores", 2, values="non-negative")
             self.num_features, self.n_elements = m.shape
             # the transpose's nonzeros run element by element, features ascending
             elements, features = np.nonzero(m.T)
@@ -406,19 +411,12 @@ class DeepTwoLayerData:
     concave_inner: str = "sqrt"
 
     def __post_init__(self):
-        self.scores = np.asarray(self.scores, dtype=float)
-        self.mix = np.asarray(self.mix, dtype=float)
-        self.outer = np.asarray(self.outer, dtype=float)
-        if self.scores.ndim != 2 or self.mix.ndim != 2 or self.outer.ndim != 1:
-            raise InputError("deep function needs 2-d scores, 2-d mix, 1-d outer weights")
+        self.scores = real_array(self.scores, "deep function scores", 2, values="non-negative")
+        self.mix = real_array(self.mix, "deep function mix", 2, values="non-negative")
+        self.outer = real_array(self.outer, "deep function outer", 1, values="non-negative")
         if self.mix.shape != (self.outer.shape[0], self.scores.shape[0]):
-            raise InputError(
-                f"mix weights must be (outer x inner) = "
-                f"({self.outer.shape[0]} x {self.scores.shape[0]}), got {self.mix.shape}"
-            )
-        for arr, what in ((self.scores, "scores"), (self.mix, "mix"), (self.outer, "outer")):
-            if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-                raise InputError(f"deep function {what} must be finite and non-negative")
+            raise InputError(f"mix weights must be (outer x inner) = ({self.outer.shape[0]} x "
+                             f"{self.scores.shape[0]}), got {self.mix.shape}")
         self.psi1 = make_concave(self.concave_outer)
         self.psi2 = make_concave(self.concave_inner)
 

@@ -5,6 +5,8 @@ are the universe ids covered by element j, in ascending order.
 ``ragged.csr_from_rows`` builds them: a per-set loop keeps only each set's
 type and shape test, one strict-increase test over all items finds the
 sets to sort, and the duplicate and range checks run on the whole array.
+Clustered set cover reads its clusters the same way.  Weights and
+probabilities are read and range-checked by ``core.real_array``.
 The statistic is a per-item coverage count (or product of
 miss-probabilities for the probabilistic variant), which makes gains
 O(|S_j|).  Clustered set cover has no class of its own: its data object
@@ -17,34 +19,37 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import InputError, SubmodularFunction
+from ..core import InputError, SubmodularFunction, real_array
 from .kept import KeptGains
 from .ragged import csr_from_rows, ragged_positions, ragged_sum, row_views
 
 
-def _set_rows(sets):
-    """Each set's items after its type and shape test."""
-    for j, s in enumerate(sets):
-        arr = s if isinstance(s, np.ndarray) else np.asarray(list(s))  # one read of an iterator
-        if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
-            raise InputError(f"set of element {j} must list integer items")
-        yield arr, None
+def _item_csr(rows, universe: int, label: str):
+    """``(indptr, items)`` of the item rows, each row sorted.  Messages name
+    row j as ``label.format(j)``."""
 
+    def read():
+        for j, s in enumerate(rows):
+            arr = s if isinstance(s, np.ndarray) else np.asarray(list(s))  # one read of an iterator
+            if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+                raise InputError(f"{label.format(j)} must list integer items")
+            yield arr, None
 
-def _set_fault(j: int, check: str):
-    if check == "twice":
-        raise InputError(f"set of element {j} contains duplicate items")
-    raise InputError(f"set of element {j} references items outside the universe")
+    def fault(j: int, check: str):
+        if check == "twice":
+            raise InputError(f"{label.format(j)} contains duplicate items")
+        raise InputError(f"{label.format(j)} references items outside the universe")
+
+    indptr, items, _ = csr_from_rows(read(), universe, fault, sort_rows=True)
+    return indptr, items
 
 
 def _validated_weights(weights, universe: int) -> np.ndarray:
     if weights is None:
         return np.ones(universe)
-    w = np.asarray(weights, dtype=float)
+    w = real_array(weights, "universe weights", 1, values="non-negative")
     if w.shape != (universe,):
         raise InputError(f"need one weight per universe item ({universe}), got {w.shape}")
-    if np.any(w < 0) or not np.all(np.isfinite(w)):
-        raise InputError("universe weights must be finite and non-negative")
     return w
 
 
@@ -68,9 +73,7 @@ class SetCoverData:
         if self.universe < 0:
             raise InputError("universe size must be non-negative")
         self.universe = int(self.universe)
-        self.indptr, self.items, _ = csr_from_rows(
-            _set_rows(self.sets), self.universe, _set_fault, sort_rows=True
-        )
+        self.indptr, self.items = _item_csr(self.sets, self.universe, "set of element {}")
         self.weights = _validated_weights(self.weights, self.universe)
 
     @property
@@ -198,21 +201,9 @@ class ClusteredSetCoverData:
         self.weights = base.weights
         if not self.clusters:
             raise InputError("clustered set cover needs at least one cluster")
-        u = base.universe
-        multiplicity = np.zeros(u)
-        for c, cluster in enumerate(self.clusters):
-            seen = set()
-            for item in cluster:
-                if not isinstance(item, (int, np.integer)):
-                    raise InputError(f"cluster {c} lists non-integer item {item!r}")
-                item = int(item)
-                if not 0 <= item < u:
-                    raise InputError(f"cluster {c} references item {item} outside the universe")
-                if item in seen:
-                    raise InputError(f"cluster {c} lists item {item} twice")
-                seen.add(item)
-                multiplicity[item] += 1.0
-        base.weights = self.weights * multiplicity
+        _, items = _item_csr(self.clusters, base.universe, "cluster {}")
+        # each item's cluster count, exact as a float
+        base.weights = self.weights * np.bincount(items, minlength=base.universe)
         self.base = base
 
     @property
@@ -236,12 +227,7 @@ class ProbabilisticSetCoverData:
     miss_cols: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        if p.ndim != 2:
-            raise InputError("probability matrix must be 2-d (items x elements)")
-        if np.any(p < 0) or np.any(p > 1) or not np.all(np.isfinite(p)):
-            raise InputError("coverage probabilities must lie in [0, 1]")
-        self.probs = p
+        p = self.probs = real_array(self.probs, "coverage probabilities", 2, values=(0, 1))
         self.weights = _validated_weights(self.weights, p.shape[0])
         # miss_cols[j] = 1 - p[:, j], contiguous per element
         self.miss_cols = np.ascontiguousarray((1.0 - p).T)

@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import InputError, SubmodularFunction
+from ..core import InputError, SubmodularFunction, real_array
 from .kept import KeptGains
 from .ragged import ragged_positions, ragged_sum, stable_order
 
@@ -227,25 +227,6 @@ def _zeros_unowned(value: np.ndarray, owner: np.ndarray) -> bool:
     return True
 
 
-def real_array(x, what: str) -> np.ndarray:
-    """``x`` as a float array; a float64 array is kept, not copied.
-
-    Ragged rows, complex entries and entries that are not numbers raise
-    ``InputError``, where a plain ``np.asarray(x, dtype=float)`` raises a
-    bare ``ValueError`` or drops the imaginary parts with a warning.
-    """
-    try:
-        a = np.asarray(x)
-    except ValueError:
-        raise InputError(f"{what} must be a rectangular array of numbers") from None
-    if a.dtype.kind == "c":
-        raise InputError(f"{what} must be real, got complex entries")
-    try:
-        return a.astype(float, copy=False)
-    except (TypeError, ValueError):
-        raise InputError(f"{what} must hold real numbers") from None
-
-
 class _Scan:
     """What the bands of one ``_scan`` found: whether every entry read was
     finite and non-negative, and whether the matrix is still exactly
@@ -348,8 +329,8 @@ def _columns(s: np.ndarray, exact: bool) -> np.ndarray:
 
 
 def _validated_square(matrix, require_symmetric: bool, what: str) -> tuple[np.ndarray, bool]:
-    """``matrix`` as a float array (``real_array``), checked square, finite
-    and non-negative, and whether it equals its transpose bit for bit.
+    """``matrix`` as a float array (``core.real_array``), checked square,
+    finite and non-negative, and whether it equals its transpose bit for bit.
 
     One ``_scan`` reads the range and the exact symmetry.  Only when it
     finds a bit pattern at or above +inf's do the minimum and maximum
@@ -359,8 +340,8 @@ def _validated_square(matrix, require_symmetric: bool, what: str) -> tuple[np.nd
     ``require_symmetric``, the tolerance test runs when the exact one
     failed.
     """
-    s = real_array(matrix, what)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+    s = real_array(matrix, what, 2, values=None)  # the scan reads the range
+    if s.shape[0] != s.shape[1]:
         raise InputError(f"{what} must be a square matrix, got shape {s.shape}")
     scan = _scan(s, True)
     if not scan.in_range:
@@ -743,14 +724,11 @@ class SaturatedCoverageData:
         self.similarity, exact = _validated_square(self.similarity, False, "saturated coverage similarity")
         self.cols = _columns(self.similarity, exact)
         if self.alpha is None:
-            if not 0 < self.alpha_fraction:
-                raise InputError("alpha_fraction must be positive")
-            self.alpha = self.alpha_fraction * self.similarity.sum(axis=1)
-        self.alpha = real_array(self.alpha, "alpha")
+            fraction = real_array(self.alpha_fraction, "alpha_fraction", 0, values="positive")
+            self.alpha = fraction * self.similarity.sum(axis=1)
+        self.alpha = real_array(self.alpha, "alpha", 1, values="non-negative")
         if self.alpha.shape != (self.similarity.shape[0],):
             raise InputError("alpha must have one threshold per row")
-        if np.any(self.alpha < 0) or not np.all(np.isfinite(self.alpha)):
-            raise InputError("alpha thresholds must be finite and non-negative")
 
     @property
     def n(self) -> int:
@@ -797,9 +775,7 @@ class GraphCutData:
 
     def __post_init__(self):
         self.similarity, exact = _validated_square(self.similarity, True, "graph cut similarity")
-        if not np.isfinite(self.lam) or self.lam < 0:
-            raise InputError("graph cut lambda must be finite and >= 0")
-        self.lam = float(self.lam)
+        self.lam = float(real_array(self.lam, "graph cut lambda", 0, values="non-negative"))
         self.cols = _columns(self.similarity, exact)
         self.col_sums = self.similarity.sum(axis=0)
 

@@ -124,9 +124,10 @@ def csr_from_rows(rows, bound, fault, sort_rows: bool = False):
     """``(indptr, ids, values)`` of the rows that ``rows`` yields, checked by ``csr_checked``.
 
     ``rows`` yields one ``(ids, values)`` pair of arrays per row, after the
-    row's own type and shape test; values are None for id-only rows.  An
-    error raised while reading a row is held until the rows before it have
-    passed ``csr_checked``, then raised: the first faulting row reports.
+    row's own type and shape test; values are None for id-only rows, and
+    otherwise of any real dtype, cast to float once, concatenated.  An error
+    raised while reading a row is held until the rows before it have passed
+    ``csr_checked``, then raised: the first faulting row reports.
     """
     id_rows, value_rows = [], []
     late = None
@@ -140,7 +141,7 @@ def csr_from_rows(rows, bound, fault, sort_rows: bool = False):
     ids = np.concatenate(id_rows, dtype=np.intp, casting="unsafe") if id_rows else np.zeros(0, np.intp)
     values = None
     if not sort_rows:
-        values = np.concatenate(value_rows) if value_rows else np.zeros(0)
+        values = np.concatenate(value_rows).astype(float, copy=False) if value_rows else np.zeros(0)
     out = csr_checked(lens, ids, values, bound, fault, sort_rows)
     if late is not None:
         raise late

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import InputError, SubmodularFunction
-from .graphs import _symmetric, real_array
+from ..core import InputError, SubmodularFunction, real_array
+from .graphs import _symmetric
 
 LOGDET_REL_TOL = 1e-7
 # ridge 0 is kept only when every squared pivot of the raw kernel's factor is
@@ -68,11 +68,9 @@ class LogDetData:
     ridged: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        k = real_array(self.kernel, "kernel")
-        if k.ndim != 2 or k.shape[0] != k.shape[1]:
+        k = real_array(self.kernel, "kernel", 2)
+        if k.shape[0] != k.shape[1]:
             raise InputError(f"kernel must be square, got shape {k.shape}")
-        if not np.all(np.isfinite(k)):
-            raise InputError("kernel contains non-finite entries")
         if not _symmetric(k):
             raise InputError("kernel must be symmetric")
         self.kernel = k
@@ -89,9 +87,7 @@ class LogDetData:
             else:
                 raise InputError("kernel is not PSD even after the default ridge")
         else:
-            self.ridge = float(self.ridge)
-            if not (np.isfinite(self.ridge) and self.ridge >= 0):
-                raise InputError("ridge must be finite and non-negative")
+            self.ridge = float(real_array(self.ridge, "ridge", 0, values="non-negative"))
             try:
                 np.linalg.cholesky(_ridged(k, self.ridge))
             except np.linalg.LinAlgError:

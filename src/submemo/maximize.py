@@ -24,6 +24,7 @@ from .core import (
     SubmodularFunction,
     check_ids,
     check_permutation,
+    real_array,
 )
 
 
@@ -46,12 +47,9 @@ class Knapsack:
     budget: float
 
     def __post_init__(self):
-        costs = np.asarray(self.costs, dtype=float)
-        if costs.ndim != 1 or np.any(costs <= 0) or not np.all(np.isfinite(costs)):
-            raise InputError("knapsack costs must be finite and positive")
-        object.__setattr__(self, "costs", costs)
-        if not np.isfinite(self.budget) or self.budget <= 0:
-            raise InputError("knapsack budget must be finite and positive")
+        object.__setattr__(self, "costs", real_array(self.costs, "knapsack costs", 1, values="positive"))
+        budget = real_array(self.budget, "knapsack budget", 0, values="positive")
+        object.__setattr__(self, "budget", float(budget))
 
     def cost(self, members) -> float:
         return float(self.costs[list(members)].sum())

@@ -1,10 +1,13 @@
 """The whole-array CSR ingest of feature-based, clustered concave and set-cover
 data against the per-element loops it replaced.
 
-The oracles below are those loops, kept verbatim.  For valid input the new
-constructors must give the same arrays bit for bit, with the same dtypes;
-for faulty input the same error, with the same message: the first faulting
-element in input order, and that element's first failing check.
+The oracles below are those loops, kept verbatim but for one cast: a value
+that is not a number raises the ``InputError`` that ``core.real_array``
+raises, where the loops let numpy's ``ValueError`` escape (``_floats``).
+For valid input the new constructors must give the same arrays bit for
+bit, with the same dtypes; for faulty input the same error, with the same
+message: the first faulting element in input order, and that element's
+first failing check.
 """
 
 import numpy as np
@@ -18,6 +21,13 @@ from submemo.functions import ClusteredConcaveModularData, FeatureBasedData, Set
 
 # --- oracles: the per-element loops, as they were -------------------------
 
+def _floats(vals, what: str) -> np.ndarray:
+    try:
+        return np.asarray(vals, dtype=float)
+    except ValueError:
+        raise InputError(f"{what} must hold real numbers") from None
+
+
 def _to_csr(score_lists, n: int, num_buckets: int, what: str):
     """Normalize per-element (bucket_ids, values) pairs into flat CSR arrays."""
     indptr = np.zeros(n + 1, dtype=np.intp)
@@ -27,7 +37,7 @@ def _to_csr(score_lists, n: int, num_buckets: int, what: str):
         if ids.size and ids.dtype.kind not in "iu":
             raise InputError(f"{what}: element {j} has non-integer ids")
         ids = ids.astype(np.intp, copy=False)
-        vals = np.asarray(vals, dtype=float)
+        vals = _floats(vals, what)
         if ids.shape != vals.shape or ids.ndim != 1:
             raise InputError(f"{what}: element {j} has mismatched id/value arrays")
         if ids.size and (ids.min() < 0 or ids.max() >= num_buckets):
@@ -77,7 +87,7 @@ def old_clustered(clusters, cluster_weights, n):
         if cl.size and cl.dtype.kind not in "iu":
             raise InputError(f"cluster {c} lists a non-integer element")
         cl = cl.astype(np.intp, copy=False)
-        w = np.asarray(w, dtype=float)
+        w = _floats(w, "cluster weights")
         if cl.shape != w.shape:
             raise InputError(f"cluster {c}: ids and weights have different lengths")
         if cl.size and (cl.min() < 0 or cl.max() >= n):

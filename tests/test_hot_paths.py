@@ -122,7 +122,7 @@ CSR_BUILDERS = {
     "ragged.py": ("csr_from_rows", "csr_checked"),
     "concave.py": ("_feature_rows", "_cluster_rows", "FeatureBasedData.__post_init__",
                    "ClusteredConcaveModularData.__post_init__"),
-    "coverage.py": ("_set_rows", "SetCoverData.__post_init__"),
+    "coverage.py": ("_item_csr", "SetCoverData.__post_init__", "ClusteredSetCoverData.__post_init__"),
 }
 WHOLE_ARRAY_CALLS = {
     "sort", "argsort", "lexsort", "unique", "min", "max", "amin", "amax", "sum", "prod",

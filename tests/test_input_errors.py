@@ -1,11 +1,13 @@
 """Every ``InputError`` that the square-matrix constructors raise, with its
 exact message; and the near-symmetric input they accept.  Every ``InputError``
-raised in ``functions/concave.py``, ``functions/coverage.py``,
-``functions/graphs.py``, ``functions/dispersion.py``,
-``functions/spectral.py``, ``functions/compose.py``, ``minimize.py`` and
-``bench/dataio.py``, one malformed input, call or file per ``raise``, with
-its exact message.  Strings, ragged rows and complex entries in every dense
-input raise ``InputError`` too."""
+raised in ``core.py``, ``maximize.py``, ``functions/concave.py``,
+``functions/coverage.py``, ``functions/graphs.py``,
+``functions/dispersion.py``, ``functions/spectral.py``,
+``functions/compose.py``, ``minimize.py`` and ``bench/dataio.py``, one
+malformed input, call or file per ``raise``, with its exact message.
+Strings, ragged rows and complex entries in every numeric input, array or
+single number, raise ``InputError`` from ``core.real_array`` with no
+warning."""
 
 import ast
 import warnings
@@ -21,7 +23,14 @@ from submemo.bench.dataio import (
     save_dense_matrix,
     save_set_system,
 )
-from submemo.core import InputError
+from submemo.core import (
+    InputError,
+    ModularFunction,
+    Subset,
+    as_subset,
+    check_ids,
+    check_permutation,
+)
 from submemo.functions import (
     ClusteredConcaveModularData,
     ClusteredSetCoverData,
@@ -42,6 +51,15 @@ from submemo.functions import (
     make_function,
 )
 from submemo.functions.concave import make_concave
+from submemo.functions.graphs import GraphCutFunction
+from submemo.maximize import (
+    Cardinality,
+    Knapsack,
+    distributed_greedy,
+    greedy_lazy,
+    greedy_stochastic,
+    sieve_streaming,
+)
 from submemo.minimize import AtLeast, ExplicitFamily, lovasz_descent, mmin_constrained
 
 # constructor -> (what its messages call the matrix, whether it must be symmetric)
@@ -68,7 +86,7 @@ def _pair(v) -> dict:
 
 # case -> (matrix, message after "<what> ", whether only symmetric constructors raise)
 SQUARE_CASES = {
-    "not-2d": (np.zeros(3), "must be a square matrix, got shape (3,)", False),
+    "not-2d": (np.zeros(3), "must be a 2-d array, got shape (3,)", False),
     "not-square": (np.zeros((2, 3)), "must be a square matrix, got shape (2, 3)", False),
     "nan": (_with(_pair(np.nan)), "contains non-finite entries", False),
     "+inf": (_with(_pair(np.inf)), "contains non-finite entries", False),
@@ -94,31 +112,53 @@ def test_square_matrix_errors(cls, case):
     assert str(info.value) == f"{what} {message}"
 
 
-# dense input -> (constructor call on it, what its messages call it, whether it is 1-d)
+# numeric input -> (constructor call on it, what its messages call it, its
+# dimension: 0 for a single number)
 DENSE = {
-    "facility-location": (FacilityLocationData, "facility location similarity", False),
-    "saturated-coverage": (SaturatedCoverageData, "saturated coverage similarity", False),
-    "saturated-alpha": (lambda a: SaturatedCoverageData(BASE, alpha=a), "alpha", True),
-    "graph-cut": (GraphCutData, "graph cut similarity", False),
-    "dispersion": (DispersionData, "distance matrix", False),
-    "log-det": (LogDetData, "kernel", False),
-    "modular": (ModularData, "modular weights", True),
-    "feature-based": (lambda m: FeatureBasedData(np.asarray(m)), "feature scores", False),
+    "facility-location": (FacilityLocationData, "facility location similarity", 2),
+    "saturated-coverage": (SaturatedCoverageData, "saturated coverage similarity", 2),
+    "saturated-alpha": (lambda a: SaturatedCoverageData(BASE, alpha=a), "alpha", 1),
+    "saturated-alpha-fraction": (lambda f: SaturatedCoverageData(BASE, alpha_fraction=f),
+                                 "alpha_fraction", 0),
+    "graph-cut": (GraphCutData, "graph cut similarity", 2),
+    "graph-cut-lambda": (lambda lam: GraphCutData(BASE, lam=lam), "graph cut lambda", 0),
+    "dispersion": (DispersionData, "distance matrix", 2),
+    "log-det": (LogDetData, "kernel", 2),
+    "log-det-ridge": (lambda r: LogDetData(np.eye(3), ridge=r), "ridge", 0),
+    "modular": (ModularData, "modular weights", 1),
+    "modular-function": (lambda w: ModularFunction(0.0, w), "modular weights", 1),
+    "feature-based": (lambda m: FeatureBasedData(np.asarray(m)), "feature scores", 2),
+    "feature-based-sparse": (lambda v: FeatureBasedData([(np.arange(len(v)), v)], num_features=3),
+                             "feature scores", 1),
+    "cluster-weights": (lambda w: ClusteredConcaveModularData([np.arange(len(w))], [w], 3),
+                        "cluster weights", 1),
+    "set-cover-weights": (lambda w: SetCoverData([[0]], 3, weights=w), "universe weights", 1),
+    "probabilistic-cover": (ProbabilisticSetCoverData, "coverage probabilities", 2),
+    "deep-scores": (lambda m: DeepTwoLayerData(m, np.ones((1, 3)), np.ones(1)), "deep function scores", 2),
+    "deep-mix": (lambda m: DeepTwoLayerData(np.ones((2, 3)), m, np.ones(1)), "deep function mix", 2),
+    "deep-outer": (lambda v: DeepTwoLayerData(np.ones((2, 3)), np.ones((1, 2)), v),
+                   "deep function outer", 1),
+    "penalty": (lambda p: ModularPenaltyData(ModularData(np.ones(3)), p), "penalty weights", 1),
+    "mixture-data-weight": (lambda w: MixtureData([(w, ModularData(np.ones(2)))]), "mixture weights", 0),
+    "mixture-weight": (lambda w: MixtureFunction([(w, _modular(2))]), "mixture weights", 0),
+    "knapsack-costs": (lambda c: Knapsack(c, 1.0), "knapsack costs", 1),
+    "knapsack-budget": (lambda b: Knapsack((1.0,), b), "knapsack budget", 0),
 }
-# malformed form -> (square input, 1-d input, message after "<what> ")
+# malformed form -> (input per dimension 0, 1, 2; message after "<what> ")
 MALFORMED = {
-    "strings": ([["0", "a"], ["a", "0"]], ["1", "a"], "must hold real numbers"),
-    "ragged": ([[0.0, 1.0], [1.0]], [1.0, [2.0, 3.0]], "must be a rectangular array of numbers"),
-    "complex": (BASE + 1j, np.ones(3) + 1j, "must be real, got complex entries"),
-    "complex-zero-imaginary": (BASE + 0j, np.ones(3) + 0j, "must be real, got complex entries"),
+    "strings": (("a", ["1", "a"], [["0", "a"], ["a", "0"]]), "must hold real numbers"),
+    "ragged": (([1.0, [2.0, 3.0]], [1.0, [2.0, 3.0]], [[0.0, 1.0], [1.0]]),
+               "must be a rectangular array of numbers"),
+    "complex": ((1 + 1j, np.ones(3) + 1j, BASE + 1j), "must be real, got complex entries"),
+    "complex-zero-imaginary": ((1 + 0j, np.ones(3) + 0j, BASE + 0j), "must be real, got complex entries"),
 }
 
 
 def _malformed(target: str, form: str):
     """(the constructor call on the malformed input, the exact message)."""
-    build, what, flat = DENSE[target]
-    square, line, message = MALFORMED[form]
-    return (lambda: build(line if flat else square)), f"{what} {message}"
+    build, what, dim = DENSE[target]
+    inputs, message = MALFORMED[form]
+    return (lambda: build(inputs[dim])), f"{what} {message}"
 
 
 # "<input>/<form>" -> (call, exact message); feature-based data reads only an
@@ -136,7 +176,7 @@ def test_malformed_dense_inputs_raise_input_error(case):
             build()
     assert type(info.value) is InputError
     assert str(info.value) == message
-    assert _raise_site(info.tb)[0] == "functions/graphs.py"
+    assert _raise_site(info.tb)[0] == "core.py"
 
 
 def test_symmetric_within_allclose_is_accepted_with_private_cols():
@@ -151,11 +191,11 @@ def test_symmetric_within_allclose_is_accepted_with_private_cols():
 INDEFINITE = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
 # case -> (kernel, ridge, message)
 LOGDET_CASES = {
-    "not-2d": (np.ones(3), None, "kernel must be square, got shape (3,)"),
+    "not-2d": (np.ones(3), None, "kernel must be a 2-d array, got shape (3,)"),
     "not-square": (np.ones((2, 3)), None, "kernel must be square, got shape (2, 3)"),
-    "nan": (np.array([[1.0, np.nan], [np.nan, 1.0]]), None, "kernel contains non-finite entries"),
-    "+inf": (np.array([[np.inf, 0.0], [0.0, 1.0]]), None, "kernel contains non-finite entries"),
-    "-inf": (np.array([[1.0, -np.inf], [-np.inf, 1.0]]), None, "kernel contains non-finite entries"),
+    "nan": (np.array([[1.0, np.nan], [np.nan, 1.0]]), None, "kernel must be finite"),
+    "+inf": (np.array([[np.inf, 0.0], [0.0, 1.0]]), None, "kernel must be finite"),
+    "-inf": (np.array([[1.0, -np.inf], [-np.inf, 1.0]]), None, "kernel must be finite"),
     "asymmetric": (np.array([[1.0, 0.5], [0.4, 1.0]]), None, "kernel must be symmetric"),
     "not-psd": (INDEFINITE, None, "kernel is not PSD even after the default ridge"),
     "negative-ridge": (np.eye(2), -1.0, "ridge must be finite and non-negative"),
@@ -185,9 +225,9 @@ def test_log_det_ridged_kernel_is_kernel_plus_ridge_identity(first, ridge):
 
 
 SUBMEMO = Path(__file__).resolve().parents[1] / "src" / "submemo"
-TABLE_FILES = ("functions/concave.py", "functions/coverage.py", "functions/graphs.py",
-               "functions/dispersion.py", "functions/spectral.py", "functions/compose.py",
-               "minimize.py", "bench/dataio.py")
+TABLE_FILES = ("core.py", "maximize.py", "functions/concave.py", "functions/coverage.py",
+               "functions/graphs.py", "functions/dispersion.py", "functions/spectral.py",
+               "functions/compose.py", "minimize.py", "bench/dataio.py")
 
 # v v^T for v = (0.54, 0.48), whose entries are these decimals: singular in
 # exact arithmetic, so only rounding decides each pivot's sign.  Factored in
@@ -238,7 +278,7 @@ DATA_CASES = {
     "features-negative-dense": (lambda: FeatureBasedData(np.array([[1.0, -1.0]])),
                                 "feature scores must be finite and non-negative"),
     "features-dense-not-2d": (lambda: FeatureBasedData(np.ones(3)),
-                              "dense feature scores must be 2-d (features x elements), got shape (3,)"),
+                              "feature scores must be a 2-d array, got shape (3,)"),
     "features-no-count": (lambda: FeatureBasedData([([0], [1.0])]),
                           "sparse feature scores need num_features"),
     "clusters-misaligned": (lambda: _clustered([[0]], []), "clusters and cluster_weights must align"),
@@ -254,7 +294,7 @@ DATA_CASES = {
     "cluster-weight-nan": (lambda: _clustered([[0]], [[np.nan]]),
                            "cluster weights must be finite and non-negative"),
     "deep-1d-scores": (lambda: _deep(scores=(1.0, 2.0)),
-                       "deep function needs 2-d scores, 2-d mix, 1-d outer weights"),
+                       "deep function scores must be a 2-d array, got shape (2,)"),
     "deep-mix-shape": (lambda: _deep(mix=((1.0, 1.0, 1.0),)),
                        "mix weights must be (outer x inner) = (1 x 2), got (1, 3)"),
     "deep-negative-scores": (lambda: _deep(scores=((1.0, -1.0, 0.0), (0.0, 1.0, 1.0))),
@@ -276,24 +316,27 @@ DATA_CASES = {
     "clustered-cover-no-cluster": (lambda: ClusteredSetCoverData([[0]], 2, clusters=[]),
                                    "clustered set cover needs at least one cluster"),
     "clustered-cover-non-integer-item": (lambda: ClusteredSetCoverData([[0]], 2, clusters=[[0.5]]),
-                                         "cluster 0 lists non-integer item 0.5"),
+                                         "cluster 0 must list integer items"),
     "clustered-cover-out-of-range": (lambda: ClusteredSetCoverData([[0]], 2, clusters=[[0], [2]]),
-                                     "cluster 1 references item 2 outside the universe"),
+                                     "cluster 1 references items outside the universe"),
     "clustered-cover-item-twice": (lambda: ClusteredSetCoverData([[0]], 2, clusters=[[1, 1]]),
-                                   "cluster 0 lists item 1 twice"),
+                                   "cluster 0 contains duplicate items"),
     "probabilistic-1d": (lambda: ProbabilisticSetCoverData(np.ones(3)),
-                         "probability matrix must be 2-d (items x elements)"),
+                         "coverage probabilities must be a 2-d array, got shape (3,)"),
     "probabilistic-above-one": (lambda: ProbabilisticSetCoverData(np.array([[0.5, 1.5]])),
                                 "coverage probabilities must lie in [0, 1]"),
     "probabilistic-weight-count": (lambda: ProbabilisticSetCoverData(np.ones((2, 1)), weights=[1.0]),
                                    "need one weight per universe item (2), got (1,)"),
     "saturated-alpha-fraction": (lambda: SaturatedCoverageData(BASE, alpha_fraction=0.0),
-                                 "alpha_fraction must be positive"),
+                                 "alpha_fraction must be finite and positive"),
     "saturated-alpha-count": (lambda: SaturatedCoverageData(BASE, alpha=[1.0, 1.0]),
                               "alpha must have one threshold per row"),
     "saturated-alpha-negative": (lambda: SaturatedCoverageData(BASE, alpha=[1.0, -1.0, 1.0]),
-                                 "alpha thresholds must be finite and non-negative"),
-    "graph-cut-lambda": (lambda: GraphCutData(BASE, lam=-0.5), "graph cut lambda must be finite and >= 0"),
+                                 "alpha must be finite and non-negative"),
+    "graph-cut-lambda": (lambda: GraphCutData(BASE, lam=-0.5),
+                         "graph cut lambda must be finite and non-negative"),
+    "graph-cut-lambda-not-a-number": (lambda: GraphCutData(BASE, lam=[1.0, 2.0]),
+                                      "graph cut lambda must be a single number, got shape (2,)"),
     "dispersion-diagonal": (lambda: DispersionData(BASE + np.eye(3)),
                             "distance matrix must have a zero diagonal"),
     "dispersion-kind": (lambda: DispersionData(BASE, kind="max"),
@@ -304,7 +347,9 @@ DATA_CASES = {
                                      "principal submatrix failed factorization (not PD)"),
     "logdet-extension-out-of-order": (_rank_one_extension,
                                       "kernel not positive definite along this extension"),
-    "modular-not-1d": (lambda: ModularData(np.ones((2, 2))), "modular weights must be a non-empty 1-d array"),
+    "modular-not-1d": (lambda: ModularData(np.ones((2, 2))),
+                       "modular weights must be a 1-d array, got shape (2, 2)"),
+    "modular-empty": (lambda: ModularData(np.zeros(0)), "modular weights must be a non-empty 1-d array"),
     "modular-inf": (lambda: ModularData([1.0, np.inf]), "modular weights must be finite"),
     "mixture-data-empty": (lambda: MixtureData([]), "mixture needs at least one component"),
     "mixture-data-negative-weight": (lambda: MixtureData([(-1.0, ModularData(np.ones(2)))]),
@@ -315,8 +360,43 @@ DATA_CASES = {
     "mixture-nan-weight": (lambda: MixtureFunction([(np.nan, _modular(2))]),
                            "mixture weights must be finite and non-negative"),
     "penalty-not-1d": (lambda: ModularPenaltyData(ModularData(np.ones(2)), np.ones((2, 2))),
-                       "penalty weights must be a finite 1-d array"),
+                       "penalty weights must be a 1-d array, got shape (2, 2)"),
+    "knapsack-zero-cost": (lambda: Knapsack((1.0, 0.0), 1.0), "knapsack costs must be finite and positive"),
+    "knapsack-inf-budget": (lambda: Knapsack((1.0,), np.inf), "knapsack budget must be finite and positive"),
 }
+
+
+# case -> (call, exact message)
+CORE_CASES = {
+    "subset-empty-ground-set": (lambda: Subset(0), "subset needs a positive ground set size, got 0"),
+    "id-not-an-integer": (lambda: check_ids([0.5], 3), "element id must be an integer, got 0.5"),
+    "id-out-of-range": (lambda: check_ids([5], 3), "element id 5 out of range [0, 3)"),
+    "order-not-integers": (lambda: check_permutation(2, [0.0, 1.0]),
+                           "order must list integer element ids, got dtype float64"),
+    "order-out-of-range": (lambda: check_permutation(2, [0, 2]),
+                           "order must be a permutation of all element ids"),
+    "order-repeats": (lambda: check_permutation(2, [0, 0]), "order must be a permutation of all element ids"),
+    "subset-other-ground-set": (lambda: as_subset(3, Subset(2)), "subset over ground set 2, expected 3"),
+    "function-empty-ground-set": (lambda: GraphCutFunction(GraphCutData(np.zeros((0, 0)))),
+                                  "ground set must have at least one element, got 0"),
+}
+# case -> (call, exact message)
+MAXIMIZE_CASES = {
+    "cardinality-zero": (lambda: Cardinality(0), "cardinality limit must be >= 1, got 0"),
+    "cardinality-above-n": (lambda: greedy_lazy(_modular(2), Cardinality(3)),
+                            "cardinality 3 exceeds ground set size 2"),
+    "knapsack-cost-count": (lambda: greedy_lazy(_modular(2), Knapsack((1.0,), 1.0)),
+                            "need one knapsack cost per element"),
+    "knapsack-nothing-fits": (lambda: greedy_lazy(_modular(2), Knapsack((2.0, 2.0), 1.0)),
+                              "no element fits the knapsack budget"),
+    "unknown-constraint": (lambda: greedy_lazy(_modular(2), "odd"), "unknown constraint 'odd'"),
+    "stochastic-eps": (lambda: greedy_stochastic(_modular(2), 1, eps=1.0), "eps must lie in (0, 1)"),
+    "sieve-eps": (lambda: sieve_streaming(_modular(2), 1, eps=0.0), "eps must lie in (0, 1)"),
+    "machine-count": (lambda: distributed_greedy(_modular(2), 1, machines=0),
+                      "machine count must lie in [1, 2]"),
+}
+# file -> its cases: each call raises in that file
+CALL_CASES = {"core.py": CORE_CASES, "maximize.py": MAXIMIZE_CASES}
 
 
 def _loading(loader, text: str):
@@ -419,6 +499,16 @@ def test_minimize_errors(case):
     assert _raise_site(info.tb)[0] == "minimize.py"
 
 
+@pytest.mark.parametrize("file, case", [(f, c) for f, cases in CALL_CASES.items() for c in sorted(cases)])
+def test_core_and_maximize_errors(file, case):
+    call, message = CALL_CASES[file][case]
+    with pytest.raises(InputError) as info:
+        call()
+    assert type(info.value) is InputError
+    assert str(info.value) == message
+    assert _raise_site(info.tb)[0] == file
+
+
 @pytest.mark.parametrize("case", sorted(FILE_CASES))
 def test_file_format_errors(case, tmp_path):
     call, message = FILE_CASES[case]
@@ -476,7 +566,9 @@ def test_every_raise_in_the_table_files_has_a_case(tmp_path):
         with pytest.raises(InputError) as info:
             LogDetData(kernel, ridge=ridge)
         sites.add(_raise_site(info.tb))
-    for build, _ in [*DATA_CASES.values(), *MINIMIZE_CASES.values(), *DENSE_CASES.values()]:
+    calls = [*DATA_CASES.values(), *MINIMIZE_CASES.values(), *CORE_CASES.values(),
+             *MAXIMIZE_CASES.values(), *DENSE_CASES.values()]
+    for build, _ in calls:
         with pytest.raises(InputError) as info:
             build()
         sites.add(_raise_site(info.tb))

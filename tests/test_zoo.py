@@ -246,12 +246,17 @@ def _inexact(kind: str, n: int, seed: int):
 # bucket's exact load is 0 (np.maximum clamps only the negative ones), and
 # sqrt turns a 1e-16 residual into a gain 1e-8 off a fresh clone's.
 _LOAD_RESIDUAL = pytest.mark.xfail(strict=True, reason="sparse-load downdates leave residual loads")
+# A deep-2 downdate leaves inner loads within ulps of a rebuild, but sqrt has
+# infinite slope at 0 and runs in both layers: a gain read after updates and
+# downdates back near the empty set lands up to 6e-3 off a fresh clone's.
+_DEEP_RESIDUAL = pytest.mark.xfail(strict=True, reason="sqrt in both layers amplifies downdate residuals")
 
 
 @pytest.mark.parametrize("kind", [
     "logdet", "probsetcover",
     pytest.param("featurebased", marks=_LOAD_RESIDUAL),
     pytest.param("clusterconcave", marks=_LOAD_RESIDUAL),
+    pytest.param("deep2", marks=_DEEP_RESIDUAL),
 ])
 @given(data=st.data())
 # no shrinking: a shrunk counterexample of an xfailed case costs half a minute

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import InputError, ModularFunction, SubmodularFunction, as_subset, check_permutation
+from .core import InputError, ModularFunction, SubmodularFunction, as_subset, check_permutation, real_array
 
 
 def extreme_point(F: SubmodularFunction, order) -> ModularFunction:
@@ -124,12 +124,12 @@ def bound_rounds(step, max_iters: int):
 
 def _descending_order(x: np.ndarray) -> np.ndarray:
     # stable sort on -x: ties broken by ascending element id
-    return np.argsort(-np.asarray(x, dtype=float), kind="stable")
+    return np.argsort(-x, kind="stable")
 
 
 def lovasz_value(F: SubmodularFunction, x) -> float:
     """Convex extension value at x (equals f at indicator vectors)."""
-    x = np.asarray(x, dtype=float)
+    x = real_array(x, "point x", 1)
     return linear_oracle(F, x).dot(x)
 
 
@@ -141,9 +141,9 @@ def linear_oracle(F: SubmodularFunction, x, maximize: bool = True) -> ModularFun
     ascending, the direction used inside minimum-norm-point.  Ties break by
     ascending element id either way.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (F.n,) or not np.all(np.isfinite(x)):
-        raise InputError("need one finite coordinate per element")
+    x = real_array(x, "point x", 1)
+    if x.shape != (F.n,):
+        raise InputError("need one coordinate per element")
     order = _descending_order(x) if maximize else np.argsort(x, kind="stable")
     return extreme_point(F, order)
 
@@ -155,7 +155,7 @@ def chain_prefix_values(F: SubmodularFunction, x):
     ``order``, the descending order of x.  The chain sets are exactly the
     level sets of x, so the best threshold set is free after the sweep.
     """
-    x = np.asarray(x, dtype=float)
+    x = real_array(x, "point x", 1)  # a float64 point is read, not copied
     order = _descending_order(x)
     h = extreme_point(F, order)
     prefix = np.concatenate(([0.0], np.cumsum(h.weights[order])))

@@ -33,6 +33,7 @@ from .core import (
     NonConvergenceError,
     Subset,
     SubmodularFunction,
+    real_array,
     tol_for,
 )
 from .functions import ModularPenaltyData, make_function
@@ -85,7 +86,7 @@ def submodular_set_cover(g: SubmodularFunction, cost, c: float) -> IterativeResu
     g(V) >= c (checked), so progress is always available.
     """
     n = g.n
-    weights = cost.weights if isinstance(cost, ModularFunction) else np.asarray(cost, float)
+    weights = cost.weights if isinstance(cost, ModularFunction) else real_array(cost, "cover costs", 1)
     if weights.shape != (n,):
         raise InputError("need one cost per element")
     costs = np.maximum(weights, _COST_FLOOR)

@@ -71,15 +71,19 @@ probe passes the oracle a view instead: for an add it writes j into the
 free slot after the members, for a removal it filters j out.
 
 Numeric input.  ``real_array`` reads every real-valued input of the data
-classes and constraints, arrays and single numbers alike: conversion,
-dimension, and finiteness, sign or range, each fault an ``InputError``
-naming the input.  Dense similarity and distance matrices take the range
-from the ingest scan of ``functions/graphs.py``, sparse rows' values from
-``functions/ragged.csr_checked``.
+classes, constraints and bounds, arrays and single numbers alike:
+conversion, dimension, and finiteness, sign or range, each fault an
+``InputError`` naming the input.  Dense similarity and distance matrices
+take the range from the ingest scan of ``functions/graphs.py``.  Sparse
+rows (feature scores, clusters, sets) have one reader,
+``functions/ragged.csr_from_rows``, which words each fault of a row alike
+for every input and checks their values; the bound on their ids (a
+universe, feature count or ground set size) is read by ``check_size``.
 """
 
 from __future__ import annotations
 
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
 
@@ -323,6 +327,18 @@ def real_array(x, what: str, ndim: int, values="finite") -> np.ndarray:
     if not ok:
         raise InputError(f"{what} must {rule}")
     return a
+
+
+def check_size(x, what: str) -> int:
+    """``x`` as an int >= 0, read by ``operator.index``: a float, a string or
+    a negative number raises ``InputError`` naming ``what``."""
+    try:
+        size = operator.index(x)
+    except TypeError:
+        size = -1
+    if size < 0:
+        raise InputError(f"{what} must be an integer >= 0, got {x!r}")
+    return size
 
 
 def as_subset(n: int, X) -> Subset:

@@ -5,16 +5,18 @@ with matching feature ids), so a gain touches only the features element j
 loads.  Feature-based and clustered concave-over-modular functions keep the
 same statistic (per-bucket loads) and share every hook through
 ``_SparseLoadFunction``; they differ only in how their data fills the CSR
-arrays.  Both fill them through ``ragged.csr_from_rows``/``csr_checked``:
-a per-row loop keeps only each row's type and shape test, and the cast and
-the range, duplicate and sign checks run once on the concatenated entries.
-Dense inputs (a score matrix, the deep function's arrays) are read and
-range-checked by ``core.real_array``.  An
-element's entries keep their input order (clustered data: ascending
-cluster), which the hooks' sums rely on bit for bit.  Concave shapes come
-from a closed, serializable registry: ``make_concave`` returns a plain numpy
-function psi (psi(0) = 0, non-decreasing, concave) that the hooks call
-directly; the data keeps the shape's name in its ``concave`` fields.
+arrays.  Sparse feature rows and the clusters are ``(ids, values)`` pairs
+read by ``ragged.csr_from_rows``, which tests each row in one loop and
+runs the cast and the range, duplicate and sign checks once on the
+concatenated entries; a dense score matrix goes to ``csr_checked``.  The
+id bound (``num_features``, ``n``) is read by ``core.check_size``.  Dense
+inputs (a score matrix, the deep function's arrays) are read and
+range-checked by ``core.real_array``.  An element's entries keep their
+input order (clustered data: ascending cluster), which the hooks' sums
+rely on bit for bit.  Concave shapes come from a closed, serializable
+registry: ``make_concave`` returns a plain numpy function psi (psi(0) = 0,
+non-decreasing, concave) that the hooks call directly; the data keeps the
+shape's name in its ``concave`` fields.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import InputError, SubmodularFunction, real_array
+from ..core import InputError, SubmodularFunction, check_size, real_array
 from .kept import KeptGains
 from .ragged import (
     csr_checked,
@@ -42,6 +44,8 @@ from .ragged import (
 # entries took 2.3 ms.
 _SINGLETON_BLOCK = 32
 
+_FEATURE_ROW = "feature scores: element {}"  # names element j's row in messages
+
 
 def make_concave(name: str):
     """Registry lookup: 'sqrt', 'log1p', or 'pow:<p>' with p in (0, 1)."""
@@ -58,56 +62,6 @@ def make_concave(name: str):
             raise InputError(f"power exponent must lie in (0, 1), got {p}")
         return lambda x, _p=p: np.power(x, _p)
     raise InputError(f"unknown concave shape {name!r} (use sqrt, log1p, pow:<p>)")
-
-
-def _feature_rows(score_lists):
-    """Each element's ``(feature_ids, values)`` after its type and shape test."""
-    for j, (ids, vals) in enumerate(score_lists):
-        ids = np.asarray(ids)
-        if ids.size and ids.dtype.kind not in "iu":
-            raise InputError(f"feature scores: element {j} has non-integer ids")
-        try:
-            row = np.asarray(vals)  # uncast: csr_from_rows casts the rows once, concatenated
-        except ValueError:  # ragged
-            row = None
-        if row is None or row.dtype.kind not in "biuf":  # converts numeric strings, or raises
-            row = real_array(vals, "feature scores", 1, values=None)
-        if ids.shape != row.shape or ids.ndim != 1:
-            raise InputError(f"feature scores: element {j} has mismatched id/value arrays")
-        yield ids, row
-
-
-def _feature_fault(j: int, check: str):
-    if check == "range":
-        raise InputError(f"feature scores: element {j} references an id out of range")
-    if check == "twice":
-        raise InputError(f"feature scores: element {j} lists an id twice")
-    raise InputError("feature scores: scores must be finite and non-negative")
-
-
-def _cluster_rows(clusters, cluster_weights):
-    """Each cluster's ``(element_ids, weights)`` after its type and shape test."""
-    for c, (cl, w) in enumerate(zip(clusters, cluster_weights)):
-        cl = np.asarray(cl)
-        if cl.ndim != 1 or (cl.size and cl.dtype.kind not in "iu"):
-            raise InputError(f"cluster {c} lists a non-integer element")
-        try:
-            row = np.asarray(w)  # uncast, as in _feature_rows
-        except ValueError:  # ragged
-            row = None
-        if row is None or row.dtype.kind not in "biuf":
-            row = real_array(w, "cluster weights", 1, values=None)
-        if cl.shape != row.shape:
-            raise InputError(f"cluster {c}: ids and weights have different lengths")
-        yield cl, row
-
-
-def _cluster_fault(c: int, check: str):
-    if check == "range":
-        raise InputError(f"cluster {c} references an element out of range")
-    if check == "twice":
-        raise InputError(f"cluster {c} lists an element twice")
-    raise InputError("cluster weights must be finite and non-negative")
 
 
 class _SparseLoadFunction(KeptGains):
@@ -328,16 +282,16 @@ class FeatureBasedData:
             elements, features = np.nonzero(m.T)
             self.indptr, self.feature_ids, self.values = csr_checked(
                 np.bincount(elements, minlength=self.n_elements), features,
-                m[features, elements], self.num_features, _feature_fault,
+                m[features, elements], self.num_features, _FEATURE_ROW, "feature scores",
             )
         else:
             if self.num_features is None:
                 raise InputError("sparse feature scores need num_features")
-            lists = list(self.scores)
-            self.n_elements = len(lists)
+            self.num_features = check_size(self.num_features, "num_features")
             self.indptr, self.feature_ids, self.values = csr_from_rows(
-                _feature_rows(lists), self.num_features, _feature_fault
+                self.scores, self.num_features, _FEATURE_ROW, "feature scores"
             )
+            self.n_elements = self.indptr.size - 1
         self.psi = make_concave(self.concave)
 
     @property
@@ -371,8 +325,9 @@ class ClusteredConcaveModularData:
             raise InputError("clusters and cluster_weights must align")
         if not self.clusters:
             raise InputError("need at least one cluster")
+        self.n = check_size(self.n, "ground set size")
         starts, members, weights = csr_from_rows(
-            _cluster_rows(self.clusters, self.cluster_weights), self.n, _cluster_fault
+            zip(self.clusters, self.cluster_weights), self.n, "cluster {}", "cluster weights"
         )
         # CSR over elements: a stable sort by element keeps each element's
         # clusters ascending

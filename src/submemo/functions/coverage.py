@@ -2,11 +2,12 @@
 
 Set systems are stored flat (CSR over elements): ``items[indptr[j]:indptr[j+1]]``
 are the universe ids covered by element j, in ascending order.
-``ragged.csr_from_rows`` builds them: a per-set loop keeps only each set's
-type and shape test, one strict-increase test over all items finds the
-sets to sort, and the duplicate and range checks run on the whole array.
-Clustered set cover reads its clusters the same way.  Weights and
-probabilities are read and range-checked by ``core.real_array``.
+``ragged.csr_from_rows`` reads them as id-only rows: one loop tests each
+set, one strict-increase test over all items finds the sets to sort, and
+the duplicate and range checks run on the whole array.  Clustered set
+cover reads its clusters the same way.  The universe size is read by
+``core.check_size``; weights and probabilities are read and range-checked
+by ``core.real_array``.
 The statistic is a per-item coverage count (or product of
 miss-probabilities for the probabilistic variant), which makes gains
 O(|S_j|).  Clustered set cover has no class of its own: its data object
@@ -19,29 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import InputError, SubmodularFunction, real_array
+from ..core import InputError, SubmodularFunction, check_size, real_array
 from .kept import KeptGains
 from .ragged import csr_from_rows, ragged_positions, ragged_sum, row_views
-
-
-def _item_csr(rows, universe: int, label: str):
-    """``(indptr, items)`` of the item rows, each row sorted.  Messages name
-    row j as ``label.format(j)``."""
-
-    def read():
-        for j, s in enumerate(rows):
-            arr = s if isinstance(s, np.ndarray) else np.asarray(list(s))  # one read of an iterator
-            if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
-                raise InputError(f"{label.format(j)} must list integer items")
-            yield arr, None
-
-    def fault(j: int, check: str):
-        if check == "twice":
-            raise InputError(f"{label.format(j)} contains duplicate items")
-        raise InputError(f"{label.format(j)} references items outside the universe")
-
-    indptr, items, _ = csr_from_rows(read(), universe, fault, sort_rows=True)
-    return indptr, items
 
 
 def _validated_weights(weights, universe: int) -> np.ndarray:
@@ -70,10 +51,8 @@ class SetCoverData:
     _item_views = None  # each set's items as a view, made by the first item_slice
 
     def __post_init__(self):
-        if self.universe < 0:
-            raise InputError("universe size must be non-negative")
-        self.universe = int(self.universe)
-        self.indptr, self.items = _item_csr(self.sets, self.universe, "set of element {}")
+        self.universe = check_size(self.universe, "universe size")
+        self.indptr, self.items, _ = csr_from_rows(self.sets, self.universe, "set of element {}")
         self.weights = _validated_weights(self.weights, self.universe)
 
     @property
@@ -201,7 +180,7 @@ class ClusteredSetCoverData:
         self.weights = base.weights
         if not self.clusters:
             raise InputError("clustered set cover needs at least one cluster")
-        _, items = _item_csr(self.clusters, base.universe, "cluster {}")
+        _, items, _ = csr_from_rows(self.clusters, base.universe, "cluster {}")
         # each item's cluster count, exact as a float
         base.weights = self.weights * np.bincount(items, minlength=base.universe)
         self.base = base

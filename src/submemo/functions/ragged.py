@@ -1,9 +1,15 @@
-"""Ragged rows of CSR data: building them, gathering the rows of some
+"""Ragged rows of CSR data: reading them, gathering the rows of some
 elements, summing them, grouping their entries.
 
-``csr_from_rows`` and ``csr_checked`` build and validate the CSR arrays
-of the sparse data classes on whole arrays; see ``csr_checked`` for the
-entry order they keep.
+``csr_from_rows`` is the one reader of sparse input: feature scores,
+clustered-concave clusters, sets and set-cover clusters.  One loop runs
+each row's own type and shape test, and ``csr_checked`` checks the range,
+duplicates and values of every row at once; see ``csr_checked`` for the
+entry order they keep.  Each fault has one wording whatever the input,
+naming the first faulting row by the caller's label: "must list integer
+ids", ": ids and values have different lengths", "references an id out of
+range", "lists an id twice", and "<values> must be finite and
+non-negative".
 
 ``ragged_positions`` gathers the entries of many elements at once, for
 the batched gain hooks and for the value oracles.  Each consumer then
@@ -29,6 +35,8 @@ slice once, for the scalar hooks that read one element's row per call.
 from __future__ import annotations
 
 import numpy as np
+
+from ..core import InputError, real_array
 
 # numpy's pairwise sum adds up to this many terms in 8 lanes and splits
 # longer runs in two (``PW_BLOCKSIZE`` in its loops).
@@ -120,52 +128,76 @@ def stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
     return order
 
 
-def csr_from_rows(rows, bound, fault, sort_rows: bool = False):
-    """``(indptr, ids, values)`` of the rows that ``rows`` yields, checked by ``csr_checked``.
+def csr_from_rows(rows, bound: int, label: str, values: str | None = None):
+    """``(indptr, ids, values)`` of ``rows``: the one reader of sparse input.
 
-    ``rows`` yields one ``(ids, values)`` pair of arrays per row, after the
-    row's own type and shape test; values are None for id-only rows, and
-    otherwise of any real dtype, cast to float once, concatenated.  An error
-    raised while reading a row is held until the rows before it have passed
-    ``csr_checked``, then raised: the first faulting row reports.
+    With ``values`` None each row lists ids (a set, read once if it is an
+    iterator) and the values are None; otherwise each row is an ``(ids,
+    values)`` pair and ``values`` names the values in messages.  A row's own
+    test runs here, in one loop: its ids must be a 1-d list of integers, and
+    its values one real number per id, of any real dtype (numeric strings
+    convert through ``core.real_array``), cast to float once, concatenated.
+    ``csr_checked`` then checks every row at once.  A row that fails its own
+    test is held until the rows before it have passed ``csr_checked``: the
+    first faulting row reports, named ``label.format(r)``.
     """
     id_rows, value_rows = [], []
     late = None
     try:
-        for ids, values in rows:
+        for r, row in enumerate(rows):
+            try:
+                if values is None:  # a set may be any iterable, read once
+                    ids = row if isinstance(row, np.ndarray) else np.asarray(list(row))
+                else:
+                    ids, vals = row
+                    ids = np.asarray(ids)
+            except (TypeError, ValueError):  # not iterable, not a pair, or ragged
+                ids = None
+            if ids is None or ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
+                raise InputError(f"{label.format(r)} must list integer ids")
+            if values is not None:
+                try:
+                    got = np.asarray(vals)  # uncast: the rows are cast once, concatenated
+                except ValueError:  # ragged
+                    got = None
+                if got is None or got.dtype.kind not in "biuf":  # converts numeric strings, or raises
+                    got = real_array(vals, values, 1, values=None)
+                if got.shape != ids.shape:
+                    raise InputError(f"{label.format(r)}: ids and values have different lengths")
+                value_rows.append(got)
             id_rows.append(ids)
-            value_rows.append(values)
-    except Exception as err:  # raised again below, unless an earlier row faults
+    except InputError as err:  # raised again below, unless an earlier row faults
         late = err
     lens = np.fromiter((ids.size for ids in id_rows), dtype=np.intp, count=len(id_rows))
     ids = np.concatenate(id_rows, dtype=np.intp, casting="unsafe") if id_rows else np.zeros(0, np.intp)
-    values = None
-    if not sort_rows:
-        values = np.concatenate(value_rows).astype(float, copy=False) if value_rows else np.zeros(0)
-    out = csr_checked(lens, ids, values, bound, fault, sort_rows)
+    vals = None
+    if values is not None:
+        vals = np.concatenate(value_rows).astype(float, copy=False) if value_rows else np.zeros(0)
+    out = csr_checked(lens, ids, vals, bound, label, values)
     if late is not None:
         raise late
     return out
 
 
-def csr_checked(lens, ids, values, bound, fault, sort_rows: bool = False):
-    """CSR arrays ``(indptr, ids, values)`` from concatenated rows, checked on whole arrays.
+def csr_checked(lens, ids, vals, bound: int, label: str, values: str | None):
+    """CSR arrays ``(indptr, ids, vals)`` from concatenated rows, checked on whole arrays.
 
     Row r holds the next ``lens[r]`` entries of the intp ``ids`` and the
-    float ``values`` (None for id-only rows).  The checks, each in a few
-    whole-array numpy calls:
+    float ``vals``; ``values`` names them, and is None for id-only rows,
+    whose ``vals`` is None.  The checks, each in a few whole-array numpy
+    calls:
 
-    - ``"range"``: every id lies in ``[0, bound)``;
-    - ``"twice"``: no row lists an id twice;
-    - ``"values"``: every value is finite and non-negative.
+    - every id lies in ``[0, bound)``;
+    - no row lists an id twice;
+    - every value is finite and non-negative.
 
-    The first faulting row r calls ``fault(r, check)`` with its first
-    failing check, in the order above; ``fault`` raises.  With
-    ``sort_rows`` (sets) the ids of each row are sorted, and a duplicate is
+    The first faulting row r raises ``InputError`` with its first failing
+    check, in the order above, naming the row ``label.format(r)``.  Id-only
+    rows are sets: the ids of each row are sorted, and a duplicate is
     checked before the range.
 
     The order of the entries is a contract that the hooks rely on bit for
-    bit, so only ``sort_rows`` changes it:
+    bit, so only sorting sets changes it:
 
     - Values keep each row's input order.  A scalar gain sums a row's
       terms with ``np.add.reduce``, whose pairwise sum depends on their
@@ -185,7 +217,7 @@ def csr_checked(lens, ids, values, bound, fault, sort_rows: bool = False):
 
     if ids.size and (ids.min() < 0 or ids.max() >= bound):
         first["range"] = row_of(np.argmax((ids < 0) | (ids >= bound)))
-    if sort_rows:
+    if values is None:
         order = ("twice", "range")
         rising = ids[1:] > ids[:-1]
         starts = indptr[1:-1]
@@ -204,12 +236,17 @@ def csr_checked(lens, ids, values, bound, fault, sort_rows: bool = False):
         _, twice = _sorted_in_rows(lens, ids)
         if twice is not None:
             first["twice"] = twice
-        if values.size and not (values.min() >= 0 and values.max() < np.inf):
-            first["values"] = row_of(np.argmax(~np.isfinite(values) | (values < 0)))
+        if vals.size and not (vals.min() >= 0 and vals.max() < np.inf):
+            first["values"] = row_of(np.argmax(~np.isfinite(vals) | (vals < 0)))
     if first:
         r = min(first.values())
-        fault(r, next(check for check in order if first.get(check) == r))
-    return indptr, ids, values
+        check = next(check for check in order if first.get(check) == r)
+        if check == "range":
+            raise InputError(f"{label.format(r)} references an id out of range")
+        if check == "twice":
+            raise InputError(f"{label.format(r)} lists an id twice")
+        raise InputError(f"{values} must be finite and non-negative")
+    return indptr, ids, vals
 
 
 def _sorted_in_rows(lens, ids):

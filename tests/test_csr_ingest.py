@@ -1,9 +1,13 @@
 """The whole-array CSR ingest of feature-based, clustered concave and set-cover
 data against the per-element loops it replaced.
 
-The oracles below are those loops, kept verbatim but for one cast: a value
-that is not a number raises the ``InputError`` that ``core.real_array``
-raises, where the loops let numpy's ``ValueError`` escape (``_floats``).
+The oracles below are those loops, kept but for one cast and the wording:
+a value that is not a number raises the ``InputError`` that
+``core.real_array`` raises, where the loops let numpy's ``ValueError``
+escape (``_floats``), and each fault is worded as ``ragged.csr_from_rows``
+words it for every sparse input (an id test that also takes the row's
+dimension, "ids and values have different lengths", "references an id out
+of range", "lists an id twice", "<values> must be finite and non-negative").
 For valid input the new constructors must give the same arrays bit for
 bit, with the same dtypes; for faulty input the same error, with the same
 message: the first faulting element in input order, and that element's
@@ -34,18 +38,18 @@ def _to_csr(score_lists, n: int, num_buckets: int, what: str):
     id_chunks, val_chunks = [], []
     for j, (ids, vals) in enumerate(score_lists):
         ids = np.asarray(ids)
-        if ids.size and ids.dtype.kind not in "iu":
-            raise InputError(f"{what}: element {j} has non-integer ids")
+        if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
+            raise InputError(f"{what}: element {j} must list integer ids")
         ids = ids.astype(np.intp, copy=False)
         vals = _floats(vals, what)
-        if ids.shape != vals.shape or ids.ndim != 1:
-            raise InputError(f"{what}: element {j} has mismatched id/value arrays")
+        if ids.shape != vals.shape:
+            raise InputError(f"{what}: element {j}: ids and values have different lengths")
         if ids.size and (ids.min() < 0 or ids.max() >= num_buckets):
             raise InputError(f"{what}: element {j} references an id out of range")
         if len(np.unique(ids)) != ids.size:
             raise InputError(f"{what}: element {j} lists an id twice")
         if np.any(vals < 0) or not np.all(np.isfinite(vals)):
-            raise InputError(f"{what}: scores must be finite and non-negative")
+            raise InputError(f"{what} must be finite and non-negative")
         id_chunks.append(ids)
         val_chunks.append(vals)
         indptr[j + 1] = indptr[j] + ids.size
@@ -84,16 +88,16 @@ def old_clustered(clusters, cluster_weights, n):
     per_element = [[] for _ in range(n)]
     for c, (cl, w) in enumerate(zip(clusters, cluster_weights)):
         cl = np.asarray(cl)
-        if cl.size and cl.dtype.kind not in "iu":
-            raise InputError(f"cluster {c} lists a non-integer element")
+        if cl.ndim != 1 or (cl.size and cl.dtype.kind not in "iu"):
+            raise InputError(f"cluster {c} must list integer ids")
         cl = cl.astype(np.intp, copy=False)
         w = _floats(w, "cluster weights")
         if cl.shape != w.shape:
-            raise InputError(f"cluster {c}: ids and weights have different lengths")
+            raise InputError(f"cluster {c}: ids and values have different lengths")
         if cl.size and (cl.min() < 0 or cl.max() >= n):
-            raise InputError(f"cluster {c} references an element out of range")
+            raise InputError(f"cluster {c} references an id out of range")
         if len(np.unique(cl)) != cl.size:
-            raise InputError(f"cluster {c} lists an element twice")
+            raise InputError(f"cluster {c} lists an id twice")
         if np.any(w < 0) or not np.all(np.isfinite(w)):
             raise InputError("cluster weights must be finite and non-negative")
         for e, we in zip(cl, w):
@@ -111,12 +115,12 @@ def old_flatten_sets(sets, universe: int):
     for j, s in enumerate(sets):
         arr = s if isinstance(s, np.ndarray) else np.asarray(list(s))  # one read of an iterator
         if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
-            raise InputError(f"set of element {j} must list integer items")
+            raise InputError(f"set of element {j} must list integer ids")
         arr = np.sort(arr.astype(np.intp, copy=False))
         if np.any(arr[1:] == arr[:-1]):
-            raise InputError(f"set of element {j} contains duplicate items")
+            raise InputError(f"set of element {j} lists an id twice")
         if arr.size and (arr[0] < 0 or arr[-1] >= universe):
-            raise InputError(f"set of element {j} references items outside the universe")
+            raise InputError(f"set of element {j} references an id out of range")
         chunks.append(arr)
         indptr[j + 1] = indptr[j] + arr.size
     items = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.intp)
@@ -390,11 +394,11 @@ def test_unsorted_sets_are_sorted_within_each_set(lengths):
     ([[2, 1, 0], [9, 8, 7], [3, 3, 5], [6, 6, 0]], 2),  # one length
 ])
 def test_a_duplicate_names_the_first_bad_set(sets, bad):
-    with pytest.raises(InputError, match=f"set of element {bad} contains duplicate items"):
+    with pytest.raises(InputError, match=f"set of element {bad} lists an id twice"):
         SetCoverData(sets, 10)
     assert_same(lambda: old_flatten_sets(sets, 10), lambda: new_set_cover(sets, 10))
 
 
 def test_cluster_that_is_not_a_list_of_ids_is_refused():
-    with pytest.raises(InputError, match="cluster 1 lists a non-integer element"):
+    with pytest.raises(InputError, match="cluster 1 must list integer ids"):
         ClusteredConcaveModularData([[0], [[0, 1]]], [[1.0], [[1.0, 1.0]]], n=2)

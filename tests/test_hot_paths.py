@@ -116,13 +116,12 @@ def test_scalar_gain_hooks_stay_thin(path):
 
 
 # The CSR builders of the sparse data classes check and copy whole arrays.
-# Their per-row loops keep only a row's type and shape test: a numpy sort,
-# unique or reduction in a loop brings back the per-element pass they replace.
+# The reader's per-row loop keeps only a row's type and shape test: a numpy
+# sort, unique or reduction in a loop brings back the per-element pass it replaced.
 CSR_BUILDERS = {
     "ragged.py": ("csr_from_rows", "csr_checked"),
-    "concave.py": ("_feature_rows", "_cluster_rows", "FeatureBasedData.__post_init__",
-                   "ClusteredConcaveModularData.__post_init__"),
-    "coverage.py": ("_item_csr", "SetCoverData.__post_init__", "ClusteredSetCoverData.__post_init__"),
+    "concave.py": ("FeatureBasedData.__post_init__", "ClusteredConcaveModularData.__post_init__"),
+    "coverage.py": ("SetCoverData.__post_init__", "ClusteredSetCoverData.__post_init__"),
 }
 WHOLE_ARRAY_CALLS = {
     "sort", "argsort", "lexsort", "unique", "min", "max", "amin", "amax", "sum", "prod",

@@ -1,13 +1,14 @@
 """Every ``InputError`` that the square-matrix constructors raise, with its
 exact message; and the near-symmetric input they accept.  Every ``InputError``
-raised in ``core.py``, ``maximize.py``, ``functions/concave.py``,
-``functions/coverage.py``, ``functions/graphs.py``,
-``functions/dispersion.py``, ``functions/spectral.py``,
-``functions/compose.py``, ``minimize.py`` and ``bench/dataio.py``, one
-malformed input, call or file per ``raise``, with its exact message.
-Strings, ragged rows and complex entries in every numeric input, array or
-single number, raise ``InputError`` from ``core.real_array`` with no
-warning."""
+raised in ``core.py``, ``maximize.py``, ``bounds.py``,
+``functions/concave.py``, ``functions/coverage.py``, ``functions/ragged.py``,
+``functions/graphs.py``, ``functions/dispersion.py``,
+``functions/spectral.py``, ``functions/compose.py``, ``minimize.py`` and
+``bench/dataio.py``, one malformed input, call or file per ``raise``, with
+its exact message.  Strings, ragged rows and complex entries in every
+numeric input, array or single number, raise ``InputError`` from
+``core.real_array`` with no warning.  The four sparse inputs word each
+fault of a row alike, from ``ragged.csr_from_rows``."""
 
 import ast
 import warnings
@@ -23,6 +24,8 @@ from submemo.bench.dataio import (
     save_dense_matrix,
     save_set_system,
 )
+from submemo.bounds import bound_rounds, chain_prefix_values, linear_oracle, lovasz_value
+from submemo.constrained import submodular_set_cover
 from submemo.core import (
     InputError,
     ModularFunction,
@@ -143,6 +146,10 @@ DENSE = {
     "mixture-weight": (lambda w: MixtureFunction([(w, _modular(2))]), "mixture weights", 0),
     "knapsack-costs": (lambda c: Knapsack(c, 1.0), "knapsack costs", 1),
     "knapsack-budget": (lambda b: Knapsack((1.0,), b), "knapsack budget", 0),
+    "lovasz-point": (lambda x: lovasz_value(_modular(3), x), "point x", 1),
+    "linear-oracle-point": (lambda x: linear_oracle(_modular(3), x), "point x", 1),
+    "chain-prefix-point": (lambda x: chain_prefix_values(_modular(3), x), "point x", 1),
+    "cover-costs": (lambda c: submodular_set_cover(_modular(3), c, 1.0), "cover costs", 1),
 }
 # malformed form -> (input per dimension 0, 1, 2; message after "<what> ")
 MALFORMED = {
@@ -177,6 +184,50 @@ def test_malformed_dense_inputs_raise_input_error(case):
     assert type(info.value) is InputError
     assert str(info.value) == message
     assert _raise_site(info.tb)[0] == "core.py"
+
+
+def _pairs(ids, values):
+    """Element j's ``(ids[j], values[j])`` pair; a row that is not a list stands alone."""
+    return [(i, v) if isinstance(i, list) else i for i, v in zip(ids, values)]
+
+
+# sparse input -> (call on the rows' ids and values, its row label, what its
+# values are called: None for id-only rows)
+SPARSE = {
+    "feature-scores": (lambda ids, v: FeatureBasedData(_pairs(ids, v), num_features=2),
+                       "feature scores: element {}", "feature scores"),
+    "clusters": (lambda ids, v: ClusteredConcaveModularData(ids, v, 2), "cluster {}", "cluster weights"),
+    "sets": (lambda ids, _: SetCoverData(ids, 2), "set of element {}", None),
+    "cover-clusters": (lambda ids, _: ClusteredSetCoverData([[0]], 2, clusters=ids), "cluster {}", None),
+}
+# fault -> (ids and values of two rows, the second at fault; the one message
+# every input raises for it; whether only rows with values can have it)
+SPARSE_FAULTS = {
+    "non-integer-ids": ([[0], [0.5]], [[1.0], [1.0]], "{row} must list integer ids", False),
+    "not-iterable": ([[0], 5], [[1.0], [1.0]], "{row} must list integer ids", False),
+    "id-out-of-range": ([[0], [2]], [[1.0], [1.0]], "{row} references an id out of range", False),
+    "id-twice": ([[0], [1, 1]], [[1.0], [1.0, 1.0]], "{row} lists an id twice", False),
+    "lengths": ([[0], [0, 1]], [[1.0], [1.0]], "{row}: ids and values have different lengths", True),
+    "negative-value": ([[0], [1]], [[1.0], [-1.0]], "{values} must be finite and non-negative", True),
+}
+# "<input>/<fault>" -> (call, exact message)
+SPARSE_CASES = {
+    f"{target}/{fault}": ((lambda b=build, i=ids, v=vals: b(i, v)),
+                          message.format(row=label.format(1), values=values))
+    for target, (build, label, values) in SPARSE.items()
+    for fault, (ids, vals, message, valued) in SPARSE_FAULTS.items()
+    if values is not None or not valued
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPARSE_CASES))
+def test_sparse_inputs_word_each_fault_alike(case):
+    build, message = SPARSE_CASES[case]
+    with pytest.raises(InputError) as info:
+        build()
+    assert type(info.value) is InputError
+    assert str(info.value) == message
+    assert _raise_site(info.tb)[0] == "functions/ragged.py"
 
 
 def test_symmetric_within_allclose_is_accepted_with_private_cols():
@@ -225,9 +276,9 @@ def test_log_det_ridged_kernel_is_kernel_plus_ridge_identity(first, ridge):
 
 
 SUBMEMO = Path(__file__).resolve().parents[1] / "src" / "submemo"
-TABLE_FILES = ("core.py", "maximize.py", "functions/concave.py", "functions/coverage.py",
-               "functions/graphs.py", "functions/dispersion.py", "functions/spectral.py",
-               "functions/compose.py", "minimize.py", "bench/dataio.py")
+TABLE_FILES = ("core.py", "maximize.py", "bounds.py", "functions/concave.py", "functions/coverage.py",
+               "functions/ragged.py", "functions/graphs.py", "functions/dispersion.py",
+               "functions/spectral.py", "functions/compose.py", "minimize.py", "bench/dataio.py")
 
 # v v^T for v = (0.54, 0.48), whose entries are these decimals: singular in
 # exact arithmetic, so only rounding decides each pivot's sign.  Factored in
@@ -266,33 +317,39 @@ DATA_CASES = {
     "concave-unknown": (lambda: make_concave("cube"),
                         "unknown concave shape 'cube' (use sqrt, log1p, pow:<p>)"),
     "features-non-integer-id": (lambda: FeatureBasedData([([0.6], [1.0])], num_features=2),
-                                "feature scores: element 0 has non-integer ids"),
+                                "feature scores: element 0 must list integer ids"),
     "features-mismatched": (lambda: FeatureBasedData([([0, 1], [1.0])], num_features=2),
-                            "feature scores: element 0 has mismatched id/value arrays"),
+                            "feature scores: element 0: ids and values have different lengths"),
     "features-id-out-of-range": (lambda: FeatureBasedData([([0], [1.0]), ([2], [1.0])], num_features=2),
                                  "feature scores: element 1 references an id out of range"),
     "features-id-twice": (lambda: FeatureBasedData([([1, 1], [1.0, 2.0])], num_features=2),
                           "feature scores: element 0 lists an id twice"),
     "features-negative-sparse": (lambda: FeatureBasedData([([0], [-1.0])], num_features=2),
-                                 "feature scores: scores must be finite and non-negative"),
+                                 "feature scores must be finite and non-negative"),
     "features-negative-dense": (lambda: FeatureBasedData(np.array([[1.0, -1.0]])),
                                 "feature scores must be finite and non-negative"),
     "features-dense-not-2d": (lambda: FeatureBasedData(np.ones(3)),
                               "feature scores must be a 2-d array, got shape (3,)"),
     "features-no-count": (lambda: FeatureBasedData([([0], [1.0])]),
                           "sparse feature scores need num_features"),
+    "features-string-count": (lambda: FeatureBasedData([([0], [1.0])], num_features="3"),
+                              "num_features must be an integer >= 0, got '3'"),
+    "features-row-not-iterable": (lambda: FeatureBasedData([5], num_features=3),
+                                  "feature scores: element 0 must list integer ids"),
     "clusters-misaligned": (lambda: _clustered([[0]], []), "clusters and cluster_weights must align"),
     "clusters-none": (lambda: _clustered([], []), "need at least one cluster"),
     "cluster-non-integer-element": (lambda: _clustered([[0.5]], [[1.0]]),
-                                    "cluster 0 lists a non-integer element"),
+                                    "cluster 0 must list integer ids"),
     "cluster-lengths": (lambda: _clustered([[0, 1]], [[1.0]]),
-                        "cluster 0: ids and weights have different lengths"),
+                        "cluster 0: ids and values have different lengths"),
     "cluster-out-of-range": (lambda: _clustered([[0], [0, 2]], [[1.0], [1.0, 1.0]]),
-                             "cluster 1 references an element out of range"),
+                             "cluster 1 references an id out of range"),
     "cluster-element-twice": (lambda: _clustered([[1, 1]], [[1.0, 1.0]]),
-                              "cluster 0 lists an element twice"),
+                              "cluster 0 lists an id twice"),
     "cluster-weight-nan": (lambda: _clustered([[0]], [[np.nan]]),
                            "cluster weights must be finite and non-negative"),
+    "cluster-string-size": (lambda: _clustered([[0]], [[1.0]], n="3"),
+                            "ground set size must be an integer >= 0, got '3'"),
     "deep-1d-scores": (lambda: _deep(scores=(1.0, 2.0)),
                        "deep function scores must be a 2-d array, got shape (2,)"),
     "deep-mix-shape": (lambda: _deep(mix=((1.0, 1.0, 1.0),)),
@@ -303,24 +360,30 @@ DATA_CASES = {
     "deep-negative-outer": (lambda: _deep(outer=(-1.0,)),
                             "deep function outer must be finite and non-negative"),
     "cover-non-integer-item": (lambda: SetCoverData([[0.7, 1.9]], 3),
-                               "set of element 0 must list integer items"),
+                               "set of element 0 must list integer ids"),
     "cover-duplicate-item": (lambda: SetCoverData([[0], [1, 0, 1]], 2),
-                             "set of element 1 contains duplicate items"),
+                             "set of element 1 lists an id twice"),
     "cover-item-out-of-range": (lambda: SetCoverData([[2]], 2),
-                                "set of element 0 references items outside the universe"),
+                                "set of element 0 references an id out of range"),
     "cover-weight-count": (lambda: SetCoverData([[0]], 2, weights=[1.0]),
                            "need one weight per universe item (2), got (1,)"),
     "cover-weight-nan": (lambda: SetCoverData([[0]], 2, weights=[1.0, np.nan]),
                          "universe weights must be finite and non-negative"),
-    "cover-negative-universe": (lambda: SetCoverData([[0]], -1), "universe size must be non-negative"),
+    "cover-negative-universe": (lambda: SetCoverData([[0]], -1), "universe size must be an integer >= 0, got -1"),
+    "cover-fractional-universe": (lambda: SetCoverData([[0]], 3.5),
+                                  "universe size must be an integer >= 0, got 3.5"),
+    "cover-string-universe": (lambda: SetCoverData([[0]], "3"), "universe size must be an integer >= 0, got '3'"),
+    "cover-set-not-iterable": (lambda: SetCoverData([5], 6), "set of element 0 must list integer ids"),
     "clustered-cover-no-cluster": (lambda: ClusteredSetCoverData([[0]], 2, clusters=[]),
                                    "clustered set cover needs at least one cluster"),
     "clustered-cover-non-integer-item": (lambda: ClusteredSetCoverData([[0]], 2, clusters=[[0.5]]),
-                                         "cluster 0 must list integer items"),
+                                         "cluster 0 must list integer ids"),
     "clustered-cover-out-of-range": (lambda: ClusteredSetCoverData([[0]], 2, clusters=[[0], [2]]),
-                                     "cluster 1 references items outside the universe"),
+                                     "cluster 1 references an id out of range"),
     "clustered-cover-item-twice": (lambda: ClusteredSetCoverData([[0]], 2, clusters=[[1, 1]]),
-                                   "cluster 0 contains duplicate items"),
+                                   "cluster 0 lists an id twice"),
+    "clustered-cover-cluster-not-iterable": (lambda: ClusteredSetCoverData([[0]], 2, clusters=[3]),
+                                             "cluster 0 must list integer ids"),
     "probabilistic-1d": (lambda: ProbabilisticSetCoverData(np.ones(3)),
                          "coverage probabilities must be a 2-d array, got shape (3,)"),
     "probabilistic-above-one": (lambda: ProbabilisticSetCoverData(np.array([[0.5, 1.5]])),
@@ -376,6 +439,9 @@ CORE_CASES = {
     "order-out-of-range": (lambda: check_permutation(2, [0, 2]),
                            "order must be a permutation of all element ids"),
     "order-repeats": (lambda: check_permutation(2, [0, 0]), "order must be a permutation of all element ids"),
+    "point-not-finite": (lambda: lovasz_value(_modular(3), [0.0, np.nan, 1.0]), "point x must be finite"),
+    "cover-cost-not-finite": (lambda: submodular_set_cover(_modular(3), [1.0, np.inf, 1.0], 1.0),
+                              "cover costs must be finite"),
     "subset-other-ground-set": (lambda: as_subset(3, Subset(2)), "subset over ground set 2, expected 3"),
     "function-empty-ground-set": (lambda: GraphCutFunction(GraphCutData(np.zeros((0, 0)))),
                                   "ground set must have at least one element, got 0"),
@@ -395,8 +461,13 @@ MAXIMIZE_CASES = {
     "machine-count": (lambda: distributed_greedy(_modular(2), 1, machines=0),
                       "machine count must lie in [1, 2]"),
 }
+# case -> (call, exact message)
+BOUNDS_CASES = {
+    "bound-rounds-cap": (lambda: bound_rounds(lambda current: None, 0), "max_iters must be >= 1, got 0"),
+    "linear-oracle-length": (lambda: linear_oracle(_modular(3), [0.0, 1.0]), "need one coordinate per element"),
+}
 # file -> its cases: each call raises in that file
-CALL_CASES = {"core.py": CORE_CASES, "maximize.py": MAXIMIZE_CASES}
+CALL_CASES = {"core.py": CORE_CASES, "maximize.py": MAXIMIZE_CASES, "bounds.py": BOUNDS_CASES}
 
 
 def _loading(loader, text: str):
@@ -567,7 +638,8 @@ def test_every_raise_in_the_table_files_has_a_case(tmp_path):
             LogDetData(kernel, ridge=ridge)
         sites.add(_raise_site(info.tb))
     calls = [*DATA_CASES.values(), *MINIMIZE_CASES.values(), *CORE_CASES.values(),
-             *MAXIMIZE_CASES.values(), *DENSE_CASES.values()]
+             *MAXIMIZE_CASES.values(), *BOUNDS_CASES.values(), *DENSE_CASES.values(),
+             *SPARSE_CASES.values()]
     for build, _ in calls:
         with pytest.raises(InputError) as info:
             build()
